@@ -22,9 +22,11 @@ from .dataset import load_year, standardize, VACCINE_COLUMNS
 from .errors import ConfigError, DataError, VaxclustError
 from .evaluation import dataset_design
 from .gbdt import TrainConfig, fit, from_json as model_from_json, to_json as model_to_json
-from .hcluster import agglomerate, cut_at_k, dendrogram_table, label_by_coverage, pairwise_distances, suggest_k
+from .hcluster import agglomerate, cut_at_k, dendrogram_table, label_by_coverage, pairwise_distances
 from .pipeline import (
     RunReport,
+    _csv_line,
+    _suggested_k,
     analyze_cell,
     config_from_mapping,
     emit_table3,
@@ -104,7 +106,7 @@ def cmd_cluster(args) -> int:
     rates = dataset.vaccination_matrix()
     matrix = standardize(rates, VACCINE_COLUMNS).values if config.scale_rates else rates
     dendro = agglomerate(pairwise_distances(matrix), linkage=config.linkage)
-    suggested = suggest_k(dendro, 2, min(10, len(dataset) - 1))
+    suggested = _suggested_k(dendro)
     os.makedirs(config.out_dir, exist_ok=True)
     with open(os.path.join(config.out_dir, f"dendrogram_{args.year}.csv"), "w", encoding="utf-8") as f:
         f.write(dendrogram_table(dendro))
@@ -113,7 +115,7 @@ def cmd_cluster(args) -> int:
         lines = ["district_id,district_name,cluster_index,cluster_name"]
         for i, (district, _, _) in enumerate(dataset.rows):
             label = int(assignment.labels[i])
-            lines.append(f"{district.id},{district.name},{label},{assignment.name_of(label)}")
+            lines.append(_csv_line([district.id, district.name, label, assignment.name_of(label)]))
         path = os.path.join(config.out_dir, f"clusters_{args.year}_k{k}.csv")
         with open(path, "w", encoding="utf-8") as f:
             f.write("\n".join(lines) + "\n")
@@ -155,15 +157,14 @@ def cmd_explain(args) -> int:
         for rank, (name, value) in enumerate(importance.ranking(), start=1):
             f.write(f"{name},{value!r},{rank}\n")
     if args.per_row:
-        explainer = TreeShapExplainer(model)
+        phi = TreeShapExplainer(model).explain(design)
         rows_path = os.path.join(config.out_dir, f"shap_rows_{args.year}.csv")
         with open(rows_path, "w", encoding="utf-8") as f:
             f.write("district_id,output,feature_name,phi\n")
             for i, (district, _, _) in enumerate(dataset.rows):
-                attribution = explainer.attribute(design[i])
-                for output in range(attribution.phi.shape[0]):
+                for output in range(phi.shape[1]):
                     for j, fname in enumerate(model.feature_names):
-                        f.write(f"{district.id},{output},{fname},{attribution.phi[output, j]!r}\n")
+                        f.write(f"{district.id},{output},{fname},{phi[i, output, j]!r}\n")
     print(f"wrote {path}")
     return 0
 
@@ -175,7 +176,7 @@ def cmd_stats(args) -> int:
     matrix = standardize(rates, VACCINE_COLUMNS).values if config.scale_rates else rates
     dendro = agglomerate(pairwise_distances(matrix), linkage=config.linkage)
     assignment = label_by_coverage(cut_at_k(dendro, args.k), dataset, args.k)
-    report = analyze_cell(dataset, assignment, suggest_k(dendro, 2, min(10, len(dataset) - 1)), config)
+    report = analyze_cell(dataset, assignment, _suggested_k(dendro), config)
     os.makedirs(config.out_dir, exist_ok=True)
     write_cell_artifacts(report, assignment, dataset, config)
     print(f"wrote stats artifacts for year {args.year}, k={args.k} to {config.out_dir}")

@@ -100,6 +100,10 @@ class RunConfig:
             raise ConfigError("k_folds must be >= 2")
         if self.threads < 1:
             raise ConfigError("threads must be >= 1")
+        if self.geometry_path is not None and not isinstance(self.geometry_path, str):
+            raise ConfigError("geometry_path must be a string")
+        if self.geometry_path:
+            _read_geometry(self.geometry_path)
         try:
             self.train.validate()
         except ValueError as exc:
@@ -131,6 +135,25 @@ class RunConfig:
 
     def gdsc_path(self, year: int) -> str:
         return os.path.join(self.input_dir, f"gdsc_{year}.csv")
+
+
+def _read_geometry(path: str) -> dict:
+    """Parsed GeoJSON object at ``path``; ConfigError if unreadable or not an object."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            geometry = json.load(f)
+    except OSError as exc:
+        raise ConfigError(f"cannot read geometry file: {exc}") from exc
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"geometry file is not valid JSON: {exc}") from exc
+    if not isinstance(geometry, dict):
+        raise ConfigError("geometry file must hold a JSON object")
+    features = geometry.get("features", [])
+    if not isinstance(features, list) or not all(
+        isinstance(f, dict) and isinstance(f.get("properties", {}), dict) for f in features
+    ):
+        raise ConfigError("geometry features must be a list of objects with object properties")
+    return geometry
 
 
 def load_config(path, overrides: dict | None = None) -> RunConfig:
@@ -385,10 +408,11 @@ def _write(path: str, text: str) -> None:
 
 
 def _csv_line(values) -> str:
+    """One CSV record; fields with a comma or quote are quoted, quotes doubled (RFC 4180)."""
     out = []
     for v in values:
         s = str(v)
-        out.append(f'"{s}"' if ("," in s or '"' in s) else s)
+        out.append('"' + s.replace('"', '""') + '"' if ("," in s or '"' in s) else s)
     return ",".join(out)
 
 
@@ -476,15 +500,22 @@ def write_cell_artifacts(report: RunReport, assignment, dataset, config: RunConf
         lines.append(",".join([str(r + 1)] + [str(v) for v in row]))
     _write(os.path.join(out, f"crosstab_{tag}.csv"), "\n".join(lines) + "\n")
 
-    geometry = None
-    if config.geometry_path:
-        with open(config.geometry_path, encoding="utf-8") as f:
-            geometry = json.load(f)
+    geometry = _read_geometry(config.geometry_path) if config.geometry_path else None
     doc = emit_choropleth(assignment, dataset, geometry)
     suffix = "geojson" if geometry is not None else "json"
     _write(os.path.join(out, f"choropleth_{tag}.{suffix}"), json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
     _write(os.path.join(out, f"report_{tag}.json"), report.to_json() + "\n")
+
+
+def _suggested_k(dendro) -> int:
+    """Advisory k in 2..min(10, n - 1).
+
+    Up to 3 districts leave at most one candidate, which ``suggest_k`` (a
+    search over k_min < k_max) does not take.
+    """
+    k_max = min(10, dendro.n_leaves - 1)
+    return suggest_k(dendro, 2, k_max) if k_max > 2 else k_max
 
 
 @dataclass
@@ -513,7 +544,7 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
             rates = dataset.vaccination_matrix()
             matrix = standardize(rates, VACCINE_COLUMNS).values if config.scale_rates else rates
             dendro = agglomerate(pairwise_distances(matrix), linkage=config.linkage)
-            suggested = suggest_k(dendro, 2, min(10, len(dataset) - 1))
+            suggested = _suggested_k(dendro)
             datasets[year] = dataset
             year_setup[year] = (dendro, suggested)
             _write(os.path.join(config.out_dir, f"dendrogram_{year}.csv"), dendrogram_table(dendro))

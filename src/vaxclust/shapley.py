@@ -2,14 +2,35 @@
 
 Two independent routes to the same quantity:
 
-* :func:`tree_shap` — the exact polynomial-time algorithm (path-dependent
-  variant). Conditional expectations for features outside a coalition follow
-  the training-cover proportions stored on each tree, so no background
-  dataset is needed.
+* :class:`TreeShapExplainer` (and :func:`tree_shap`) — path-dependent
+  TreeSHAP in closed form, one sum over leaves per tree. Conditional
+  expectations for features outside a coalition follow the training-cover
+  proportions stored on each tree, so no background dataset is needed. For
+  one tree and one row, the value of a coalition S of the tree's u split
+  columns is
+
+      v(S) = sum_leaf value * prod_{j in S} o_j * prod_{j not in S} z_j,
+
+  where o_j is 1 if the leaf agrees with the row at every level split on j
+  (else 0), and z_j is the product of the leaf path's cover fractions at
+  those levels (0 below a node without training rows). The Shapley weight
+  |S|! (u - |S| - 1)! / u! is the integral over [0, 1] of
+  t^|S| (1 - t)^(u - |S| - 1), so
+
+      phi_j = sum_leaf value * (o_j - z_j) * int_0^1 prod_{i != j} (z_i (1 - t) + o_i t) dt.
+
+  The integrand is a polynomial of degree < u, which Gauss-Legendre
+  quadrature with ceil(u / 2) nodes integrates exactly (the quadrature form
+  of Linear TreeSHAP, Bifet et al. 2022). A leaf's term vanishes unless its
+  value is nonzero and the row agrees with it at the levels of every player
+  whose z is 0, so only populated leaves and the row's own path below an
+  empty node are summed: the cost per decision pattern is
+  O(leaves * u * ceil(u / 2)) at any depth, with no 2^u or 2^depth factor.
 * :func:`brute_force_shapley` — the definition, verbatim: for every feature,
   the factorially-weighted average of marginal contributions over all
-  feature subsets, with the same cover-based conditional expectation. Only
-  viable for small feature counts; exists to cross-check the fast path.
+  feature subsets, with the same cover-based conditional expectation found by
+  descending the tree. Only viable for small feature counts; it shares no
+  code with the fast path and exists to cross-check it.
 
 Both operate in margin space, per output column (one column for binary
 models, one per class for multiclass). Attributions are additive across
@@ -18,6 +39,7 @@ trees and satisfy local accuracy: sum(phi) + base == margin.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -50,8 +72,155 @@ class GlobalImportance:
         return [(self.feature_names[j], float(self.values[j])) for j in order]
 
 
+# upper bound on the (quadrature node, pattern-leaf term, player) factors held at once
+_TERM_BUDGET = 1 << 16
+
+
+@functools.lru_cache(maxsize=None)
+def _gauss_legendre(u: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights on [0, 1] exact for polynomials of degree < u."""
+    nodes, weights = np.polynomial.legendre.leggauss(max(1, (u + 1) // 2))
+    return (nodes + 1.0) / 2.0, weights / 2.0
+
+
+class _LeafTerms:
+    """One tree's leaves in the closed form of its Shapley values.
+
+    The players are the tree's distinct design columns (``columns``);
+    ``level_masks[s]`` holds, as leaf-index bits, the levels split on
+    columns[s]. Only leaves with a nonzero value carry terms. Per kept leaf:
+    its index, its value with shrinkage folded in, ``zero[:, s]`` — the
+    product of the cover fractions of its path at the levels of player s
+    (0 below an empty node) — and ``empty_masks``, the levels of the players
+    whose fraction is 0, on which a row must agree with the leaf for the leaf
+    to count at all.
+    """
+
+    __slots__ = ("class_index", "columns", "level_masks", "leaves", "values", "zero", "empty_masks", "expected")
+
+    def __init__(self, tree: ObliviousTree, learning_rate: float):
+        if tree.leaf_cover is None or np.sum(tree.leaf_cover) <= 0:
+            raise MissingCover("tree has no populated leaf_cover")
+        cover = np.asarray(tree.leaf_cover, dtype=np.float64)
+        values = learning_rate * np.asarray(tree.leaf_values, dtype=np.float64)
+        self.class_index = tree.class_index
+        self.expected = float(values @ cover) / float(cover.sum())  # v(empty coalition)
+
+        features = [f for f, _ in tree.splits]
+        columns = list(dict.fromkeys(features))
+        player = [columns.index(f) for f in features]
+        first = [features.index(c) for c in columns]  # each player's first level
+        masks = [0] * len(columns)
+        for level, p in enumerate(player):
+            masks[p] |= 1 << level
+        self.columns = np.array(columns, dtype=np.int64)
+        self.level_masks = np.array(masks, dtype=np.int64)
+
+        # node covers depth by depth; the depth-m node whose level decisions
+        # are the m low bits of i sits at node_cover[2^m - 1 + i]
+        covers = [cover]
+        for level in range(tree.n_levels - 1, -1, -1):
+            covers.insert(0, covers[0][: 1 << level] + covers[0][1 << level :])
+        node_cover = np.concatenate(covers)
+        prefix = np.array([(1 << m) - 1 for m in range(tree.n_levels + 1)], dtype=np.int64)
+
+        self.leaves = np.flatnonzero(values)
+        self.values = values[self.leaves]
+        path = node_cover[prefix + (self.leaves[:, None] & prefix)]  # (leaf, depth) covers
+        fraction = np.divide(
+            path[:, 1:], path[:, :-1], out=np.zeros((self.leaves.size, tree.n_levels)), where=path[:, :-1] > 0
+        )
+        # each player's z: the product of its levels' fractions, in level order
+        self.zero = fraction[:, first]
+        for level, p in enumerate(player):
+            if level != first[p]:
+                self.zero[:, p] *= fraction[:, level]
+        self.empty_masks = (self.zero == 0.0) @ self.level_masks
+
+    def phi(self, patterns: np.ndarray) -> np.ndarray:
+        """(len(patterns), len(columns)) attributions for decision patterns.
+
+        A pattern holds a row's per-level decisions (bit l set: went right at
+        level l). Every pattern is computed from its own (pattern, leaf) terms
+        in a fixed order, so a row's result does not depend on the batch.
+        """
+        u = self.columns.size
+        nodes, weights = _gauss_legendre(u)
+        out = np.zeros(patterns.size * u)
+        step = max(1, _TERM_BUDGET // max(1, self.leaves.size * u * nodes.size))
+        for start in range(0, patterns.size, step):
+            chunk = patterns[start : start + step]
+            disagree = chunk[:, None] ^ self.leaves[None, :]
+            row, leaf = np.nonzero((disagree & self.empty_masks) == 0)
+            one = ((disagree[row, leaf][:, None] & self.level_masks) == 0).astype(np.float64)
+            zero = self.zero[leaf]
+            # (quadrature node, term, player) factors z (1 - t) + o t; a
+            # player's integrand is the product of the other players' factors
+            factors = zero * (1.0 - nodes)[:, None, None] + one * nodes[:, None, None]
+            before = np.ones_like(factors)
+            after = np.ones_like(factors)
+            np.cumprod(factors[:, :, :-1], axis=2, out=before[:, :, 1:])
+            np.cumprod(factors[:, :, :0:-1], axis=2, out=after[:, :, -2::-1])
+            others = before * after
+            integral = weights[0] * others[0]
+            for w, product in zip(weights[1:], others[1:]):
+                integral += w * product
+            terms = (one - zero) * integral * self.values[leaf][:, None]
+            slots = (row[:, None] * u + np.arange(u)).ravel()
+            out[start * u : (start + chunk.size) * u] = np.bincount(
+                slots, weights=terms.ravel(), minlength=chunk.size * u
+            )
+        return out.reshape(patterns.size, u)
+
+
+class TreeShapExplainer:
+    """Per-tree leaf terms built once; attributions for any batch of rows.
+
+    A row enters a tree only through its per-level decisions, read with
+    :meth:`ObliviousTree.leaf_indices`; each distinct decision pattern is
+    attributed once and gathered back onto its rows.
+    """
+
+    def __init__(self, model: TreeEnsemble):
+        self.model = model
+        self.n_features = model.n_features
+        self.terms = [_LeafTerms(t, model.learning_rate) for t in model.trees]
+        base = np.array(model.base_score, dtype=np.float64)
+        for terms in self.terms:
+            base[terms.class_index] += terms.expected
+        self.base = base
+
+    def explain(self, design) -> np.ndarray:
+        """(n_rows, n_outputs, n_features) margin-space phi for an encoded design."""
+        design = np.atleast_2d(np.asarray(design, dtype=np.float64))
+        if design.shape[1] != self.n_features:
+            raise FeatureArityMismatch(f"expected {self.n_features} features, got {design.shape[1]}")
+        phi = np.zeros((design.shape[0], self.model.n_outputs, self.n_features))
+        for tree, terms in zip(self.model.trees, self.terms):
+            if terms.columns.size == 0:
+                continue
+            patterns, inverse = np.unique(tree.leaf_indices(design), return_inverse=True)
+            phi[:, terms.class_index, terms.columns] += terms.phi(patterns)[inverse]
+        return phi
+
+    def attribute(self, x) -> Attribution:
+        x = np.asarray(x, dtype=np.float64).ravel()
+        if x.shape[0] != self.n_features:
+            raise FeatureArityMismatch(f"expected {self.n_features} features, got {x.shape[0]}")
+        return Attribution(phi=self.explain(x[None, :])[0], base=self.base.copy())
+
+
+def tree_shap(model: TreeEnsemble, x) -> Attribution:
+    """Exact attribution for one encoded feature row (convenience wrapper).
+
+    :meth:`TreeShapExplainer.explain` attributes many rows of one model at
+    once.
+    """
+    return TreeShapExplainer(model).attribute(x)
+
+
 class _TreeArrays:
-    """Binary-tree form of one oblivious tree, shrinkage folded into values.
+    """Binary-tree form of one oblivious tree for the oracle, shrinkage folded in.
 
     Heap layout: node i has children 2i+1 / 2i+2; right child means
     feature > threshold. Internal values are cover-weighted child means so
@@ -103,164 +272,6 @@ class _TreeArrays:
 
     def is_leaf(self, node: int) -> bool:
         return self.left[node] < 0
-
-
-class TreeShapExplainer:
-    """Per-tree arrays built once; attributions cached per decision pattern.
-
-    The recursion reads the explained row only through its per-level
-    decisions, so an L-level oblivious tree admits at most 2^L distinct
-    attribution vectors. Rows hitting a seen pattern reuse the cached vector
-    bit-for-bit; exactness is untouched.
-    """
-
-    def __init__(self, model: TreeEnsemble):
-        self.model = model
-        self.trees = model.trees
-        self.arrays = [_TreeArrays(t, model.learning_rate) for t in model.trees]
-        self.n_features = model.n_features
-        self._pattern_phi: list[dict[int, np.ndarray]] = [{} for _ in model.trees]
-        base = np.array(model.base_score, dtype=np.float64)
-        for arr in self.arrays:
-            base[arr.class_index] += arr.values[0]
-        self.base = base
-
-    def attribute(self, x) -> Attribution:
-        x = np.asarray(x, dtype=np.float64).ravel()
-        if x.shape[0] != self.n_features:
-            raise FeatureArityMismatch(f"expected {self.n_features} features, got {x.shape[0]}")
-        phi = np.zeros((self.model.n_outputs, self.n_features))
-        for tree, arr, cache in zip(self.trees, self.arrays, self._pattern_phi):
-            pattern = 0
-            for level, (f, t) in enumerate(tree.splits):
-                if x[f] > t:
-                    pattern |= 1 << level
-            vector = cache.get(pattern)
-            if vector is None:
-                vector = np.zeros(self.n_features)
-                _shap_recurse(arr, pattern, vector, 0, _Path(), 1.0, 1.0, -1)
-                cache[pattern] = vector
-            phi[arr.class_index] += vector
-        return Attribution(phi=phi, base=self.base.copy())
-
-
-class _Path:
-    """Decision-path bookkeeping for the exact algorithm.
-
-    Parallel lists over unique features met on the way down: the feature
-    index, the cover fraction that continues without it (zero), the fraction
-    when it is known (one), and the permutation weights by subset size.
-    """
-
-    __slots__ = ("features", "zeros", "ones", "pweights")
-
-    def __init__(self):
-        self.features: list[int] = []
-        self.zeros: list[float] = []
-        self.ones: list[float] = []
-        self.pweights: list[float] = []
-
-    def copy(self) -> "_Path":
-        p = _Path.__new__(_Path)
-        p.features = self.features.copy()
-        p.zeros = self.zeros.copy()
-        p.ones = self.ones.copy()
-        p.pweights = self.pweights.copy()
-        return p
-
-    def extend(self, zero_fraction: float, one_fraction: float, feature_index: int) -> None:
-        depth = len(self.features)
-        self.features.append(feature_index)
-        self.zeros.append(zero_fraction)
-        self.ones.append(one_fraction)
-        self.pweights.append(1.0 if depth == 0 else 0.0)
-        pw = self.pweights
-        for i in range(depth - 1, -1, -1):
-            pw[i + 1] += one_fraction * pw[i] * (i + 1) / (depth + 1)
-            pw[i] = zero_fraction * pw[i] * (depth - i) / (depth + 1)
-
-    def unwind(self, path_index: int) -> None:
-        depth = len(self.features) - 1
-        one_fraction = self.ones[path_index]
-        zero_fraction = self.zeros[path_index]
-        pw = self.pweights
-        next_one = pw[depth]
-        for i in range(depth - 1, -1, -1):
-            if one_fraction != 0.0:
-                tmp = pw[i]
-                pw[i] = next_one * (depth + 1) / ((i + 1) * one_fraction)
-                next_one = tmp - pw[i] * zero_fraction * (depth - i) / (depth + 1)
-            else:
-                pw[i] = pw[i] * (depth + 1) / (zero_fraction * (depth - i))
-        del self.features[path_index], self.zeros[path_index]
-        del self.ones[path_index], self.pweights[depth]
-        # shift is implicit via list deletion; pweights loses its last slot
-
-    def unwound_sum(self, path_index: int) -> float:
-        depth = len(self.features) - 1
-        one_fraction = self.ones[path_index]
-        zero_fraction = self.zeros[path_index]
-        next_one = self.pweights[depth]
-        total = 0.0
-        for i in range(depth - 1, -1, -1):
-            if one_fraction != 0.0:
-                tmp = next_one * (depth + 1) / ((i + 1) * one_fraction)
-                total += tmp
-                next_one = self.pweights[i] - tmp * zero_fraction * (depth - i) / (depth + 1)
-            else:
-                total += self.pweights[i] / zero_fraction / ((depth - i) / (depth + 1))
-        return total
-
-
-def _shap_recurse(arr, pattern, phi, node, path, parent_zero, parent_one, parent_feature):
-    """Canonical decision-path recursion; ``pattern`` holds the per-level
-    decision bits of the explained row (bit l set means "went right")."""
-    path = path.copy()
-    path.extend(parent_zero, parent_one, parent_feature)
-
-    if arr.is_leaf(node):
-        value = arr.values[node]
-        for i in range(1, len(path.features)):
-            w = path.unwound_sum(i)
-            phi[path.features[i]] += w * (path.ones[i] - path.zeros[i]) * value
-        return
-
-    f = int(arr.feature[node])
-    level = (int(node) + 1).bit_length() - 1
-    went_right = (pattern >> level) & 1
-    hot = arr.right[node] if went_right else arr.left[node]
-    cold = arr.left[node] if went_right else arr.right[node]
-    w = arr.cover[node]
-    hot_zero = arr.cover[hot] / w if w > 0 else 0.0
-    cold_zero = arr.cover[cold] / w if w > 0 else 0.0
-
-    incoming_zero, incoming_one = 1.0, 1.0
-    try:
-        k = path.features.index(f)
-    except ValueError:
-        k = -1
-    if k >= 0:  # feature already on the path: undo, then redo at this node
-        incoming_zero, incoming_one = path.zeros[k], path.ones[k]
-        path.unwind(k)
-
-    # a subtree whose zero and one fractions both vanish carries no Shapley
-    # weight at all (empty training branch off the decision path): skip it
-    # rather than push a (0, 0) path element the unwind math cannot handle
-    hot_zero_arg = hot_zero * incoming_zero
-    cold_zero_arg = cold_zero * incoming_zero
-    if hot_zero_arg != 0.0 or incoming_one != 0.0:
-        _shap_recurse(arr, pattern, phi, hot, path, hot_zero_arg, incoming_one, f)
-    if cold_zero_arg != 0.0:
-        _shap_recurse(arr, pattern, phi, cold, path, cold_zero_arg, 0.0, f)
-
-
-def tree_shap(model: TreeEnsemble, x) -> Attribution:
-    """Exact attribution for one encoded feature row (convenience wrapper).
-
-    Building a :class:`TreeShapExplainer` once is cheaper when explaining
-    many rows of the same model.
-    """
-    return TreeShapExplainer(model).attribute(x)
 
 
 def _conditional_expectation(arr: _TreeArrays, x: np.ndarray, subset_mask: int, node: int) -> float:
@@ -322,10 +333,7 @@ def global_importance(model: TreeEnsemble, design: np.ndarray) -> GlobalImportan
     design = np.atleast_2d(np.asarray(design, dtype=np.float64))
     if design.shape[0] == 0:
         raise EmptySample("global importance needs at least one row")
-    explainer = TreeShapExplainer(model)
-    totals = np.zeros((model.n_outputs, model.n_features))
-    for row in design:
-        totals += np.abs(explainer.attribute(row).phi)
+    totals = np.abs(TreeShapExplainer(model).explain(design)).sum(axis=0)
     per_column = totals.mean(axis=0) / design.shape[0]
 
     source_names: list[str] = []

@@ -46,14 +46,14 @@ def gdsc_row(district_id, rurality=1, **overrides):
     return cells
 
 
-def random_oblivious_model(rng, n_features, n_classes, max_trees=12, max_depth=4, n_train=60):
+def random_oblivious_model(rng, n_features, n_classes, max_trees=12, max_depth=4, n_train=60, min_depth=0):
     """Random ensemble with realistic covers (zero-cover leaves included)."""
     n_outputs = 1 if n_classes == 2 else n_classes
     X_train = rng.normal(size=(n_train, n_features))
     total = int(rng.integers(1, max_trees + 1))
     trees = []
     for t in range(total):
-        levels = int(rng.integers(0, max_depth + 1))
+        levels = int(rng.integers(min_depth, max_depth + 1))
         splits = tuple(
             (int(rng.integers(0, n_features)), float(rng.normal()))
             for _ in range(levels)

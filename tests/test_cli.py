@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import json
 
 import pytest
@@ -62,6 +63,42 @@ def test_run_missing_inputs_is_data_error(tmp_path):
     out = tmp_path / "out"
     config = _write_config(tmp_path, tmp_path / "missing", out)
     assert main(["run", "--config", config]) == 2
+
+
+def test_run_missing_geometry_is_config_error(tmp_path, synth_inputs, capsys):
+    out = tmp_path / "out"
+    config = _write_config(tmp_path, synth_inputs, out, geometry_path=str(tmp_path / "absent.geojson"))
+    assert main(["run", "--config", config]) == 1
+    assert "geometry" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cluster_csv_quotes_names(tmp_path, synth_inputs):
+    path = synth_inputs / "vaccination_2021.csv"
+    with open(path, newline="", encoding="utf-8") as f:
+        rows = list(csv.reader(f))
+    names = {rows[1][0]: "Kingston upon Hull, City of", rows[2][0]: 'The "Quoted" District'}
+    for row in rows[1:3]:
+        row[1] = names[row[0]]
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        csv.writer(f).writerows(rows)
+    out = tmp_path / "clusters"
+    assert main(["cluster", "--input-dir", str(synth_inputs), "--year", "2021",
+                 "--k-values", "2", "--out", str(out)]) == 0
+    with open(out / "clusters_2021_k2.csv", newline="", encoding="utf-8") as f:
+        written = list(csv.reader(f))
+    assert all(len(row) == 4 for row in written)
+    assert {row[0]: row[1] for row in written[1:] if row[0] in names} == names
+
+
+def test_cluster_three_district_year(tmp_path, synth_inputs):
+    for table in ("vaccination", "gdsc"):
+        path = synth_inputs / f"{table}_2021.csv"
+        path.write_text("\n".join(path.read_text().splitlines()[:4]) + "\n")
+    out = tmp_path / "clusters"
+    assert main(["cluster", "--input-dir", str(synth_inputs), "--year", "2021",
+                 "--k-values", "2", "--out", str(out)]) == 0
+    assert len((out / "clusters_2021_k2.csv").read_text().splitlines()) == 4
 
 
 def test_cluster_subcommand(tmp_path, synth_inputs):

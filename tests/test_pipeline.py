@@ -134,6 +134,32 @@ def test_cell_isolation_k_out_of_range(tmp_path):
     assert "—" in table and table.rstrip().endswith("see run_summary.json")
 
 
+@pytest.mark.parametrize("n_districts, error", [(3, "TooFewRows"), (2, "KOutOfRange")])
+def test_tiny_year_is_a_recorded_cell_failure(tmp_path, n_districts, error):
+    config = small_config(tmp_path)
+    for table in ("vaccination", "gdsc"):
+        path = os.path.join(config.input_dir, f"{table}_2021.csv")
+        with open(path, encoding="utf-8") as f:
+            lines = f.read().splitlines()[: n_districts + 1]
+        with open(path, "w", encoding="utf-8") as f:
+            f.write("\n".join(lines) + "\n")
+    result = pl.run_pipeline(config)
+    assert result.exit_code == 3
+    assert result.errors[(2021, 2)]["error"] == error
+    with open(os.path.join(config.out_dir, "run_summary.json"), encoding="utf-8") as f:
+        summary = json.load(f)
+    assert [cell["error"] for cell in summary["cells_failed"]] == [error]
+
+
+@pytest.mark.parametrize("content", [None, "{not json", "[1, 2]", '{"features": [5]}'])
+def test_bad_geometry_path_is_config_error(tmp_path, content):
+    path = tmp_path / "geometry.json"
+    if content is not None:
+        path.write_text(content)
+    with pytest.raises(ConfigError):
+        small_config(tmp_path, geometry_path=str(path))
+
+
 def test_missing_input_file_is_data_error(tmp_path):
     config = pl.config_from_mapping({
         "years": [2021], "input_dir": str(tmp_path / "nowhere"),

@@ -140,14 +140,44 @@ def test_local_accuracy_multiclass(rng):
 
 
 def test_oracle_equivalence_battery(rng):
-    for trial in range(10):
+    # depth (min, max) per trial: shallow ensembles, then the paper's depth 5-6,
+    # then one 12-level tree; the deeper ones repeat columns and leave leaves
+    # without training rows (whose values still count on the row's own path)
+    depths = [(0, 4)] * 10 + [(5, 6)] * 8 + [(12, 12)]
+    repeated = empty = 0
+    for trial, (min_depth, max_depth) in enumerate(depths):
         n_classes = int(rng.choice([2, 3]))
         d = int(rng.integers(2, 7))
-        model = random_oblivious_model(rng, n_features=d, n_classes=n_classes, max_trees=5)
+        max_trees = 1 if max_depth > 6 else 5
+        model = random_oblivious_model(rng, n_features=d, n_classes=n_classes, max_trees=max_trees,
+                                       max_depth=max_depth, min_depth=min_depth)
+        if min_depth:
+            repeated += sum(len({f for f, _ in t.splits}) < t.n_levels for t in model.trees)
+            empty += sum(int(np.sum(t.leaf_cover == 0)) for t in model.trees)
         x = rng.normal(size=d)
         fast = shapley.tree_shap(model, x)
         slow = shapley.brute_force_shapley(model, x)
         assert np.abs(fast.phi - slow.phi).max() < 1e-9, f"trial {trial}"
+        assert np.abs(fast.base - slow.base).max() < 1e-9, f"trial {trial}"
+    assert repeated and empty
+
+
+def test_batch_phi_equals_attribute_bit_for_bit(rng, monkeypatch):
+    X = rng.normal(size=(40, 5))
+    y = (X[:, 0] > 0).astype(int) + (X[:, 3] > 0.5).astype(int)
+    models = [
+        random_oblivious_model(rng, n_features=5, n_classes=3, max_trees=8, max_depth=6),
+        gbdt.fit(X, None, y, TrainConfig(n_trees=6, depth=6, seed=15)),
+    ]
+    rows = np.vstack([X[:20], X[:3]])  # repeated rows share decision patterns
+    for model in models:
+        batch = shapley.TreeShapExplainer(model).explain(rows)
+        explainer = shapley.TreeShapExplainer(model)
+        for i, row in enumerate(rows):
+            assert np.array_equal(batch[i], explainer.attribute(row).phi), i
+        with monkeypatch.context() as patch:
+            patch.setattr(shapley, "_TERM_BUDGET", 1)  # one pattern per chunk
+            assert np.array_equal(shapley.TreeShapExplainer(model).explain(rows), batch)
 
 
 def test_global_importance_constant_model():
