@@ -2,8 +2,10 @@
 
 Subcommands mirror the pipeline stages: ``run`` drives the whole analysis
 from a config file; ``cluster``, ``train``, ``explain``, and ``stats`` run a
-single stage; ``synth`` writes synthetic input tables; ``report``
-re-assembles the metrics table from per-cell report files.
+single stage for one year, through the same stage functions as ``run``;
+``synth`` writes synthetic input tables; ``report`` re-assembles the metrics
+table from per-cell report files. ``run`` and the stage subcommands read
+``--config`` when given, with their flags as overrides.
 
 Exit codes: 0 success, 1 config error, 2 data error, 3 one or more
 (year, k) cells failed.
@@ -15,77 +17,62 @@ import argparse
 import os
 import sys
 
-import numpy as np
-
 from . import __version__
-from .dataset import load_year, standardize, VACCINE_COLUMNS
+from .dataset import csv_text
 from .errors import ConfigError, DataError, VaxclustError
 from .evaluation import dataset_design
-from .gbdt import TrainConfig, fit, from_json as model_from_json, to_json as model_to_json
-from .hcluster import agglomerate, cut_at_k, dendrogram_table, label_by_coverage, pairwise_distances
+from .gbdt import fit, from_json as model_from_json, to_json as model_to_json
+from .hcluster import dendrogram_table
 from .pipeline import (
     RunReport,
-    _csv_line,
-    _suggested_k,
     analyze_cell,
+    assign_clusters,
+    cluster_table,
+    cluster_year,
     config_from_mapping,
     emit_table3,
     load_config,
+    load_dataset,
     run_pipeline,
     write_cell_artifacts,
+    write_text,
 )
 from .shapley import TreeShapExplainer, global_importance
 from .synth import default_spec, generate, write_dataset_files
 
 
-def _add_global_flags(parser: argparse.ArgumentParser) -> None:
+def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="path to a flat JSON run-config file")
     parser.add_argument("--seed", type=int, help="override the config seed")
     parser.add_argument("--out", help="override the output directory")
     parser.add_argument("--allow-partial", action="store_true", default=None,
                         help="drop unmatched districts instead of failing the join")
-    parser.add_argument("--threads", type=int, help="worker threads for (year, k) cells")
 
 
-def _overrides(args) -> dict:
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.out is not None:
-        overrides["out_dir"] = args.out
-    if args.allow_partial:
-        overrides["allow_partial"] = True
-    if args.threads is not None:
-        overrides["threads"] = args.threads
-    return overrides
+def _config(args):
+    """The run config: the ``--config`` file with the given flags on top.
 
-
-def _config_for(args, require_config: bool = True):
-    if args.config:
-        return load_config(args.config, _overrides(args))
-    if require_config:
-        raise ConfigError("--config is required for this subcommand")
-    return None
-
-
-def _single_year_config(args):
-    k_values = getattr(args, "k_values", None)
-    if k_values is None:
-        k_values = [args.k] if hasattr(args, "k") else [2, 3, 6]
-    mapping = {
-        "years": [args.year],
-        "input_dir": args.input_dir,
-        "out_dir": args.out or ".",
-        "k_values": k_values,
-        "seed": args.seed or 0,
+    Without ``--config`` the flags alone make the config, and the output
+    directory defaults to the working directory.
+    """
+    k = getattr(args, "k", None)
+    year = getattr(args, "year", None)
+    flags = {
+        "input_dir": getattr(args, "input_dir", None),
+        "years": None if year is None else [year],
+        "k_values": getattr(args, "k_values", None) if k is None else [k],
+        "seed": args.seed,
+        "out_dir": args.out,
+        "allow_partial": args.allow_partial,
     }
-    if args.allow_partial:
-        mapping["allow_partial"] = True
-    return config_from_mapping(mapping)
+    overrides = {key: value for key, value in flags.items() if value is not None}
+    if args.config:
+        return load_config(args.config, overrides)
+    return config_from_mapping({"out_dir": ".", **overrides})
 
 
 def cmd_run(args) -> int:
-    config = _config_for(args)
+    config = _config(args)
     result = run_pipeline(config)
     ok = len(result.reports)
     failed = len(result.errors)
@@ -93,58 +80,43 @@ def cmd_run(args) -> int:
     return result.exit_code
 
 
-def _load_single_year(config, year):
-    return load_year(
-        config.vaccination_path(year), config.gdsc_path(year), year,
-        allow_partial=config.allow_partial,
-    )
-
-
 def cmd_cluster(args) -> int:
-    config = _single_year_config(args)
-    dataset = _load_single_year(config, args.year)
-    rates = dataset.vaccination_matrix()
-    matrix = standardize(rates, VACCINE_COLUMNS).values if config.scale_rates else rates
-    dendro = agglomerate(pairwise_distances(matrix), linkage=config.linkage)
-    suggested = _suggested_k(dendro)
+    config = _config(args)
+    dataset = load_dataset(config, args.year)
+    dendro, suggested = cluster_year(dataset, config)
     os.makedirs(config.out_dir, exist_ok=True)
-    with open(os.path.join(config.out_dir, f"dendrogram_{args.year}.csv"), "w", encoding="utf-8") as f:
-        f.write(dendrogram_table(dendro))
+    write_text(os.path.join(config.out_dir, f"dendrogram_{args.year}.csv"), dendrogram_table(dendro))
     for k in config.k_values:
-        assignment = label_by_coverage(cut_at_k(dendro, k), dataset, k)
-        lines = ["district_id,district_name,cluster_index,cluster_name"]
-        for i, (district, _, _) in enumerate(dataset.rows):
-            label = int(assignment.labels[i])
-            lines.append(_csv_line([district.id, district.name, label, assignment.name_of(label)]))
+        assignment = assign_clusters(dataset, dendro, k)
         path = os.path.join(config.out_dir, f"clusters_{args.year}_k{k}.csv")
-        with open(path, "w", encoding="utf-8") as f:
-            f.write("\n".join(lines) + "\n")
+        write_text(path, cluster_table(dataset, assignment))
     print(f"clustered year {args.year} at k={list(config.k_values)}; suggested k = {suggested}")
     return 0
 
 
+def _cut(args):
+    """(config, dataset, assignment at ``--k``, suggested k) for one year."""
+    config = _config(args)
+    dataset = load_dataset(config, args.year)
+    dendro, suggested = cluster_year(dataset, config)
+    return config, dataset, assign_clusters(dataset, dendro, args.k), suggested
+
+
 def cmd_train(args) -> int:
-    config = _single_year_config(args)
-    dataset = _load_single_year(config, args.year)
-    rates = dataset.vaccination_matrix()
-    matrix = standardize(rates, VACCINE_COLUMNS).values if config.scale_rates else rates
-    dendro = agglomerate(pairwise_distances(matrix), linkage=config.linkage)
-    assignment = label_by_coverage(cut_at_k(dendro, args.k), dataset, args.k)
+    config, dataset, assignment, _ = _cut(args)
     numeric, categorical, numeric_names, cat_names = dataset_design(dataset)
     model = fit(
-        numeric, categorical, np.asarray(assignment.labels),
-        TrainConfig(seed=config.seed),
+        numeric, categorical, assignment.labels, config.train,
         numeric_names=numeric_names, categorical_names=cat_names,
     )
-    with open(args.model_out, "w", encoding="utf-8") as f:
-        f.write(model_to_json(model) + "\n")
+    write_text(args.model_out, model_to_json(model) + "\n")
     print(f"trained k={args.k} model on year {args.year}; wrote {args.model_out}")
     return 0
 
 
 def cmd_explain(args) -> int:
-    config = _single_year_config(args)
-    dataset = _load_single_year(config, args.year)
+    config = _config(args)
+    dataset = load_dataset(config, args.year)
     with open(args.model, encoding="utf-8") as f:
         model = model_from_json(f.read())
     numeric, categorical, _, _ = dataset_design(dataset)
@@ -152,33 +124,27 @@ def cmd_explain(args) -> int:
     importance = global_importance(model, design)
     os.makedirs(config.out_dir, exist_ok=True)
     path = os.path.join(config.out_dir, f"shap_importance_{args.year}.csv")
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("feature_name,mean_abs_shap,rank\n")
-        for rank, (name, value) in enumerate(importance.ranking(), start=1):
-            f.write(f"{name},{value!r},{rank}\n")
+    ranked = ((name, value, rank) for rank, (name, value) in enumerate(importance.ranking(), start=1))
+    write_text(path, csv_text(("feature_name", "mean_abs_shap", "rank"), ranked))
     if args.per_row:
         phi = TreeShapExplainer(model).explain(design)
+        rows = (
+            (district.id, output, fname, float(phi[i, output, j]))
+            for i, (district, _, _) in enumerate(dataset.rows)
+            for output in range(phi.shape[1])
+            for j, fname in enumerate(model.feature_names)
+        )
         rows_path = os.path.join(config.out_dir, f"shap_rows_{args.year}.csv")
-        with open(rows_path, "w", encoding="utf-8") as f:
-            f.write("district_id,output,feature_name,phi\n")
-            for i, (district, _, _) in enumerate(dataset.rows):
-                for output in range(phi.shape[1]):
-                    for j, fname in enumerate(model.feature_names):
-                        f.write(f"{district.id},{output},{fname},{phi[i, output, j]!r}\n")
+        write_text(rows_path, csv_text(("district_id", "output", "feature_name", "phi"), rows))
     print(f"wrote {path}")
     return 0
 
 
 def cmd_stats(args) -> int:
-    config = _single_year_config(args)
-    dataset = _load_single_year(config, args.year)
-    rates = dataset.vaccination_matrix()
-    matrix = standardize(rates, VACCINE_COLUMNS).values if config.scale_rates else rates
-    dendro = agglomerate(pairwise_distances(matrix), linkage=config.linkage)
-    assignment = label_by_coverage(cut_at_k(dendro, args.k), dataset, args.k)
-    report = analyze_cell(dataset, assignment, _suggested_k(dendro), config)
+    config, dataset, assignment, suggested = _cut(args)
+    report = analyze_cell(dataset, assignment, suggested, config)
     os.makedirs(config.out_dir, exist_ok=True)
-    write_cell_artifacts(report, assignment, dataset, config)
+    write_cell_artifacts(report, assignment, dataset, config, config.geometry())
     print(f"wrote stats artifacts for year {args.year}, k={args.k} to {config.out_dir}")
     return 0
 
@@ -215,8 +181,7 @@ def cmd_report(args) -> int:
     out_path = args.out or os.path.join(args.runs, "metrics.csv")
     if os.path.isdir(out_path):
         out_path = os.path.join(out_path, "metrics.csv")
-    with open(out_path, "w", encoding="utf-8") as f:
-        f.write(table)
+    write_text(out_path, table)
     print(f"wrote {out_path}")
     return 0
 
@@ -227,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("run", help="full pipeline from a config file")
-    _add_global_flags(p)
+    _add_config_flags(p)
     p.set_defaults(func=cmd_run)
 
     for name, func, needs_k in (
@@ -237,13 +202,13 @@ def build_parser() -> argparse.ArgumentParser:
         ("stats", cmd_stats, True),
     ):
         p = sub.add_parser(name, help=f"{name} stage for one year")
-        _add_global_flags(p)
-        p.add_argument("--input-dir", required=True)
+        _add_config_flags(p)
+        p.add_argument("--input-dir", help="override the input directory")
         p.add_argument("--year", type=int, required=True)
         if needs_k:
             p.add_argument("--k", type=int, required=True)
         if name == "cluster":
-            p.add_argument("--k-values", type=int, nargs="+", default=[2, 3, 6])
+            p.add_argument("--k-values", type=int, nargs="+", help="override the config k_values")
         if name == "train":
             p.add_argument("--model-out", required=True)
         if name == "explain":
@@ -252,7 +217,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func)
 
     p = sub.add_parser("synth", help="write synthetic input tables")
-    _add_global_flags(p)
+    p.add_argument("--seed", type=int, help="generator seed (default 0)")
+    p.add_argument("--out", help="output directory (default: working directory)")
     p.add_argument("--year", type=int, default=2021)
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--n-per-cluster", type=int, nargs="+")
@@ -261,8 +227,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("report", help="assemble metrics.csv from report files")
-    _add_global_flags(p)
     p.add_argument("--runs", required=True, help="directory containing report_*.json")
+    p.add_argument("--out", help="output file or directory (default: RUNS/metrics.csv)")
     p.set_defaults(func=cmd_report)
 
     return parser

@@ -9,7 +9,8 @@ Two UTF-8 comma-delimited tables per study year:
 
 All parsing is strict: missing columns, out-of-range values, duplicate
 districts, and locale-specific decimal separators are hard errors. Missing
-cells are never imputed.
+cells are never imputed. :func:`csv_text` is the one writer for every CSV
+artifact the package emits.
 """
 
 from __future__ import annotations
@@ -173,6 +174,19 @@ def _open_reader(stream, required: tuple[str, ...]) -> tuple[csv.DictReader, lis
         if column not in header:
             raise MissingColumn(column)
     return reader, header
+
+
+def csv_text(header, rows) -> str:
+    """CSV text: a header record, then one record per row, each ending in ``\n``.
+
+    Fields are written with ``str``; those holding a comma, quote or line
+    break are quoted, embedded quotes doubled (RFC 4180).
+    """
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buffer.getvalue()
 
 
 def parse_vaccination_table(stream, year: int) -> dict[DistrictId, VaccinationProfile]:

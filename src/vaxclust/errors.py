@@ -81,7 +81,9 @@ class KOutOfRange(VaxclustError):
 
 
 class DegenerateLabels(VaxclustError):
-    """All training rows carry the same class label."""
+    """Training labels miss a class: all rows carry one label, or a class
+    below the largest label is absent (a one-district cluster held out by a
+    cross-validation fold)."""
 
 
 class NonFiniteFeature(VaxclustError):

@@ -429,7 +429,8 @@ def fit(
         raise DegenerateLabels("training labels contain a single class")
     n_classes = int(classes.max()) + 1
     if not np.array_equal(classes, np.arange(n_classes)):
-        raise ValueError("labels must be contiguous 0..k-1 with every class present")
+        missing = sorted(set(range(n_classes)) - set(classes.tolist()))
+        raise DegenerateLabels(f"training labels lack class(es) {missing} of 0..{n_classes - 1}")
     if n < 2 * n_classes:
         raise TooFewRows(f"need at least {2 * n_classes} rows for {n_classes} classes")
 

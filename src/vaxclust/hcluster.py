@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import StandardizedMatrix, YearDataset
+from .dataset import StandardizedMatrix, YearDataset, csv_text
 from .errors import KOutOfRange, NonFiniteInput, TooFewRows
 
 LINKAGES = ("ward", "average", "complete")
@@ -271,7 +271,5 @@ def cluster_mean_table(assignment: ClusterAssignment, dataset: YearDataset) -> n
 
 def dendrogram_table(dendro: Dendrogram) -> str:
     """Standard 4-column linkage text table (left, right, height, size)."""
-    lines = ["left,right,height,size"]
-    for m in dendro.merges:
-        lines.append(f"{m.left},{m.right},{m.height!r},{m.size}")
-    return "\n".join(lines) + "\n"
+    rows = [(m.left, m.right, m.height, m.size) for m in dendro.merges]
+    return csv_text(("left", "right", "height", "size"), rows)

@@ -7,11 +7,16 @@ cross-validation of the GDSC classifier, per-fold held-out Shapley
 importances, rank tests between the lowest- and highest-coverage clusters,
 box-plot summaries, and the rurality cross-tabulation.
 
-Cells are independent units of work: a failure is recorded and the
-remaining cells still run. All artifact writes happen on the main thread in
-a fixed cell order, and every stochastic step seeds from
-(seed, year, k, fold), so a rerun with the same config and seed produces a
-byte-identical artifact tree at any worker-thread count.
+The chain from dataset to cluster assignment is written once:
+:func:`cluster_year` (scale, agglomerate, suggest k) and
+:func:`assign_clusters` (cut, coverage labels). ``run_pipeline`` and the
+single-stage CLI subcommands share both.
+
+Cells are independent units of work, run one after another in sorted
+(year, k) order: each is cut, analysed and written before the next starts,
+and a failure is recorded while the remaining cells still run. Every
+stochastic step seeds from (seed, year, k, fold), so a rerun with the same
+config and seed produces a byte-identical artifact tree.
 """
 
 from __future__ import annotations
@@ -19,20 +24,20 @@ from __future__ import annotations
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 import scipy
 
 from . import __version__
-from .dataset import VACCINE_COLUMNS, GDSC_COLUMNS, YearDataset, load_year, standardize
+from .dataset import VACCINE_COLUMNS, GDSC_COLUMNS, YearDataset, csv_text, load_year, standardize
 from .errors import ConfigError, DataError, GeometryKeyMismatch, KOutOfRange, VaxclustError
 from .evaluation import cross_validate, dataset_design
 from .gbdt import TrainConfig
 from .hcluster import (
     LINKAGES,
     ClusterAssignment,
+    Dendrogram,
     agglomerate,
     cluster_mean_table,
     cut_at_k,
@@ -63,7 +68,7 @@ _CONFIG_KEYS = {
     "seed",
     "geometry_path",
     "allow_partial",
-    "threads",
+    "threads",  # accepted and ignored: cells run one after another
     "n_trees",
     "depth",
     "learning_rate",
@@ -86,7 +91,6 @@ class RunConfig:
     seed: int = 0
     geometry_path: str | None = None
     allow_partial: bool = False
-    threads: int = 1
     train: TrainConfig = field(default_factory=TrainConfig)
 
     def validate(self) -> None:
@@ -98,23 +102,18 @@ class RunConfig:
             raise ConfigError(f"linkage must be one of {LINKAGES}")
         if self.k_folds < 2:
             raise ConfigError("k_folds must be >= 2")
-        if self.threads < 1:
-            raise ConfigError("threads must be >= 1")
         if self.geometry_path is not None and not isinstance(self.geometry_path, str):
             raise ConfigError("geometry_path must be a string")
-        if self.geometry_path:
-            _read_geometry(self.geometry_path)
+        self.geometry()
         try:
             self.train.validate()
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        if self.train.loss == "binary_logistic" and any(k > 2 for k in self.k_values):
+            raise ConfigError("loss binary_logistic needs every k in k_values to be 2")
 
     def echo(self) -> dict:
-        """Every result-affecting setting, defaults included — provenance.
-
-        Thread count is deliberately absent: artifacts are contractually
-        independent of it, so echoing it would break byte-identity checks.
-        """
+        """Every result-affecting setting, defaults included — provenance."""
         doc = {
             "years": list(self.years),
             "input_dir": self.input_dir,
@@ -135,6 +134,10 @@ class RunConfig:
 
     def gdsc_path(self, year: int) -> str:
         return os.path.join(self.input_dir, f"gdsc_{year}.csv")
+
+    def geometry(self) -> dict | None:
+        """Parsed GeoJSON at ``geometry_path``, or None when unset."""
+        return _read_geometry(self.geometry_path) if self.geometry_path else None
 
 
 def _read_geometry(path: str) -> dict:
@@ -192,7 +195,6 @@ def config_from_mapping(raw: dict) -> RunConfig:
             seed=int(raw.get("seed", 0)),
             geometry_path=raw.get("geometry_path"),
             allow_partial=bool(raw.get("allow_partial", False)),
-            threads=int(raw.get("threads", 1)),
             train=TrainConfig(seed=int(raw.get("seed", 0)), **train_kwargs),
         )
     except (TypeError, ValueError) as exc:
@@ -237,6 +239,37 @@ def _versions() -> dict:
         "scipy": scipy.__version__,
         "python": sys.version.split()[0],
     }
+
+
+def load_dataset(config: RunConfig, year: int) -> YearDataset:
+    """One year's joined input tables from ``config.input_dir``."""
+    return load_year(
+        config.vaccination_path(year),
+        config.gdsc_path(year),
+        year,
+        allow_partial=config.allow_partial,
+    )
+
+
+def cluster_year(dataset: YearDataset, config: RunConfig) -> tuple[Dendrogram, int]:
+    """The year's dendrogram over its rates (z-scored unless ``scale_rates`` is
+    off) and the advisory k in 2..min(10, n - 1).
+
+    Up to 3 districts leave at most one candidate k, which ``suggest_k`` (a
+    search over k_min < k_max) does not take.
+    """
+    rates = dataset.vaccination_matrix()
+    matrix = standardize(rates, VACCINE_COLUMNS).values if config.scale_rates else rates
+    dendro = agglomerate(pairwise_distances(matrix), linkage=config.linkage)
+    k_max = min(10, dendro.n_leaves - 1)
+    return dendro, suggest_k(dendro, 2, k_max) if k_max > 2 else k_max
+
+
+def assign_clusters(dataset: YearDataset, dendro: Dendrogram, k: int) -> ClusterAssignment:
+    """Cut ``dendro`` into k clusters, numbered and named by ascending coverage."""
+    if k > len(dataset) - 1:
+        raise KOutOfRange(f"k={k} needs at most n-1={len(dataset) - 1} clusters")
+    return label_by_coverage(cut_at_k(dendro, k), dataset, k)
 
 
 def analyze_cell(
@@ -384,7 +417,7 @@ def emit_table3(reports: dict, years, k_values) -> str:
     """Metrics table, one row per (year, metric), one column per k, percent
     with one decimal; failed cells show an em dash with a trailing footnote."""
     header = ["year", "metric"] + [f"{k} cluster" for k in k_values]
-    lines = [",".join(header)]
+    rows = []
     any_missing = False
     for year in years:
         for display, attr in METRIC_DISPLAY:
@@ -396,126 +429,96 @@ def emit_table3(reports: dict, years, k_values) -> str:
                     any_missing = True
                 else:
                     cells.append(f"{100.0 * report.metrics['mean'][attr]:.1f}")
-            lines.append(",".join([f"{year}-{year + 1}", display] + cells))
+            rows.append([f"{year}-{year + 1}", display] + cells)
     if any_missing:
-        lines.append("# — = cell failed or was skipped; see run_summary.json")
-    return "\n".join(lines) + "\n"
+        rows.append(["# — = cell failed or was skipped; see run_summary.json"])
+    return csv_text(header, rows)
 
 
-def _write(path: str, text: str) -> None:
+def write_text(path: str, text: str) -> None:
     with open(path, "w", encoding="utf-8", newline="") as f:
         f.write(text)
 
 
-def _csv_line(values) -> str:
-    """One CSV record; fields with a comma or quote are quoted, quotes doubled (RFC 4180)."""
-    out = []
-    for v in values:
-        s = str(v)
-        out.append('"' + s.replace('"', '""') + '"' if ("," in s or '"' in s) else s)
-    return ",".join(out)
+def cluster_table(dataset: YearDataset, assignment: ClusterAssignment) -> str:
+    """``clusters_Y_kK.csv``: each district with its cluster index and name."""
+    rows = [
+        (district.id, district.name, int(label), assignment.name_of(int(label)))
+        for (district, _, _), label in zip(dataset.rows, assignment.labels)
+    ]
+    return csv_text(("district_id", "district_name", "cluster_index", "cluster_name"), rows)
 
 
-def write_cell_artifacts(report: RunReport, assignment, dataset, config: RunConfig) -> None:
-    year, k = report.year, report.k
-    out = config.out_dir
-    tag = f"{year}_k{k}"
+def write_cell_artifacts(report: RunReport, assignment, dataset, config: RunConfig, geometry) -> None:
+    """One cell's CSV tables, choropleth and report under ``config.out_dir``.
 
-    lines = ["district_id,district_name,cluster_index,cluster_name"]
-    for i, district_id in enumerate(report.district_ids):
-        lines.append(
-            _csv_line(
-                [
-                    district_id,
-                    report.district_names[i],
-                    report.cluster_labels[i],
-                    report.cluster_names[report.cluster_labels[i]],
-                ]
-            )
-        )
-    _write(os.path.join(out, f"clusters_{tag}.csv"), "\n".join(lines) + "\n")
-
-    lines = ["cluster_name," + ",".join(VACCINE_COLUMNS)]
-    for c, row in enumerate(report.cluster_mean_table):
-        lines.append(",".join([report.cluster_names[c]] + [f"{v:.1f}" for v in row]))
-    _write(os.path.join(out, f"cluster_means_{tag}.csv"), "\n".join(lines) + "\n")
-
-    n_folds = len(report.importance["per_fold"])
-    lines = ["feature_name,mean_abs_shap,rank," + ",".join(f"fold_{i}" for i in range(n_folds))]
-    order = sorted(
-        range(len(report.importance["feature_names"])),
-        key=lambda j: (-report.importance["values"][j], j),
-    )
-    rank_of = {j: r + 1 for r, j in enumerate(order)}
-    for j, name in enumerate(report.importance["feature_names"]):
-        per_fold = [repr(fold[j]) for fold in report.importance["per_fold"]]
-        lines.append(
-            ",".join([name, repr(report.importance["values"][j]), str(rank_of[j])] + per_fold)
-        )
-    _write(os.path.join(out, f"shap_importance_{tag}.csv"), "\n".join(lines) + "\n")
-
-    lines = ["feature,u,z,p,significant,method,welch_t,welch_dof,welch_p"]
-    for t, w in zip(report.tests, report.welch):
-        lines.append(
-            ",".join(
-                [
-                    t["feature_name"],
-                    repr(t["u_statistic"]),
-                    repr(t["z"]),
-                    repr(t["p_two_sided"]),
-                    str(t["significant_at_0_05"]).lower(),
-                    t["method"],
-                    repr(w["t_statistic"]),
-                    repr(w["dof"]),
-                    repr(w["p_two_sided"]),
-                ]
-            )
-        )
-    _write(os.path.join(out, f"tests_{tag}.csv"), "\n".join(lines) + "\n")
-
-    lines = ["feature,cluster_index,cluster_name,min,q1,median,q3,max,whisker_low,whisker_high,outlier_count"]
-    for feature, clusters in report.box_stats.items():
-        for cluster, b in sorted(clusters.items(), key=lambda kv: int(kv[0])):
-            lines.append(
-                ",".join(
-                    [
-                        feature,
-                        cluster,
-                        report.cluster_names[int(cluster)],
-                        repr(b["minimum"]),
-                        repr(b["q1"]),
-                        repr(b["median"]),
-                        repr(b["q3"]),
-                        repr(b["maximum"]),
-                        repr(b["whisker_low"]),
-                        repr(b["whisker_high"]),
-                        str(len(b["outliers"])),
-                    ]
-                )
-            )
-    _write(os.path.join(out, f"boxstats_{tag}.csv"), "\n".join(lines) + "\n")
-
-    lines = ["rurality," + ",".join(report.cluster_names)]
-    for r, row in enumerate(report.crosstab):
-        lines.append(",".join([str(r + 1)] + [str(v) for v in row]))
-    _write(os.path.join(out, f"crosstab_{tag}.csv"), "\n".join(lines) + "\n")
-
-    geometry = _read_geometry(config.geometry_path) if config.geometry_path else None
-    doc = emit_choropleth(assignment, dataset, geometry)
-    suffix = "geojson" if geometry is not None else "json"
-    _write(os.path.join(out, f"choropleth_{tag}.{suffix}"), json.dumps(doc, sort_keys=True, indent=2) + "\n")
-
-    _write(os.path.join(out, f"report_{tag}.json"), report.to_json() + "\n")
-
-
-def _suggested_k(dendro) -> int:
-    """Advisory k in 2..min(10, n - 1).
-
-    Up to 3 districts leave at most one candidate, which ``suggest_k`` (a
-    search over k_min < k_max) does not take.
+    The choropleth is built first: a ``geometry`` that lacks a district
+    raises GeometryKeyMismatch before any of the cell's files is written.
     """
-    k_max = min(10, dendro.n_leaves - 1)
-    return suggest_k(dendro, 2, k_max) if k_max > 2 else k_max
+    choropleth = emit_choropleth(assignment, dataset, geometry)
+    tag = f"{report.year}_k{report.k}"
+    names = report.cluster_names
+
+    def write(name: str, text: str) -> None:
+        write_text(os.path.join(config.out_dir, name), text)
+
+    write(f"clusters_{tag}.csv", cluster_table(dataset, assignment))
+    write(f"cluster_means_{tag}.csv", csv_text(
+        ["cluster_name", *VACCINE_COLUMNS],
+        ([names[c]] + [f"{v:.1f}" for v in row] for c, row in enumerate(report.cluster_mean_table)),
+    ))
+
+    importance = report.importance
+    order = sorted(range(len(importance["feature_names"])), key=lambda j: (-importance["values"][j], j))
+    rank_of = {j: r + 1 for r, j in enumerate(order)}
+    write(f"shap_importance_{tag}.csv", csv_text(
+        ["feature_name", "mean_abs_shap", "rank"] + [f"fold_{i}" for i in range(len(importance["per_fold"]))],
+        (
+            [name, importance["values"][j], rank_of[j]] + [fold[j] for fold in importance["per_fold"]]
+            for j, name in enumerate(importance["feature_names"])
+        ),
+    ))
+
+    write(f"tests_{tag}.csv", csv_text(
+        ["feature", "u", "z", "p", "significant", "method", "welch_t", "welch_dof", "welch_p"],
+        (
+            [
+                t["feature_name"],
+                t["u_statistic"],
+                t["z"],
+                t["p_two_sided"],
+                str(t["significant_at_0_05"]).lower(),
+                t["method"],
+                w["t_statistic"],
+                w["dof"],
+                w["p_two_sided"],
+            ]
+            for t, w in zip(report.tests, report.welch)
+        ),
+    ))
+
+    box_fields = ("minimum", "q1", "median", "q3", "maximum", "whisker_low", "whisker_high")
+    write(f"boxstats_{tag}.csv", csv_text(
+        ["feature", "cluster_index", "cluster_name", "min", "q1", "median", "q3", "max",
+         "whisker_low", "whisker_high", "outlier_count"],
+        (
+            [feature, cluster, names[int(cluster)]] + [b[f] for f in box_fields] + [len(b["outliers"])]
+            for feature, clusters in report.box_stats.items()
+            for cluster, b in sorted(clusters.items(), key=lambda kv: int(kv[0]))
+        ),
+    ))
+
+    write(f"crosstab_{tag}.csv", csv_text(
+        ["rurality", *names],
+        ([r + 1, *row] for r, row in enumerate(report.crosstab)),
+    ))
+    suffix = "geojson" if geometry is not None else "json"
+    write(f"choropleth_{tag}.{suffix}", json.dumps(choropleth, sort_keys=True, indent=2) + "\n")
+    write(f"report_{tag}.json", report.to_json() + "\n")
+
+
+def _failure(year: int, k: int, stage: str, exc: Exception) -> dict:
+    return {"year": year, "k": k, "stage": stage, "error": type(exc).__name__, "message": str(exc)}
 
 
 @dataclass
@@ -527,89 +530,37 @@ class PipelineResult:
 
 def run_pipeline(config: RunConfig) -> PipelineResult:
     config.validate()
+    geometry = config.geometry()
     os.makedirs(config.out_dir, exist_ok=True)
 
-    datasets: dict[int, YearDataset] = {}
-    year_setup: dict[int, tuple] = {}
+    clustered: dict[int, tuple[YearDataset, Dendrogram, int]] = {}
     errors: dict = {}
-    data_error = False
     for year in config.years:
         try:
-            dataset = load_year(
-                config.vaccination_path(year),
-                config.gdsc_path(year),
-                year,
-                allow_partial=config.allow_partial,
-            )
-            rates = dataset.vaccination_matrix()
-            matrix = standardize(rates, VACCINE_COLUMNS).values if config.scale_rates else rates
-            dendro = agglomerate(pairwise_distances(matrix), linkage=config.linkage)
-            suggested = _suggested_k(dendro)
-            datasets[year] = dataset
-            year_setup[year] = (dendro, suggested)
-            _write(os.path.join(config.out_dir, f"dendrogram_{year}.csv"), dendrogram_table(dendro))
+            dataset = load_dataset(config, year)
+            dendro, suggested = cluster_year(dataset, config)
+            write_text(os.path.join(config.out_dir, f"dendrogram_{year}.csv"), dendrogram_table(dendro))
         except (DataError, OSError) as exc:
-            data_error = True
-            for k in config.k_values:
-                errors[(year, k)] = {
-                    "year": year,
-                    "k": k,
-                    "stage": "ingestion",
-                    "error": type(exc).__name__,
-                    "message": str(exc),
-                }
-
-    cells = [(year, k) for year in config.years for k in config.k_values if year in datasets]
-
-    def run_cell(cell):
-        year, k = cell
-        dataset = datasets[year]
-        dendro, suggested = year_setup[year]
-        if k > len(dataset) - 1:
-            raise KOutOfRange(f"k={k} needs at most n-1={len(dataset) - 1} clusters")
-        raw = cut_at_k(dendro, k)
-        assignment = label_by_coverage(raw, dataset, k)
-        report = analyze_cell(dataset, assignment, suggested, config)
-        return cell, report, assignment
+            errors.update({(year, k): _failure(year, k, "ingestion", exc) for k in config.k_values})
+        else:
+            clustered[year] = (dataset, dendro, suggested)
+    data_error = bool(errors)
 
     results: dict = {}
-    assignments: dict = {}
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            futures = {pool.submit(run_cell, cell): cell for cell in cells}
-            for future, cell in futures.items():
-                try:
-                    _, report, assignment = future.result()
-                    results[cell] = report
-                    assignments[cell] = assignment
-                except VaxclustError as exc:
-                    errors[cell] = {
-                        "year": cell[0],
-                        "k": cell[1],
-                        "stage": "analysis",
-                        "error": type(exc).__name__,
-                        "message": str(exc),
-                    }
-    else:
-        for cell in cells:
-            try:
-                _, report, assignment = run_cell(cell)
-                results[cell] = report
-                assignments[cell] = assignment
-            except VaxclustError as exc:
-                errors[cell] = {
-                    "year": cell[0],
-                    "k": cell[1],
-                    "stage": "analysis",
-                    "error": type(exc).__name__,
-                    "message": str(exc),
-                }
+    for year, k in sorted({(year, k) for year in clustered for k in config.k_values}):
+        dataset, dendro, suggested = clustered[year]
+        stage = "analysis"
+        try:
+            assignment = assign_clusters(dataset, dendro, k)
+            report = analyze_cell(dataset, assignment, suggested, config)
+            stage = "write"
+            write_cell_artifacts(report, assignment, dataset, config, geometry)
+        except VaxclustError as exc:
+            errors[(year, k)] = _failure(year, k, stage, exc)
+        else:
+            results[(year, k)] = report
 
-    # artifact writes in fixed order, independent of executor scheduling
-    for cell in sorted(results):
-        write_cell_artifacts(results[cell], assignments[cell], datasets[cell[0]], config)
-
-    _write(
+    write_text(
         os.path.join(config.out_dir, "metrics.csv"),
         emit_table3(results, config.years, config.k_values),
     )
@@ -617,7 +568,7 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
         f"{year}_k{k}": results[(year, k)].metrics
         for (year, k) in sorted(results)
     }
-    _write(
+    write_text(
         os.path.join(config.out_dir, "metrics_full.json"),
         json.dumps(full, sort_keys=True, indent=2) + "\n",
     )
@@ -625,11 +576,11 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
     summary = {
         "config": config.echo(),
         "versions": _versions(),
-        "suggested_k": {str(year): year_setup[year][1] for year in year_setup},
+        "suggested_k": {str(year): suggested for year, (_, _, suggested) in clustered.items()},
         "cells_ok": [f"{y}_k{k}" for (y, k) in sorted(results)],
         "cells_failed": [errors[c] for c in sorted(errors)],
     }
-    _write(
+    write_text(
         os.path.join(config.out_dir, "run_summary.json"),
         json.dumps(summary, sort_keys=True, indent=2) + "\n",
     )

@@ -6,6 +6,7 @@ import json
 import pytest
 
 from vaxclust.cli import main
+from vaxclust.gbdt import from_json as model_from_json
 
 
 def _write_config(tmp_path, indir, out, **extra):
@@ -90,6 +91,14 @@ def test_cluster_csv_quotes_names(tmp_path, synth_inputs):
     assert all(len(row) == 4 for row in written)
     assert {row[0]: row[1] for row in written[1:] if row[0] in names} == names
 
+    run_out = tmp_path / "run"
+    assert main(["run", "--config", _write_config(tmp_path, synth_inputs, run_out)]) == 0
+    for path in sorted(run_out.glob("*.csv")):
+        with open(path, newline="", encoding="utf-8") as f:
+            header, *records = list(csv.reader(f))
+        assert records and all(len(record) == len(header) for record in records), path.name
+    assert (run_out / "clusters_2021_k2.csv").read_bytes() == (out / "clusters_2021_k2.csv").read_bytes()
+
 
 def test_cluster_three_district_year(tmp_path, synth_inputs):
     for table in ("vaccination", "gdsc"):
@@ -110,6 +119,13 @@ def test_cluster_subcommand(tmp_path, synth_inputs):
     assert (out / "clusters_2021_k3.csv").exists()
     assert (out / "dendrogram_2021.csv").exists()
 
+    run_out = tmp_path / "run"
+    config = _write_config(tmp_path, synth_inputs, run_out, linkage="average", scale_rates=False)
+    assert main(["cluster", "--config", config, "--year", "2021", "--out", str(out)]) == 0
+    assert main(["run", "--config", config]) == 0
+    for name in ("clusters_2021_k2.csv", "dendrogram_2021.csv"):
+        assert (out / name).read_bytes() == (run_out / name).read_bytes(), name
+
 
 def test_train_explain_round_trip(tmp_path, synth_inputs):
     model_path = tmp_path / "model.json"
@@ -123,6 +139,12 @@ def test_train_explain_round_trip(tmp_path, synth_inputs):
     assert code == 0
     assert (out / "shap_importance_2021.csv").exists()
     assert (out / "shap_rows_2021.csv").exists()
+
+    config = _write_config(tmp_path, synth_inputs, tmp_path / "unused", n_trees=3, depth=2)
+    assert main(["train", "--config", config, "--input-dir", str(synth_inputs), "--year", "2021",
+                 "--k", "2", "--model-out", str(model_path)]) == 0
+    model = model_from_json(model_path.read_text())
+    assert (model.config.n_trees, model.config.depth, len(model.trees)) == (3, 2, 3)
 
 
 def test_stats_subcommand(tmp_path, synth_inputs):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import json
 import os
 import shutil
@@ -11,6 +12,7 @@ from conftest import tree_digest
 from test_hcluster import quick_dataset
 from vaxclust import pipeline as pl
 from vaxclust import synth
+from vaxclust.dataset import VACCINE_COLUMNS
 from vaxclust.errors import ConfigError, GeometryKeyMismatch
 from vaxclust.fixtures import load_wtable_assignment, table2_means
 from vaxclust.hcluster import ClusterAssignment
@@ -77,6 +79,12 @@ def test_config_validation_errors():
         pl.config_from_mapping(
             {"years": [2021], "input_dir": "a", "out_dir": "b", "n_trees": 0}
         )
+    with pytest.raises(ConfigError):
+        pl.config_from_mapping(
+            {"years": [2021], "input_dir": "a", "out_dir": "b", "k_values": [2, 3], "loss": "binary_logistic"}
+        )
+    pl.config_from_mapping({"years": [2021], "input_dir": "a", "out_dir": "b", "k_values": [2],
+                            "loss": "binary_logistic"})
 
 
 def test_run_pipeline_happy_path(tmp_path):
@@ -149,6 +157,41 @@ def test_tiny_year_is_a_recorded_cell_failure(tmp_path, n_districts, error):
     with open(os.path.join(config.out_dir, "run_summary.json"), encoding="utf-8") as f:
         summary = json.load(f)
     assert [cell["error"] for cell in summary["cells_failed"]] == [error]
+
+
+def _summary(config) -> dict:
+    with open(os.path.join(config.out_dir, "run_summary.json"), encoding="utf-8") as f:
+        return json.load(f)
+
+
+def test_singleton_cluster_is_a_recorded_cell_failure(tmp_path):
+    config = small_config(tmp_path, k_values=[2, 6])
+    path = os.path.join(config.input_dir, "vaccination_2021.csv")
+    with open(path, newline="", encoding="utf-8") as f:
+        rows = list(csv.DictReader(f))
+    rows[0].update({column: "1.0" for column in VACCINE_COLUMNS})  # a lone outlier district
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        writer = csv.DictWriter(f, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
+    result = pl.run_pipeline(config)
+    assert result.exit_code == 3
+    assert result.errors[(2021, 6)]["error"] == "DegenerateLabels"
+    assert [cell["k"] for cell in _summary(config)["cells_failed"]] == [2, 6]
+
+
+def test_geometry_mismatch_is_a_recorded_write_failure(tmp_path):
+    geometry = tmp_path / "geometry.json"
+    geometry.write_text(json.dumps({"type": "FeatureCollection", "features": []}))
+    config = small_config(tmp_path, geometry_path=str(geometry))
+    result = pl.run_pipeline(config)
+    assert result.exit_code == 3
+    failure = result.errors[(2021, 2)]
+    assert (failure["stage"], failure["error"]) == ("write", "GeometryKeyMismatch")
+    assert _summary(config)["cells_failed"] == [failure]
+    assert not [name for name in os.listdir(config.out_dir) if "_2021_k2." in name]
+    with open(os.path.join(config.out_dir, "metrics.csv"), encoding="utf-8") as f:
+        assert "—" in f.read()
 
 
 @pytest.mark.parametrize("content", [None, "{not json", "[1, 2]", '{"features": [5]}'])
