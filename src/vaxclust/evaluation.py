@@ -20,6 +20,7 @@ import numpy as np
 
 from .dataset import GDSC_COLUMNS, YearDataset
 from .errors import (
+    DegenerateLabels,
     EmptyMatrix,
     KFoldsOutOfRange,
     LabelOutOfRange,
@@ -191,12 +192,18 @@ def cross_validate(
     Each fold's model is fit on the remaining folds only (the target-statistic
     encoder included, so held-out rows never leak their labels), then scored
     on the held-out rows. A fold whose test rows miss a class is a warning;
-    its metrics cover the classes present.
+    its metrics cover the classes present. A fold whose training rows miss a
+    class (a cluster too small to leave members in every training split)
+    raises :class:`DegenerateLabels` before any model is fit.
     """
     labels = np.asarray(assignment.labels, dtype=np.int64)
     numeric, categorical, numeric_names, cat_names = dataset_design(dataset)
     plan = stratified_folds(labels, k_folds, seed)
     k = assignment.k
+    for fold in range(k_folds):
+        missing = sorted(set(range(k)) - set(labels[plan.assignments != fold].tolist()))
+        if missing:
+            raise DegenerateLabels(f"fold {fold} training split lacks class(es) {missing} of 0..{k - 1}")
 
     rows: list[MetricRow] = []
     models: list[TreeEnsemble] = []

@@ -1,10 +1,12 @@
 """Rank-based two-sample tests and box-plot summaries across clusters.
 
 The primary test is the two-sided Mann-Whitney U from midrank sums: exact
-by enumeration over all C(n_a + n_b, n_a) group assignments when the pooled
-sample is small (<= 20), otherwise the tie-corrected normal approximation
-with continuity correction. Midranks make U a dyadic rational, so exact
-enumeration compares U values without tolerance. Welch's t is computed
+when the pooled sample is small (<= 20), otherwise the tie-corrected normal
+approximation with continuity correction. Doubled midranks are integers, so
+the exact null distribution over all C(n_a + n_b, n_a) group assignments is
+counted without tolerance by a subset-sum DP over them (the shift algorithm
+of Streitberg & Roehmel 1986): the number of j-subsets of the pooled sample
+per doubled rank sum, built one observation at a time. Welch's t is computed
 alongside for transparency; it is never the significance criterion.
 
 Quartile convention (fixed, because tools disagree): linear interpolation
@@ -17,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 from scipy.special import stdtr
@@ -26,7 +27,9 @@ from .dataset import RURALITY_CATEGORIES, YearDataset
 from .errors import EmptyGroup, EmptySample
 from .hcluster import ClusterAssignment
 
-EXACT_ENUMERATION_LIMIT = 20  # combined sample size; C(20, 10) arrangements worst case
+# combined sample size up to which p is exact: a counting DP over doubled rank
+# sums (at most C(20, 10) arrangements); above it, the normal approximation
+EXACT_ENUMERATION_LIMIT = 20
 
 
 @dataclass(frozen=True)
@@ -61,28 +64,22 @@ class BoxStats:
     outliers: tuple[float, ...]
 
 
-def _midranks(pooled: np.ndarray) -> np.ndarray:
-    order = np.argsort(pooled, kind="stable")
-    ranks = np.empty(len(pooled))
-    i = 0
-    while i < len(pooled):
-        j = i
-        while j + 1 < len(pooled) and pooled[order[j + 1]] == pooled[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
+def _doubled_midranks(pooled: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Twice the midrank of every value (an integer) and the tie-group sizes.
+
+    A tie group holding sorted positions i..j (0-based) has midrank
+    (i + j) / 2 + 1, so its doubled midrank is i + j + 2 = 2 * end - size + 1,
+    with end = j + 1 the cumulative count up to and including the group.
+    """
+    _, inverse, counts = np.unique(pooled, return_inverse=True, return_counts=True)
+    doubled = 2 * np.cumsum(counts) - counts + 1
+    return doubled[inverse], counts
 
 
-def _u_from_ranks(ranks_a: np.ndarray, n_a: int) -> float:
-    return float(ranks_a.sum() - n_a * (n_a + 1) / 2.0)
-
-
-def _normal_z(u: float, n_a: int, n_b: int, pooled: np.ndarray) -> float:
+def _normal_z(u: float, n_a: int, n_b: int, tie_counts: np.ndarray) -> float:
     n = n_a + n_b
     mean = n_a * n_b / 2.0
-    _, counts = np.unique(pooled, return_counts=True)
-    tie_term = float(((counts**3 - counts)).sum()) / (n * (n - 1)) if n > 1 else 0.0
+    tie_term = float(((tie_counts**3 - tie_counts)).sum()) / (n * (n - 1)) if n > 1 else 0.0
     var = n_a * n_b / 12.0 * ((n + 1) - tie_term)
     if var <= 0:
         return 0.0
@@ -94,20 +91,25 @@ def _normal_z(u: float, n_a: int, n_b: int, pooled: np.ndarray) -> float:
     return diff / math.sqrt(var)
 
 
-def _exact_p(u_observed: float, ranks: np.ndarray, n_a: int) -> float:
-    """Two-sided exact p over all group assignments of the pooled midranks."""
-    n = len(ranks)
-    offset = n_a * (n_a + 1) / 2.0
-    le = 0
-    ge = 0
-    total = 0
-    for chosen in combinations(range(n), n_a):
-        u = ranks[list(chosen)].sum() - offset
-        total += 1
-        if u <= u_observed:
-            le += 1
-        if u >= u_observed:
-            ge += 1
+def _exact_two_sided_p(doubled: np.ndarray, n_a: int, observed_sum: int) -> float:
+    """Two-sided exact p over all C(n, n_a) group assignments of the midranks.
+
+    ``counts[j, s]`` counts the j-subsets of the observations seen so far
+    whose doubled midranks sum to s; adding an observation of doubled rank r
+    adds the (j-1)-subsets at s - r to row j. Row n_a then holds the null
+    distribution of the doubled rank sum of group a, in exact integers (at
+    most C(20, 10) per cell at the pooled-size limit); U <= U_observed
+    exactly when that sum <= ``observed_sum``.
+    """
+    width = int(doubled.sum()) + 1
+    counts = np.zeros((n_a + 1, width), dtype=np.int64)
+    counts[0, 0] = 1
+    for r in doubled.tolist():
+        counts[1:, r:] = counts[1:, r:] + counts[:-1, : width - r]
+    null = counts[n_a]
+    total = int(null.sum())
+    le = int(null[: observed_sum + 1].sum())
+    ge = int(null[observed_sum:].sum())
     return min(1.0, 2.0 * min(le / total, ge / total))
 
 
@@ -120,12 +122,12 @@ def mann_whitney_u(sample_a, sample_b, feature_name: str = "") -> TestResult:
     b = np.asarray(sample_b, dtype=np.float64)
     if a.size == 0 or b.size == 0:
         raise EmptySample("both samples must be non-empty")
-    pooled = np.concatenate([a, b])
-    ranks = _midranks(pooled)
-    u = _u_from_ranks(ranks[: a.size], a.size)
-    z = _normal_z(u, a.size, b.size, pooled)
+    doubled, tie_counts = _doubled_midranks(np.concatenate([a, b]))
+    doubled_sum = int(doubled[: a.size].sum())
+    u = (doubled_sum - a.size * (a.size + 1)) / 2.0
+    z = _normal_z(u, a.size, b.size, tie_counts)
     if a.size + b.size <= EXACT_ENUMERATION_LIMIT:
-        p = _exact_p(u, ranks, a.size)
+        p = _exact_two_sided_p(doubled, a.size, doubled_sum)
         method = "exact"
     else:
         p = min(1.0, math.erfc(abs(z) / math.sqrt(2.0)))

@@ -164,20 +164,37 @@ def _summary(config) -> dict:
         return json.load(f)
 
 
-def test_singleton_cluster_is_a_recorded_cell_failure(tmp_path):
-    config = small_config(tmp_path, k_values=[2, 6])
+def _set_first_district_rates(config, rate: str) -> None:
     path = os.path.join(config.input_dir, "vaccination_2021.csv")
     with open(path, newline="", encoding="utf-8") as f:
         rows = list(csv.DictReader(f))
-    rows[0].update({column: "1.0" for column in VACCINE_COLUMNS})  # a lone outlier district
+    rows[0].update({column: rate for column in VACCINE_COLUMNS})  # a lone outlier district
     with open(path, "w", newline="", encoding="utf-8") as f:
         writer = csv.DictWriter(f, fieldnames=list(rows[0]))
         writer.writeheader()
         writer.writerows(rows)
+
+
+def test_singleton_cluster_is_a_recorded_cell_failure(tmp_path):
+    config = small_config(tmp_path, k_values=[2, 6])
+    _set_first_district_rates(config, "1.0")
     result = pl.run_pipeline(config)
     assert result.exit_code == 3
     assert result.errors[(2021, 6)]["error"] == "DegenerateLabels"
     assert [cell["k"] for cell in _summary(config)["cells_failed"]] == [2, 6]
+
+
+def test_singleton_top_cluster_fails_in_cross_validation(tmp_path):
+    # The lone district is the highest-coverage class (k-1), so the fold that
+    # holds it out has no training row of that class.
+    config = small_config(tmp_path, k_values=[3], n_trees=5)
+    _set_first_district_rates(config, "100.0")
+    result = pl.run_pipeline(config)
+    assert result.exit_code == 3
+    failure = result.errors[(2021, 3)]
+    assert (failure["stage"], failure["error"]) == ("analysis", "DegenerateLabels")
+    assert "training split lacks class(es) [2]" in failure["message"]
+    assert _summary(config)["cells_failed"] == [failure]
 
 
 def test_geometry_mismatch_is_a_recorded_write_failure(tmp_path):

@@ -1,10 +1,14 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
 from itertools import combinations
 
 import numpy as np
 import pytest
+import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from test_hcluster import quick_dataset
 from vaxclust import stats
@@ -74,6 +78,50 @@ def test_exact_p_matches_oracle_with_and_without_ties(rng):
         result = stats.mann_whitney_u(a, b)
         assert result.u_statistic == u_oracle
         assert result.p_two_sided == p_oracle
+
+
+def test_doubled_midranks_match_scipy_rankdata(rng):
+    for _ in range(30):
+        pooled = rng.integers(0, 5, int(rng.integers(1, 30))).astype(float)
+        doubled, tie_counts = stats._doubled_midranks(pooled)
+        assert (doubled / 2.0).tolist() == scipy.stats.rankdata(pooled, method="average").tolist()
+        assert sorted(tie_counts.tolist()) == sorted(Counter(pooled.tolist()).values())
+
+
+tie_heavy_sample = st.lists(st.integers(0, 4).map(float), min_size=1, max_size=7)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(a=tie_heavy_sample, b=tie_heavy_sample)
+def test_exact_p_matches_oracle_property(a, b):
+    u_oracle, p_oracle = oracle_exact_p(a, b)
+    result = stats.mann_whitney_u(a, b)
+    assert result.method == "exact"
+    assert result.u_statistic == u_oracle
+    assert result.p_two_sided == p_oracle
+
+
+@pytest.mark.parametrize("n_a, n_b", [(10, 10), (7, 13), (1, 19)])
+def test_exact_p_at_the_limit_matches_scipy(n_a, n_b):
+    assert n_a + n_b == stats.EXACT_ENUMERATION_LIMIT
+    rng = np.random.default_rng(n_a)
+    for shift in (0.0, 0.5, 1.5):
+        values = rng.normal(size=n_a + n_b)
+        assert len(set(values.tolist())) == n_a + n_b  # tie-free
+        a, b = values[:n_a], values[n_a:] + shift
+        result = stats.mann_whitney_u(a, b)
+        reference = scipy.stats.mannwhitneyu(a, b, alternative="two-sided", method="exact")
+        assert result.method == "exact"
+        assert result.u_statistic == reference.statistic
+        assert result.p_two_sided == pytest.approx(reference.pvalue, rel=1e-12, abs=0.0)
+
+
+def test_exact_normal_switch_at_pooled_limit(rng):
+    limit = stats.EXACT_ENUMERATION_LIMIT
+    assert limit == 20
+    for n_a in (1, 7, 10):
+        assert stats.mann_whitney_u(rng.normal(size=n_a), rng.normal(size=limit - n_a)).method == "exact"
+        assert stats.mann_whitney_u(rng.normal(size=n_a), rng.normal(size=limit + 1 - n_a)).method == "normal"
 
 
 def test_rank_invariance_under_monotone_transform(rng):
