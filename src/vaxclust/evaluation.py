@@ -14,7 +14,7 @@ Final cross-validation numbers are the plain mean of per-fold metric rows
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -49,18 +49,6 @@ class MetricRow:
     weighted_recall: float
     weighted_f1: float
     zero_division_count: int = 0
-
-    def to_dict(self) -> dict:
-        return {
-            "accuracy": self.accuracy,
-            "macro_precision": self.macro_precision,
-            "macro_recall": self.macro_recall,
-            "macro_f1": self.macro_f1,
-            "weighted_precision": self.weighted_precision,
-            "weighted_recall": self.weighted_recall,
-            "weighted_f1": self.weighted_f1,
-            "zero_division_count": self.zero_division_count,
-        }
 
 
 @dataclass(frozen=True)
@@ -156,20 +144,13 @@ def macro_metrics(confusion: np.ndarray, restrict_to_present: bool = False) -> M
 
 
 def _mean_rows(rows: list[MetricRow]) -> MetricRow:
+    """Field-wise mean of the rows; the integer counts are summed instead."""
     # fsum: correctly-rounded sums make the mean exactly fold-order-invariant
-    def mean(attr):
-        return math.fsum(getattr(r, attr) for r in rows) / len(rows)
-
-    return MetricRow(
-        accuracy=mean("accuracy"),
-        macro_precision=mean("macro_precision"),
-        macro_recall=mean("macro_recall"),
-        macro_f1=mean("macro_f1"),
-        weighted_precision=mean("weighted_precision"),
-        weighted_recall=mean("weighted_recall"),
-        weighted_f1=mean("weighted_f1"),
-        zero_division_count=int(sum(r.zero_division_count for r in rows)),
-    )
+    values = {}
+    for f in fields(MetricRow):
+        column = [getattr(r, f.name) for r in rows]
+        values[f.name] = sum(column) if f.type == "int" else math.fsum(column) / len(rows)
+    return MetricRow(**values)
 
 
 def dataset_design(dataset: YearDataset) -> tuple[np.ndarray, np.ndarray, list[str], list[str]]:
@@ -215,7 +196,7 @@ def cross_validate(
     for fold in range(k_folds):
         test = np.flatnonzero(plan.assignments == fold)
         train = np.flatnonzero(plan.assignments != fold)
-        fold_config = TrainConfig(**{**config.to_dict(), "seed": config.seed ^ fold})
+        fold_config = replace(config, seed=config.seed ^ fold)
         model = fit(
             numeric[train],
             categorical[train],

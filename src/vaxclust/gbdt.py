@@ -21,7 +21,7 @@ then the lowest threshold, so training is bit-reproducible for a given
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -67,16 +67,7 @@ class TrainConfig:
             raise ValueError(f"loss must be one of {LOSSES}")
 
     def to_dict(self) -> dict:
-        return {
-            "n_trees": self.n_trees,
-            "depth": self.depth,
-            "learning_rate": self.learning_rate,
-            "l2_leaf_reg": self.l2_leaf_reg,
-            "ts_prior_weight": self.ts_prior_weight,
-            "n_permutations": self.n_permutations,
-            "seed": self.seed,
-            "loss": self.loss,
-        }
+        return asdict(self)
 
 
 def encode_ordered_ts(categories, targets, permutation, prior_weight: float, prior: float) -> np.ndarray:

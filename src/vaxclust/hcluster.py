@@ -93,40 +93,37 @@ def pairwise_distances(X) -> DistanceMatrix:
     return DistanceMatrix(n=n, condensed=np.sqrt(d2[iu]))
 
 
-def _initial_costs(dist: DistanceMatrix, sizes: np.ndarray, linkage: str) -> np.ndarray:
+def _initial_costs(dist: DistanceMatrix, linkage: str) -> np.ndarray:
     n = dist.n
     cost = np.full((n, n), np.inf)
     for i in range(n - 1):
         start = condensed_index(i, i + 1, n)
         row = dist.condensed[start : start + (n - 1 - i)]
         if linkage == "ward":
-            w = sizes[i] * sizes[i + 1 :] / (sizes[i] + sizes[i + 1 :])
-            cost[i, i + 1 :] = w * row * row
+            cost[i, i + 1 :] = 0.5 * row * row  # unit sizes: 1 * 1 / (1 + 1)
         else:
             cost[i, i + 1 :] = row
         cost[i + 1 :, i] = cost[i, i + 1 :]
     return cost
 
 
-def agglomerate(dist: DistanceMatrix, sizes=None, linkage: str = "ward") -> Dendrogram:
+def agglomerate(dist: DistanceMatrix, linkage: str = "ward") -> Dendrogram:
     """Greedy agglomeration over a precomputed distance matrix.
 
     Ward merge heights are the Lance-Williams merge costs; average/complete
-    heights are the corresponding cluster distances. ``sizes`` gives per-leaf
-    weights (default 1 each).
+    heights are the corresponding cluster distances.
     """
     if linkage not in LINKAGES:
         raise ValueError(f"unknown linkage {linkage!r}; expected one of {LINKAGES}")
     n = dist.n
     if not np.all(np.isfinite(dist.condensed)):
         raise NonFiniteInput("distance matrix contains non-finite values")
-    sizes = np.ones(n) if sizes is None else np.asarray(sizes, dtype=np.float64)
 
     # symmetric cost matrix indexed by slot; slot s hosts cluster node_of[s],
     # inactive slots and the diagonal are +inf
-    cost = _initial_costs(dist, sizes, linkage)
+    cost = _initial_costs(dist, linkage)
     node_of = np.arange(n)
-    weight = sizes.copy()
+    weight = np.ones(n)
     merges: list[Merge] = []
 
     for step in range(n - 1):

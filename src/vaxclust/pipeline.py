@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 
 import numpy as np
 import scipy
@@ -48,7 +48,7 @@ from .hcluster import (
 )
 from .rng import derive_seed
 from .shapley import fold_average, global_importance
-from .stats import box_stats, mann_whitney_u, rurality_cross_tab, welch_t
+from .stats import BoxStats, box_stats, mann_whitney_u, rurality_cross_tab, welch_t
 
 METRIC_DISPLAY = (
     ("Accuracy", "accuracy"),
@@ -57,25 +57,23 @@ METRIC_DISPLAY = (
     ("F1 score", "macro_f1"),
 )
 
-_CONFIG_KEYS = {
-    "years",
-    "input_dir",
-    "out_dir",
-    "k_values",
-    "linkage",
-    "scale_rates",
-    "k_folds",
-    "seed",
-    "geometry_path",
-    "allow_partial",
-    "threads",  # accepted and ignored: cells run one after another
-    "n_trees",
-    "depth",
-    "learning_rate",
-    "l2_leaf_reg",
-    "ts_prior_weight",
-    "n_permutations",
-    "loss",
+_IGNORED_KEYS = {"threads"}  # accepted and ignored: cells run one after another
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# JSON value check per field annotation (a string, as annotations are
+# postponed): a bool is no int, an int is a float if a finite double holds
+# it, a tuple arrives as a list
+_JSON_TYPE_CHECKS = {
+    "int": _is_int,
+    "float": lambda v: (_is_int(v) or isinstance(v, float)) and abs(v) <= sys.float_info.max,
+    "bool": lambda v: isinstance(v, bool),
+    "str": lambda v: isinstance(v, str),
+    "str | None": lambda v: v is None or isinstance(v, str),
+    "tuple[int, ...]": lambda v: isinstance(v, list) and all(map(_is_int, v)),
 }
 
 
@@ -98,12 +96,14 @@ class RunConfig:
             raise ConfigError("years must be non-empty")
         if not self.k_values or any(k < 2 for k in self.k_values):
             raise ConfigError("k_values must be >= 2")
+        for name in ("years", "k_values"):
+            values = getattr(self, name)
+            if len(set(values)) < len(values):
+                raise ConfigError(f"{name} has repeated entries: {list(values)}")
         if self.linkage not in LINKAGES:
             raise ConfigError(f"linkage must be one of {LINKAGES}")
         if self.k_folds < 2:
             raise ConfigError("k_folds must be >= 2")
-        if self.geometry_path is not None and not isinstance(self.geometry_path, str):
-            raise ConfigError("geometry_path must be a string")
         self.geometry()
         try:
             self.train.validate()
@@ -114,20 +114,9 @@ class RunConfig:
 
     def echo(self) -> dict:
         """Every result-affecting setting, defaults included — provenance."""
-        doc = {
-            "years": list(self.years),
-            "input_dir": self.input_dir,
-            "out_dir": self.out_dir,
-            "k_values": list(self.k_values),
-            "linkage": self.linkage,
-            "scale_rates": self.scale_rates,
-            "k_folds": self.k_folds,
-            "seed": self.seed,
-            "geometry_path": self.geometry_path,
-            "allow_partial": self.allow_partial,
-        }
-        doc.update(self.train.to_dict())
-        return doc
+        doc = {**asdict(self), **self.train.to_dict()}
+        del doc["train"]
+        return {key: list(value) if isinstance(value, tuple) else value for key, value in doc.items()}
 
     def vaccination_path(self, year: int) -> str:
         return os.path.join(self.input_dir, f"vaccination_{year}.csv")
@@ -160,7 +149,7 @@ def _read_geometry(path: str) -> dict:
 
 
 def load_config(path, overrides: dict | None = None) -> RunConfig:
-    """Flat JSON config file; unknown keys are errors, CLI overrides win."""
+    """Flat JSON config file checked by :func:`config_from_mapping`; CLI overrides win."""
     try:
         with open(path, encoding="utf-8") as f:
             raw = json.load(f)
@@ -170,35 +159,37 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config must be a flat JSON object")
-    unknown = set(raw) - _CONFIG_KEYS
-    if unknown:
-        raise ConfigError(f"unknown config key(s): {sorted(unknown)}")
-    raw.update(overrides or {})
-    return config_from_mapping(raw)
+    return config_from_mapping({**raw, **(overrides or {})})
 
 
 def config_from_mapping(raw: dict) -> RunConfig:
-    missing = {"years", "input_dir", "out_dir"} - set(raw)
+    """The run config from a flat mapping of JSON values.
+
+    The keys are the ``RunConfig`` fields (``train`` aside), the
+    ``TrainConfig`` fields and the ignored ``threads``; ``seed`` seeds both.
+    Each value must have its field's JSON type and is stored as given, lists
+    as tuples; unknown keys, missing required keys and wrong types are
+    ConfigErrors.
+    """
+    run_fields = {f.name: f for f in fields(RunConfig) if f.name != "train"}
+    train_fields = {f.name: f for f in fields(TrainConfig) if f.name != "seed"}
+    schema = {**run_fields, **train_fields}
+    unknown = set(raw) - set(schema) - _IGNORED_KEYS
+    if unknown:
+        raise ConfigError(f"unknown config key(s): {sorted(unknown)}")
+    required = {name for name, f in run_fields.items() if f.default is MISSING and f.default_factory is MISSING}
+    missing = required - set(raw)
     if missing:
         raise ConfigError(f"missing required config key(s): {sorted(missing)}")
-    train_keys = set(TrainConfig().to_dict()) - {"seed"}
-    train_kwargs = {k: raw[k] for k in train_keys if k in raw}
-    try:
-        config = RunConfig(
-            years=tuple(int(y) for y in raw["years"]),
-            input_dir=str(raw["input_dir"]),
-            out_dir=str(raw["out_dir"]),
-            k_values=tuple(int(k) for k in raw.get("k_values", (2, 3, 6))),
-            linkage=str(raw.get("linkage", "ward")),
-            scale_rates=bool(raw.get("scale_rates", True)),
-            k_folds=int(raw.get("k_folds", 5)),
-            seed=int(raw.get("seed", 0)),
-            geometry_path=raw.get("geometry_path"),
-            allow_partial=bool(raw.get("allow_partial", False)),
-            train=TrainConfig(seed=int(raw.get("seed", 0)), **train_kwargs),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad config value: {exc}") from exc
+    values = {}
+    for name, value in raw.items():
+        if name in schema:
+            if not _JSON_TYPE_CHECKS[schema[name].type](value):
+                raise ConfigError(f"config key {name!r} must be {schema[name].type}, got {value!r}")
+            values[name] = tuple(value) if isinstance(value, list) else value
+    config = RunConfig(**{k: v for k, v in values.items() if k in run_fields})
+    train = TrainConfig(seed=config.seed, **{k: v for k, v in values.items() if k in train_fields})
+    config = replace(config, train=train)
     config.validate()
     return config
 
@@ -302,39 +293,10 @@ def analyze_cell(
     boxes: dict[str, dict] = {}
     for j, name in enumerate(gdsc_names):
         column = gdsc_matrix[:, j]
-        result = mann_whitney_u(column[low], column[high], feature_name=name)
-        tests.append(
-            {
-                "feature_name": name,
-                "u_statistic": result.u_statistic,
-                "z": result.z,
-                "p_two_sided": result.p_two_sided,
-                "n_low": result.n_low,
-                "n_high": result.n_high,
-                "significant_at_0_05": result.significant_at_0_05,
-                "method": result.method,
-            }
-        )
-        w = welch_t(column[low], column[high], feature_name=name)
-        welch_rows.append(
-            {
-                "feature_name": name,
-                "t_statistic": w.t_statistic,
-                "dof": w.dof,
-                "p_two_sided": w.p_two_sided,
-            }
-        )
+        tests.append(asdict(mann_whitney_u(column[low], column[high], feature_name=name)))
+        welch_rows.append(asdict(welch_t(column[low], column[high], feature_name=name)))
         boxes[name] = {
-            str(cluster): {
-                "minimum": b.minimum,
-                "q1": b.q1,
-                "median": b.median,
-                "q3": b.q3,
-                "maximum": b.maximum,
-                "whisker_low": b.whisker_low,
-                "whisker_high": b.whisker_high,
-                "outliers": list(b.outliers),
-            }
+            str(cluster): {**asdict(b), "outliers": list(b.outliers)}
             for cluster, b in box_stats(column, assignment.labels).items()
         }
 
@@ -355,8 +317,8 @@ def analyze_cell(
         cluster_names=list(assignment.ordered_names),
         cluster_mean_table=[[float(v) for v in row] for row in means],
         metrics={
-            "mean": cv.bundle.mean.to_dict(),
-            "per_fold": [r.to_dict() for r in cv.bundle.per_fold],
+            "mean": asdict(cv.bundle.mean),
+            "per_fold": [asdict(r) for r in cv.bundle.per_fold],
             "pooled_confusion": [[int(v) for v in row] for row in cv.bundle.pooled_confusion],
             "warnings": list(cv.bundle.warnings),
         },
@@ -497,7 +459,7 @@ def write_cell_artifacts(report: RunReport, assignment, dataset, config: RunConf
         ),
     ))
 
-    box_fields = ("minimum", "q1", "median", "q3", "maximum", "whisker_low", "whisker_high")
+    box_fields = [f.name for f in fields(BoxStats) if f.name != "outliers"]
     write(f"boxstats_{tag}.csv", csv_text(
         ["feature", "cluster_index", "cluster_name", "min", "q1", "median", "q3", "max",
          "whisker_low", "whisker_high", "outlier_count"],

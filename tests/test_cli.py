@@ -2,9 +2,13 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import vaxclust
 from vaxclust.cli import main
 from vaxclust.gbdt import from_json as model_from_json
 
@@ -58,6 +62,20 @@ def test_run_bad_config_key(tmp_path, capsys):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"years": [2021], "input_dir": "x", "out_dir": "y", "oops": 1}))
     assert main(["run", "--config", str(path)]) == 1
+
+
+@pytest.mark.parametrize("key, value", [("n_trees", "5"), ("depth", 2.5), ("learning_rate", "0.1")])
+def test_run_wrong_config_type_is_config_error(tmp_path, synth_inputs, key, value):
+    config = _write_config(tmp_path, synth_inputs, tmp_path / "out", **{key: value})
+    src = os.path.dirname(os.path.dirname(vaxclust.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "vaxclust.cli", "run", "--config", config],
+        capture_output=True, text=True, env=env, check=False,
+    )
+    assert proc.returncode == 1
+    assert f"config error: config key '{key}'" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_run_missing_inputs_is_data_error(tmp_path):

@@ -4,9 +4,12 @@ import csv
 import json
 import os
 import shutil
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import tree_digest
 from test_hcluster import quick_dataset
@@ -15,6 +18,7 @@ from vaxclust import synth
 from vaxclust.dataset import VACCINE_COLUMNS
 from vaxclust.errors import ConfigError, GeometryKeyMismatch
 from vaxclust.fixtures import load_wtable_assignment, table2_means
+from vaxclust.gbdt import TrainConfig
 from vaxclust.hcluster import ClusterAssignment
 
 
@@ -85,6 +89,75 @@ def test_config_validation_errors():
         )
     pl.config_from_mapping({"years": [2021], "input_dir": "a", "out_dir": "b", "k_values": [2],
                             "loss": "binary_logistic"})
+
+
+MINIMAL = {"years": [2021], "input_dir": "a", "out_dir": "b"}
+ACCEPTED_KEYS = (
+    {f.name for f in fields(pl.RunConfig)} - {"train"}
+    | {f.name for f in fields(TrainConfig)}
+    | {"threads"}
+)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("n_trees", "5"),
+    ("depth", 2.5),
+    ("learning_rate", "0.1"),
+    pytest.param("l2_leaf_reg", 10**400, id="l2_leaf_reg-10**400"),
+    ("scale_rates", "false"),
+    ("allow_partial", "no"),
+    ("k_folds", 2.9),
+    ("seed", "7"),
+    ("n_permutations", True),
+    ("input_dir", ["a"]),
+    ("deepth", 2),
+])
+def test_config_rejects_wrong_json_types_and_unknown_keys(key, value):
+    with pytest.raises(ConfigError, match=key):
+        pl.config_from_mapping({**MINIMAL, key: value})
+
+
+@pytest.mark.parametrize("key, value", [("years", [2021, 2021]), ("k_values", [2, 3, 2])])
+def test_config_rejects_repeated_list_entries(key, value):
+    with pytest.raises(ConfigError, match=f"{key} has repeated entries"):
+        pl.config_from_mapping({**MINIMAL, key: value})
+
+
+def test_config_keeps_accepted_values_as_given():
+    config = pl.config_from_mapping({**MINIMAL, "learning_rate": 1, "l2_leaf_reg": 2, "k_values": [3, 2]})
+    assert config.k_values == (3, 2)
+    echo = config.echo()
+    assert echo["learning_rate"] == 1 and isinstance(echo["learning_rate"], int)
+    assert echo["l2_leaf_reg"] == 2 and isinstance(echo["l2_leaf_reg"], int)
+    assert echo["k_values"] == [3, 2]
+
+
+json_scalar = (
+    st.none()
+    | st.booleans()
+    | st.integers(-2, 12)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.sampled_from(["ward", "average", "complete", "auto", "binary_logistic", "multiclass_softmax"])
+    | st.text(max_size=3)
+)
+json_value = json_scalar | st.lists(json_scalar, max_size=3) | st.lists(st.integers(2, 4), max_size=3)
+# a key with a random JSON value or with its default, so that some draws stay valid
+default_echo = pl.config_from_mapping(MINIMAL).echo()
+config_change = st.sampled_from(sorted(ACCEPTED_KEYS - {"geometry_path"})).flatmap(
+    lambda key: st.tuples(st.just(key), json_value | st.just(default_echo.get(key)))
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(changes=st.lists(config_change, max_size=4).map(dict))
+def test_config_from_mapping_checks_or_round_trips_property(changes):
+    try:
+        config = pl.config_from_mapping({**MINIMAL, **changes})
+    except ConfigError:
+        return
+    echo = json.loads(json.dumps(config.echo()))
+    assert set(echo) == ACCEPTED_KEYS - {"threads"}
+    assert pl.config_from_mapping(echo) == config
 
 
 def test_run_pipeline_happy_path(tmp_path):
