@@ -117,7 +117,7 @@ def cmd_train(args) -> int:
 def cmd_explain(args) -> int:
     config = _config(args)
     dataset = load_dataset(config, args.year)
-    with open(args.model, encoding="utf-8") as f:
+    with open(args.model, "rb") as f:
         model = model_from_json(f.read())
     numeric, categorical, _, _ = dataset_design(dataset)
     design = model.encode_features(numeric, categorical)

@@ -12,10 +12,14 @@ permutation, smoothed toward the global prior, which removes the target
 leakage a plain mean encoding would introduce. Inference uses the frozen
 full-training statistics.
 
-Split candidates are 32-bucket per-feature quantile borders computed once
-before boosting; candidate selection ties break to the lowest feature index,
-then the lowest threshold, so training is bit-reproducible for a given
-(data, config, seed).
+Split candidates are 32-bucket per-feature quantile borders, computed once
+per fit together with every row's bucket in every column. Each tree level
+scores every (feature, threshold) candidate from one gradient and one
+hessian histogram over (occupied leaf, feature, bucket), as in LightGBM's
+histogram method (Ke et al. 2017). The histogram has one row per leaf that
+holds training rows rather than one for each of the 2^level leaves, so deep
+trees stay small. Ties break to the lowest feature index, then the lowest
+threshold, so training is bit-reproducible for a given (data, config, seed).
 """
 
 from __future__ import annotations
@@ -26,12 +30,14 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .errors import (
+    DataError,
     DegenerateLabels,
     FeatureArityMismatch,
     NonFiniteFeature,
     TooFewRows,
 )
 from .rng import Rng, derive_seed
+from .schema import check_fields, is_int
 
 N_QUANTILE_BUCKETS = 32
 _MIN_SPLIT_GAIN = 1e-12
@@ -79,22 +85,22 @@ def encode_ordered_ts(categories, targets, permutation, prior_weight: float, pri
         (prefix_sum + prior_weight * prior) / (prefix_count + prior_weight)
 
     so the first occurrence of any category encodes to the prior exactly.
+    Each category's prefix sums are one ``cumsum`` in permutation order, the
+    same additions as a running total.
     """
-    categories = np.asarray(categories)
-    targets = np.asarray(targets, dtype=np.float64)
+    permutation = np.asarray(permutation)
+    categories = np.asarray(categories).astype(np.int64)[permutation]
+    targets = np.asarray(targets, dtype=np.float64)[permutation]
     out = np.empty(len(categories), dtype=np.float64)
-    sums: dict[int, float] = {}
-    counts: dict[int, int] = {}
-    for row in permutation:
-        c = int(categories[row])
-        s = sums.get(c, 0.0)
-        n = counts.get(c, 0)
-        out[row] = (s + prior_weight * prior) / (n + prior_weight)
-        sums[c] = s + targets[row]
-        counts[c] = n + 1
+    for c in np.unique(categories):
+        at = categories == c
+        prefix_sum = np.concatenate(([0.0], np.cumsum(targets[at])[:-1]))
+        prefix_count = np.arange(prefix_sum.size)
+        out[permutation[at]] = (prefix_sum + prior_weight * prior) / (prefix_count + prior_weight)
     return out
 
 
+@dataclass(frozen=True)
 class OrderedTsEncoder:
     """Frozen per-category statistics for inference plus ordered training views.
 
@@ -103,14 +109,12 @@ class OrderedTsEncoder:
     one component per class.
     """
 
-    def __init__(self, feature_names, n_components, prior_weight, priors, stats, component_names):
-        self.feature_names = tuple(feature_names)
-        self.n_components = int(n_components)
-        self.prior_weight = float(prior_weight)
-        self.priors = [tuple(float(x) for x in p) for p in priors]  # per component
-        # per feature: {category: (count, [sum per component])}
-        self.stats = stats
-        self.component_names = tuple(component_names)
+    feature_names: tuple[str, ...]
+    n_components: int
+    prior_weight: float
+    priors: tuple[tuple[float, ...], ...]  # per feature, per component
+    stats: tuple[dict[int, tuple[int, tuple[float, ...]]], ...]  # per feature: {category: (count, sums)}
+    component_names: tuple[str, ...]
 
     @property
     def column_names(self) -> list[str]:
@@ -133,12 +137,11 @@ class OrderedTsEncoder:
         n, d_cat = categories.shape
         if n_classes == 2:
             components = [(labels == 1).astype(np.float64)]
-            component_names = [""]
+            component_names = ("",)
         else:
             components = [(labels == c).astype(np.float64) for c in range(n_classes)]
-            component_names = [f"class{c}" for c in range(n_classes)]
-        priors = [tuple(float(t.mean()) for t in components)]
-        priors = priors * d_cat  # prior is global, identical across features
+            component_names = tuple(f"class{c}" for c in range(n_classes))
+        priors = (tuple(float(t.mean()) for t in components),) * d_cat  # global, same per feature
 
         permutations = [
             Rng(derive_seed(config.seed, 0xC47, p)).permutation(n)
@@ -149,12 +152,12 @@ class OrderedTsEncoder:
         train_cols = np.empty((n, d_cat * len(components)), dtype=np.float64)
         col = 0
         for f in range(d_cat):
-            feature_stats: dict[int, tuple[int, list[float]]] = {}
+            feature_stats: dict[int, tuple[int, tuple[float, ...]]] = {}
             for c in np.unique(categories[:, f]):
                 mask = categories[:, f] == c
                 feature_stats[int(c)] = (
                     int(mask.sum()),
-                    [float(t[mask].sum()) for t in components],
+                    tuple(float(t[mask].sum()) for t in components),
                 )
             stats.append(feature_stats)
             for comp_idx, t in enumerate(components):
@@ -170,7 +173,12 @@ class OrderedTsEncoder:
         if feature_names is None:
             feature_names = [f"cat{f}" for f in range(d_cat)]
         encoder = cls(
-            feature_names, len(components), config.ts_prior_weight, priors, stats, component_names
+            feature_names=tuple(feature_names),
+            n_components=len(components),
+            prior_weight=float(config.ts_prior_weight),
+            priors=priors,
+            stats=tuple(stats),
+            component_names=component_names,
         )
         return encoder, train_cols
 
@@ -181,19 +189,17 @@ class OrderedTsEncoder:
             raise FeatureArityMismatch(
                 f"expected {len(self.feature_names)} categorical columns, got shape {categories.shape}"
             )
-        n = categories.shape[0]
-        out = np.empty((n, len(self.feature_names) * self.n_components), dtype=np.float64)
-        col = 0
-        for f in range(len(self.feature_names)):
-            feature_stats = self.stats[f]
-            for comp_idx in range(self.n_components):
-                prior = self.priors[f][comp_idx]
-                a = self.prior_weight
-                for i in range(n):
-                    count, sums = feature_stats.get(int(categories[i, f]), (0, None))
-                    s = sums[comp_idx] if sums is not None else 0.0
-                    out[i, col] = (s + a * prior) / (count + a)
-                col += 1
+        a = self.prior_weight
+        width = self.n_components
+        out = np.empty((categories.shape[0], len(self.feature_names) * width), dtype=np.float64)
+        for f, feature_stats in enumerate(self.stats):
+            seen, row_category = np.unique(categories[:, f].astype(np.int64), return_inverse=True)
+            table = np.empty((seen.size, width), dtype=np.float64)
+            for i, c in enumerate(seen.tolist()):
+                count, sums = feature_stats.get(c, (0, (0.0,) * width))
+                for comp_idx, prior in enumerate(self.priors[f]):
+                    table[i, comp_idx] = (sums[comp_idx] + a * prior) / (count + a)
+            out[:, f * width : (f + 1) * width] = table[row_category]
         return out
 
     def to_dict(self) -> dict:
@@ -211,17 +217,16 @@ class OrderedTsEncoder:
 
     @classmethod
     def from_dict(cls, data: dict) -> "OrderedTsEncoder":
-        stats = [
-            {int(c): (int(v[0]), [float(x) for x in v[1]]) for c, v in fs.items()}
-            for fs in data["stats"]
-        ]
         return cls(
-            data["feature_names"],
-            data["n_components"],
-            data["prior_weight"],
-            data["priors"],
-            stats,
-            data["component_names"],
+            feature_names=tuple(data["feature_names"]),
+            n_components=data["n_components"],
+            prior_weight=float(data["prior_weight"]),
+            priors=tuple(tuple(float(x) for x in p) for p in data["priors"]),
+            stats=tuple(
+                {int(c): (v[0], tuple(float(x) for x in v[1])) for c, v in fs.items()}
+                for fs in data["stats"]
+            ),
+            component_names=tuple(data["component_names"]),
         )
 
 
@@ -334,15 +339,50 @@ def quantile_candidates(column: np.ndarray, n_buckets: int = N_QUANTILE_BUCKETS)
     return np.unique(borders)
 
 
-def _grow_oblivious_tree(buckets, candidates, grad, hess, depth, l2):
+def _split_table(design: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row slots and per-column thresholds shared by every tree of a fit.
+
+    ``thresholds[j, m]`` is the m-th quantile candidate of column j, padded
+    with +inf to ``N_QUANTILE_BUCKETS`` slots (a column has at most 31
+    candidates, none when constant). ``slots[i, j]`` is ``j *
+    N_QUANTILE_BUCKETS`` plus the bucket of row i in column j, the number of
+    candidates below its value, so the row falls left of ``thresholds[j, m]``
+    exactly when its bucket is <= m.
+    """
+    n_rows, n_cols = design.shape
+    thresholds = np.full((n_cols, N_QUANTILE_BUCKETS), np.inf)
+    slots = np.empty((n_rows, n_cols), dtype=np.int64)
+    for j in range(n_cols):
+        candidates = quantile_candidates(design[:, j])
+        thresholds[j, : candidates.size] = candidates
+        slots[:, j] = j * N_QUANTILE_BUCKETS + np.searchsorted(candidates, design[:, j], side="left")
+    return slots, thresholds
+
+
+def _grow_oblivious_tree(slots, thresholds, grad, hess, depth, l2):
     """One symmetric tree; greedy level-wise split maximizing total Newton gain.
 
-    ``buckets[j]`` holds per-row candidate-bucket ids for column j (rows with
-    bucket <= m fall left of candidates[j][m]). Returns splits and per-leaf
-    (value, cover) tables; stops early when no split gains more than the
-    minimum threshold.
+    ``slots`` and ``thresholds`` come from :func:`_split_table`. Each level
+    builds the g and the h histogram over (occupied leaf, column, bucket)
+    with one ``bincount`` each; a ``cumsum`` along the bucket axis gives the
+    left sums of every candidate at once, and one flattened ``argmax`` over
+    the (column, slot) gains picks the split, ties going to the lowest
+    column, then the lowest threshold. Only leaves that hold rows get
+    histogram rows, as an empty leaf adds nothing to a gain, so a deep tree
+    on few rows builds no 2^level table. Returns splits and per-leaf (value,
+    cover) tables; stops early when no split gains more than the minimum
+    threshold.
     """
-    n = grad.shape[0]
+    n, n_cols = slots.shape
+    width = thresholds.size
+    padded = np.isinf(thresholds)
+    # Gains are those of scoring each column on its own (2^level, candidates)
+    # table. numpy sums such a table leaf by leaf, as the occupied rows here
+    # do, but a one-column table pairwise, which rounds differently; so a
+    # column with one candidate has its gain summed pairwise over all leaves.
+    lone = np.flatnonzero(padded.sum(axis=1) == N_QUANTILE_BUCKETS - 1)
+    g_rows = np.repeat(grad, n_cols)  # weights in the (row, column) order of slots
+    h_rows = np.repeat(hess, n_cols)
     leaf_idx = np.zeros(n, dtype=np.int64)
     splits: list[tuple[int, float]] = []
 
@@ -353,36 +393,31 @@ def _grow_oblivious_tree(buckets, candidates, grad, hess, depth, l2):
         denom = h_leaf + l2
         base = np.sum(np.divide(g_leaf * g_leaf, denom, out=np.zeros_like(denom), where=denom > 0))
 
-        best_gain = _MIN_SPLIT_GAIN
-        best: tuple[int, float] | None = None
-        for j, cand in enumerate(candidates):
-            if cand.size == 0:
-                continue
-            n_buckets = cand.size + 1
-            flat = leaf_idx * n_buckets + buckets[j]
-            hist_g = np.bincount(flat, weights=grad, minlength=n_leaves * n_buckets)
-            hist_h = np.bincount(flat, weights=hess, minlength=n_leaves * n_buckets)
-            hist_g = hist_g.reshape(n_leaves, n_buckets)
-            hist_h = hist_h.reshape(n_leaves, n_buckets)
-            gl = np.cumsum(hist_g, axis=1)[:, :-1]  # (n_leaves, n_candidates)
-            hl = np.cumsum(hist_h, axis=1)[:, :-1]
-            gr = g_leaf[:, None] - gl
-            hr = h_leaf[:, None] - hl
-            dl = hl + l2
-            dr = hr + l2
-            score = np.divide(gl * gl, dl, out=np.zeros_like(dl), where=dl > 0) + np.divide(
-                gr * gr, dr, out=np.zeros_like(dr), where=dr > 0
-            )
-            gains = score.sum(axis=0) - base
-            m = int(np.argmax(gains))
-            if gains[m] > best_gain:
-                best_gain = float(gains[m])
-                best = (j, m)
-        if best is None:
+        occupied, row_leaf = np.unique(leaf_idx, return_inverse=True)
+        keys = (row_leaf[:, None] * width + slots).ravel()
+        size = occupied.size * width
+        shape = (occupied.size, n_cols, N_QUANTILE_BUCKETS)
+        gl = np.cumsum(np.bincount(keys, weights=g_rows, minlength=size).reshape(shape), axis=2)
+        hl = np.cumsum(np.bincount(keys, weights=h_rows, minlength=size).reshape(shape), axis=2)
+        gr = g_leaf[occupied, None, None] - gl
+        hr = h_leaf[occupied, None, None] - hl
+        dl = hl + l2
+        dr = hr + l2
+        score = np.divide(gl * gl, dl, out=np.zeros_like(dl), where=dl > 0) + np.divide(
+            gr * gr, dr, out=np.zeros_like(dr), where=dr > 0
+        )
+        gains = score.sum(axis=0) - base  # (column, slot)
+        if lone.size:
+            dense = np.zeros((lone.size, n_leaves))
+            dense[:, occupied] = score[:, lone, 0].T
+            gains[lone, 0] = dense.sum(axis=1) - base
+        gains[padded] = -np.inf
+        best = int(np.argmax(gains))
+        if not gains.flat[best] > _MIN_SPLIT_GAIN:
             break
-        j, m = best
-        splits.append((j, float(candidates[j][m])))
-        leaf_idx |= (buckets[j] > m).astype(np.int64) << level
+        j = best // N_QUANTILE_BUCKETS
+        splits.append((j, float(thresholds.flat[best])))
+        leaf_idx |= (slots[:, j] > best).astype(np.int64) << level
 
     n_leaves = 1 << len(splits)
     g_leaf = np.bincount(leaf_idx, weights=grad, minlength=n_leaves)
@@ -450,16 +485,10 @@ def fit(
             categorical, labels, n_classes, config, feature_names=cat_names
         )
         design = np.hstack([numeric, ts_cols])
-        for fname in cat_names:
-            for comp in encoder.component_names:
-                feature_names.append(fname if comp == "" else f"{fname}|{comp}")
-                feature_source.append(fname)
+        feature_names += encoder.column_names
+        feature_source += [fname for fname in cat_names for _ in encoder.component_names]
 
-    candidates = [quantile_candidates(design[:, j]) for j in range(design.shape[1])]
-    buckets = [
-        np.searchsorted(candidates[j], design[:, j], side="left") if candidates[j].size else None
-        for j in range(design.shape[1])
-    ]
+    slots, thresholds = _split_table(design)
 
     n_outputs = 1 if loss == "binary_logistic" else n_classes
     counts = np.bincount(labels, minlength=n_classes).astype(np.float64)
@@ -482,7 +511,7 @@ def fit(
             grad = p - y
             hess = p * (1.0 - p)
             splits, values, cover, leaf_idx = _grow_oblivious_tree(
-                buckets, candidates, grad, hess, config.depth, l2
+                slots, thresholds, grad, hess, config.depth, l2
             )
             trees.append(
                 ObliviousTree(splits=tuple(splits), leaf_values=values, leaf_cover=cover, class_index=0)
@@ -496,7 +525,7 @@ def fit(
                 grad = p[:, c] - onehot[:, c]
                 hess = p[:, c] * (1.0 - p[:, c])
                 splits, values, cover, leaf_idx = _grow_oblivious_tree(
-                    buckets, candidates, grad, hess, config.depth, l2
+                    slots, thresholds, grad, hess, config.depth, l2
                 )
                 trees.append(
                     ObliviousTree(
@@ -550,29 +579,99 @@ def to_json(model: TreeEnsemble) -> str:
     return json.dumps(doc, sort_keys=True, indent=2)
 
 
-def from_json(text: str) -> TreeEnsemble:
-    doc = json.loads(text)
-    if doc.get("model_type") != "oblivious_gbdt":
-        raise ValueError("not an oblivious_gbdt model document")
+_DOCUMENT_FORMAT = {"format_version": 1, "model_type": "oblivious_gbdt"}
+
+
+def _require(condition: bool, message: str) -> None:
+    if not condition:
+        raise DataError(f"model document: {message}")
+
+
+def from_json(text: str | bytes) -> TreeEnsemble:
+    """The model a :func:`to_json` document describes.
+
+    Keys and JSON types are those of the dataclass fields (the document's
+    ``encoder`` holds ``ts_encoder``), and the shapes must agree: one base
+    score per output, one leaf value and cover per leaf of each tree, split
+    columns and class indices in range. Anything else is a DataError.
+    """
+    try:
+        doc = json.loads(text)
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise DataError(f"model file is not JSON: {exc}") from exc
+    _require(
+        isinstance(doc, dict) and all(doc.get(k) == v for k, v in _DOCUMENT_FORMAT.items()),
+        f"not a {_DOCUMENT_FORMAT} document",
+    )
+    record = {("ts_encoder" if k == "encoder" else k): v for k, v in doc.items() if k not in _DOCUMENT_FORMAT}
+    check_fields(TreeEnsemble, record, DataError, "model", nested={"trees", "ts_encoder", "config"})
+    check_fields(TrainConfig, record["config"], DataError, "model config")
+    try:
+        config = TrainConfig(**record["config"])
+        config.validate()
+    except ValueError as exc:
+        raise DataError(f"model document: config: {exc}") from exc
+    encoder = record["ts_encoder"]
+    n_encoded = 0
+    if encoder is not None:
+        check_fields(OrderedTsEncoder, encoder, DataError, "model encoder")
+        width = encoder["n_components"]
+        n_cat = len(encoder["feature_names"])
+        _require(
+            len(encoder["component_names"]) == width
+            and len(encoder["priors"]) == len(encoder["stats"]) == n_cat
+            and all(len(p) == width for p in encoder["priors"])
+            and all(len(v[1]) == width for fs in encoder["stats"] for v in fs.values()),
+            "encoder priors and stats must hold one value per feature and component",
+        )
+        n_encoded = n_cat * width
+
+    n_classes, n_outputs = record["n_classes"], record["n_outputs"]
+    n_features = len(record["feature_names"])
+    _require(
+        n_classes >= 2 and (n_outputs == n_classes or (n_outputs == 1 and n_classes == 2)),
+        f"{n_outputs} output(s) cannot score {n_classes} classes",
+    )
+    _require(len(record["base_score"]) == n_outputs, "base_score must hold one value per output")
+    _require(len(record["feature_source"]) == n_features, "feature_source must name every feature")
+    _require(
+        record["n_numeric"] >= 0 and record["n_numeric"] + n_encoded == n_features,
+        "n_numeric plus the encoded columns must equal the feature count",
+    )
+    _require(isinstance(record["trees"], list), "trees must be a list")
+    for i, spec in enumerate(record["trees"]):
+        check_fields(ObliviousTree, spec, DataError, f"model tree {i}")
+        n_leaves = 2 ** len(spec["splits"])
+        _require(0 <= spec["class_index"] < n_outputs, f"tree {i} class_index out of range")
+        _require(all(0 <= f < n_features for f, _ in spec["splits"]), f"tree {i} split column out of range")
+        _require(
+            len(spec["leaf_values"]) == len(spec["leaf_cover"]) == n_leaves,
+            f"tree {i} must hold {n_leaves} leaf values and covers",
+        )
+        _require(
+            all(is_int(c) and 0 <= c < 2**63 for c in spec["leaf_cover"]),
+            f"tree {i} leaf_cover must hold row counts",
+        )
+
     trees = tuple(
         ObliviousTree(
-            splits=tuple((int(f), float(t)) for f, t in spec["splits"]),
+            splits=tuple((f, float(t)) for f, t in spec["splits"]),
             leaf_values=np.array(spec["leaf_values"], dtype=np.float64),
             leaf_cover=np.array(spec["leaf_cover"], dtype=np.int64),
-            class_index=int(spec["class_index"]),
+            class_index=spec["class_index"],
         )
-        for spec in doc["trees"]
+        for spec in record["trees"]
     )
     return TreeEnsemble(
-        n_classes=int(doc["n_classes"]),
-        n_outputs=int(doc["n_outputs"]),
-        base_score=np.array(doc["base_score"], dtype=np.float64),
-        learning_rate=float(doc["learning_rate"]),
+        n_classes=n_classes,
+        n_outputs=n_outputs,
+        base_score=np.array(record["base_score"], dtype=np.float64),
+        learning_rate=float(record["learning_rate"]),
         trees=trees,
-        feature_names=tuple(doc["feature_names"]),
-        feature_source=tuple(doc["feature_source"]),
-        n_numeric=int(doc["n_numeric"]),
-        ts_encoder=OrderedTsEncoder.from_dict(doc["encoder"]) if doc["encoder"] else None,
-        config=TrainConfig(**doc["config"]),
-        training_loss=tuple(doc["training_loss"]),
+        feature_names=tuple(record["feature_names"]),
+        feature_source=tuple(record["feature_source"]),
+        n_numeric=record["n_numeric"],
+        ts_encoder=OrderedTsEncoder.from_dict(encoder) if encoder is not None else None,
+        config=config,
+        training_loss=tuple(record["training_loss"]),
     )

@@ -47,6 +47,7 @@ from .hcluster import (
     suggest_k,
 )
 from .rng import derive_seed
+from .schema import JSON_TYPES
 from .shapley import fold_average, global_importance
 from .stats import BoxStats, box_stats, mann_whitney_u, rurality_cross_tab, welch_t
 
@@ -58,23 +59,6 @@ METRIC_DISPLAY = (
 )
 
 _IGNORED_KEYS = {"threads"}  # accepted and ignored: cells run one after another
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-# JSON value check per field annotation (a string, as annotations are
-# postponed): a bool is no int, an int is a float if a finite double holds
-# it, a tuple arrives as a list
-_JSON_TYPE_CHECKS = {
-    "int": _is_int,
-    "float": lambda v: (_is_int(v) or isinstance(v, float)) and abs(v) <= sys.float_info.max,
-    "bool": lambda v: isinstance(v, bool),
-    "str": lambda v: isinstance(v, str),
-    "str | None": lambda v: v is None or isinstance(v, str),
-    "tuple[int, ...]": lambda v: isinstance(v, list) and all(map(_is_int, v)),
-}
 
 
 @dataclass(frozen=True)
@@ -184,7 +168,7 @@ def config_from_mapping(raw: dict) -> RunConfig:
     values = {}
     for name, value in raw.items():
         if name in schema:
-            if not _JSON_TYPE_CHECKS[schema[name].type](value):
+            if not JSON_TYPES[schema[name].type](value):
                 raise ConfigError(f"config key {name!r} must be {schema[name].type}, got {value!r}")
             values[name] = tuple(value) if isinstance(value, list) else value
     config = RunConfig(**{k: v for k, v in values.items() if k in run_fields})

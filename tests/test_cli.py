@@ -165,6 +165,19 @@ def test_train_explain_round_trip(tmp_path, synth_inputs):
     assert (model.config.n_trees, model.config.depth, len(model.trees)) == (3, 2, 3)
 
 
+@pytest.mark.parametrize(
+    "content", [b'{"model_type": "oblivious_gbdt"}', b"not json", b"\x89PNG\r\n\x1a\n"],
+    ids=["missing-keys", "not-json", "binary"],
+)
+def test_explain_corrupt_model_is_data_error(tmp_path, synth_inputs, capsys, content):
+    model_path = tmp_path / "model.json"
+    model_path.write_bytes(content)
+    code = main(["explain", "--input-dir", str(synth_inputs), "--year", "2021",
+                 "--model", str(model_path), "--out", str(tmp_path / "explain")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("data error: model")
+
+
 def test_stats_subcommand(tmp_path, synth_inputs):
     out = tmp_path / "stats"
     code = main(["stats", "--input-dir", str(synth_inputs), "--year", "2021",

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from vaxclust import gbdt
-from vaxclust.errors import DegenerateLabels, FeatureArityMismatch, NonFiniteFeature
+from vaxclust.errors import DataError, DegenerateLabels, FeatureArityMismatch, NonFiniteFeature
 from vaxclust.gbdt import ObliviousTree, TrainConfig, TreeEnsemble, encode_ordered_ts
 
 
@@ -272,3 +275,237 @@ def test_config_validation():
         TrainConfig(learning_rate=0.0).validate()
     with pytest.raises(ValueError):
         TrainConfig(loss="hinge").validate()
+
+
+def _oracle_encode_ordered_ts(categories, targets, permutation, prior_weight, prior):
+    """Row-by-row running totals, the reference for the vectorised encoding."""
+    out = np.empty(len(categories), dtype=np.float64)
+    sums: dict[int, float] = {}
+    counts: dict[int, int] = {}
+    for row in permutation:
+        c = int(categories[row])
+        s = sums.get(c, 0.0)
+        n = counts.get(c, 0)
+        out[row] = (s + prior_weight * prior) / (n + prior_weight)
+        sums[c] = s + targets[row]
+        counts[c] = n + 1
+    return out
+
+
+def _oracle_encode(encoder, categories):
+    """Row-by-row lookup of the frozen statistics, the reference for ``encode``."""
+    out = np.empty((categories.shape[0], len(encoder.feature_names) * encoder.n_components))
+    col = 0
+    for f, feature_stats in enumerate(encoder.stats):
+        for comp_idx in range(encoder.n_components):
+            prior = encoder.priors[f][comp_idx]
+            a = encoder.prior_weight
+            for i in range(categories.shape[0]):
+                count, sums = feature_stats.get(int(categories[i, f]), (0, None))
+                s = sums[comp_idx] if sums is not None else 0.0
+                out[i, col] = (s + a * prior) / (count + a)
+            col += 1
+    return out
+
+
+def test_encoders_match_row_loop_oracle():
+    for trial in range(40):
+        rng = np.random.default_rng(500 + trial)
+        n = int(rng.integers(1, 60))
+        cats = rng.integers(-2, 6, size=n)
+        targets = rng.uniform(size=n) if trial % 2 else rng.integers(0, 2, size=n).astype(float)
+        perm = rng.permutation(n)
+        weight, prior = float(rng.uniform(0.1, 3.0)), float(rng.uniform())
+        got = encode_ordered_ts(cats, targets, perm, weight, prior)
+        want = _oracle_encode_ordered_ts(cats, targets, perm, weight, prior)
+        assert got.tobytes() == want.tobytes()
+
+        k = int(rng.choice([2, 3, 6]))
+        labels = np.concatenate([np.arange(k), rng.integers(0, k, size=n)])
+        train = rng.integers(1, 7, size=(labels.size, int(rng.integers(1, 3))))
+        cfg = TrainConfig(seed=trial, n_permutations=int(rng.integers(1, 3)))
+        encoder, _ = gbdt.OrderedTsEncoder.fit(train, labels, k, cfg)
+        queries = rng.integers(0, 9, size=(n, train.shape[1]))  # 0, 7 and 8 unseen
+        assert encoder.encode(queries).tobytes() == _oracle_encode(encoder, queries).tobytes()
+
+
+def _oracle_grow(slots, thresholds, grad, hess, depth, l2):
+    """The per-column grower the per-level histogram replaced, kept as the reference:
+    one histogram, cumsum and argmax per column, per level, over all 2^level leaves."""
+    candidates = [row[np.isfinite(row)] for row in thresholds]
+    buckets = [slots[:, j] - j * gbdt.N_QUANTILE_BUCKETS for j in range(slots.shape[1])]
+    n = grad.shape[0]
+    leaf_idx = np.zeros(n, dtype=np.int64)
+    splits = []
+    for level in range(depth):
+        n_leaves = 1 << level
+        g_leaf = np.bincount(leaf_idx, weights=grad, minlength=n_leaves)
+        h_leaf = np.bincount(leaf_idx, weights=hess, minlength=n_leaves)
+        denom = h_leaf + l2
+        base = np.sum(np.divide(g_leaf * g_leaf, denom, out=np.zeros_like(denom), where=denom > 0))
+        best_gain = gbdt._MIN_SPLIT_GAIN
+        best = None
+        for j, cand in enumerate(candidates):
+            if cand.size == 0:
+                continue
+            n_buckets = cand.size + 1
+            flat = leaf_idx * n_buckets + buckets[j]
+            shape = (n_leaves, n_buckets)
+            hist_g = np.bincount(flat, weights=grad, minlength=n_leaves * n_buckets).reshape(shape)
+            hist_h = np.bincount(flat, weights=hess, minlength=n_leaves * n_buckets).reshape(shape)
+            gl = np.cumsum(hist_g, axis=1)[:, :-1]
+            hl = np.cumsum(hist_h, axis=1)[:, :-1]
+            gr = g_leaf[:, None] - gl
+            hr = h_leaf[:, None] - hl
+            dl = hl + l2
+            dr = hr + l2
+            score = np.divide(gl * gl, dl, out=np.zeros_like(dl), where=dl > 0) + np.divide(
+                gr * gr, dr, out=np.zeros_like(dr), where=dr > 0
+            )
+            gains = score.sum(axis=0) - base
+            m = int(np.argmax(gains))
+            if gains[m] > best_gain:
+                best_gain = float(gains[m])
+                best = (j, m)
+        if best is None:
+            break
+        j, m = best
+        splits.append((j, float(candidates[j][m])))
+        leaf_idx |= (buckets[j] > m).astype(np.int64) << level
+    n_leaves = 1 << len(splits)
+    g_leaf = np.bincount(leaf_idx, weights=grad, minlength=n_leaves)
+    h_leaf = np.bincount(leaf_idx, weights=hess, minlength=n_leaves)
+    cover = np.bincount(leaf_idx, minlength=n_leaves)
+    denom = h_leaf + l2
+    values = np.where(denom > 0, -np.divide(g_leaf, denom, out=np.zeros_like(denom), where=denom > 0), 0.0)
+    return splits, values, cover, leaf_idx
+
+
+def _grower_battery():
+    """Seeded fits over the grower's edge cases: every combination of k
+    2/3/6, l2 0/3 and with/without categorical columns, and every depth 1..12.
+
+    Each design holds a normal column, a constant one (no candidates), a
+    tied one, and a column with one candidate next to a many-candidate
+    column that splits the rows the same way: n = 32m + 1 puts the top
+    quantile border on a row, so both isolate the same m rows.
+    """
+    for i in range(36):
+        rng = np.random.default_rng(900 + i)
+        k = (2, 3, 6)[i % 3]
+        l2 = (0.0, 3.0)[(i // 3) % 2]
+        n = (33, 65, 97)[(i // 6) % 3]
+        top = rng.choice(n, size=(n - 1) // 32, replace=False)
+        lone = np.zeros(n)
+        lone[top] = 1.0
+        many = rng.permutation(n).astype(float)
+        many[top] = n + np.arange(top.size)
+        X = np.column_stack([
+            rng.normal(size=n), np.full(n, 1.5), rng.integers(0, 4, size=n) * 0.5, lone, many,
+        ])[:, rng.permutation(5)]
+        y = rng.permutation(np.arange(n) % k)
+        cats = rng.integers(1, 7, size=(n, 1 + i % 2)) if (i // 18) % 2 else None
+        cfg = TrainConfig(n_trees=3, depth=1 + i % 12, learning_rate=0.5, l2_leaf_reg=l2, seed=i)
+        yield X, cats, y, cfg
+
+
+def test_split_table_matches_searchsorted(rng):
+    X = np.column_stack([rng.normal(size=70), np.full(70, 2.0), rng.integers(0, 3, size=70)])
+    slots, thresholds = gbdt._split_table(X)
+    for j in range(X.shape[1]):
+        cand = gbdt.quantile_candidates(X[:, j])
+        assert thresholds[j, : cand.size].tolist() == cand.tolist()
+        assert np.isinf(thresholds[j, cand.size :]).all()
+        buckets = slots[:, j] - j * gbdt.N_QUANTILE_BUCKETS
+        assert buckets.tolist() == np.searchsorted(cand, X[:, j], side="left").tolist()
+
+
+def test_grower_matches_per_column_oracle(monkeypatch):
+    fitted = [gbdt.to_json(gbdt.fit(X, cats, y, cfg)) for X, cats, y, cfg in _grower_battery()]
+    monkeypatch.setattr(gbdt, "_grow_oblivious_tree", _oracle_grow)
+    for (X, cats, y, cfg), text in zip(_grower_battery(), fitted):
+        assert gbdt.to_json(gbdt.fit(X, cats, y, cfg)) == text, cfg
+        assert gbdt.to_json(gbdt.from_json(text)) == text
+
+
+def test_fit_memory_stays_small_at_depth_16():
+    # histograms over all 2^level leaves need ~100 MB here one column at a
+    # time and ~1 GB for all columns at once; rows occupy at most 150 leaves
+    rng = np.random.default_rng(16)
+    X = rng.normal(size=(150, 13))
+    y = np.arange(150) % 2
+    tracemalloc.start()
+    try:
+        model = gbdt.fit(X, None, y, TrainConfig(n_trees=2, depth=16, seed=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert model.trees[0].n_levels == 16
+    assert peak < 16e6
+
+
+def _model_document():
+    rng = np.random.default_rng(3)
+    X = rng.normal(size=(40, 3))
+    cats = rng.integers(1, 5, size=(40, 1))
+    y = np.arange(40) % 3
+    model = gbdt.fit(X, cats, y, TrainConfig(n_trees=2, depth=2, seed=3))
+    return json.loads(gbdt.to_json(model))
+
+
+def _corrupted(edit):
+    doc = _model_document()
+    edit(doc)
+    return json.dumps(doc)
+
+
+def _set(path, value):
+    def edit(doc):
+        *parents, last = path
+        for key in parents:
+            doc = doc[key]
+        doc[last] = value
+    return edit
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        pytest.param("{not json", id="not-json"),
+        pytest.param(b"\xff\xfe\x00\x81", id="not-utf8"),
+        pytest.param("[1, 2]", id="not-an-object"),
+        pytest.param('{"model_type": "oblivious_gbdt"}', id="model-type-only"),
+        pytest.param(_corrupted(_set(["format_version"], 2)), id="format-version"),
+        pytest.param(_corrupted(lambda d: d.pop("trees")), id="missing-key"),
+        pytest.param(_corrupted(_set(["surplus"], 1)), id="unknown-key"),
+        pytest.param(_corrupted(_set(["n_classes"], "3")), id="quoted-int"),
+        pytest.param(_corrupted(_set(["trees"], {})), id="trees-not-list"),
+        pytest.param(_corrupted(_set(["trees", 0, "leaf_values"], "0.5")), id="leaf-values-type"),
+        pytest.param(_corrupted(_set(["trees", 0, "splits"], [[0.5, 1.0]])), id="split-column-type"),
+        pytest.param(_corrupted(_set(["config", "depth"], 2.5)), id="config-type"),
+        pytest.param(_corrupted(_set(["config", "depth"], 0)), id="config-value"),
+        pytest.param(_corrupted(lambda d: d["config"].pop("seed")), id="config-missing-key"),
+        # "²" passes str.isdigit but not int()
+        pytest.param(_corrupted(_set(["encoder", "stats"], [{"²": [1, [0.5] * 3]}])), id="encoder-stats-key"),
+        pytest.param(_corrupted(lambda d: d["encoder"]["priors"].pop()), id="encoder-priors"),
+        pytest.param(_corrupted(lambda d: d["trees"][0]["leaf_values"].append(0.0)), id="leaf-values-len"),
+        pytest.param(_corrupted(lambda d: d["trees"][0]["leaf_cover"].pop()), id="leaf-cover-len"),
+        pytest.param(_corrupted(_set(["trees", 0, "leaf_cover", 0], -1)), id="leaf-cover-negative"),
+        pytest.param(_corrupted(_set(["trees", 0, "leaf_cover", 0], 2**63)), id="leaf-cover-int64"),
+        pytest.param(_corrupted(_set(["trees", 0, "splits", 0, 0], 6)), id="split-column-range"),
+        pytest.param(_corrupted(_set(["trees", 0, "class_index"], 3)), id="class-index-range"),
+        pytest.param(_corrupted(_set(["n_outputs"], 1)), id="outputs-vs-classes"),
+        pytest.param(_corrupted(lambda d: d["base_score"].pop()), id="base-score-len"),
+        pytest.param(_corrupted(lambda d: d["feature_source"].pop()), id="feature-source-len"),
+        pytest.param(_corrupted(_set(["n_numeric"], 2)), id="n-numeric"),
+    ],
+)
+def test_from_json_rejects_corrupt_documents(text):
+    with pytest.raises(DataError):
+        gbdt.from_json(text)
+
+
+def test_from_json_accepts_its_own_document():
+    text = json.dumps(_model_document(), sort_keys=True, indent=2)
+    assert gbdt.to_json(gbdt.from_json(text)) == text
+    assert gbdt.to_json(gbdt.from_json(text.encode())) == text
