@@ -170,7 +170,7 @@ def cmd_report(args) -> int:
     ks = set()
     for name in sorted(os.listdir(args.runs)):
         if name.startswith("report_") and name.endswith(".json"):
-            with open(os.path.join(args.runs, name), encoding="utf-8") as f:
+            with open(os.path.join(args.runs, name), "rb") as f:
                 report = RunReport.from_json(f.read())
             reports[(report.year, report.k)] = report
             years.add(report.year)

@@ -61,6 +61,8 @@ GDSC_COLUMNS = (
     "rurality",
 )
 
+GDSC_NUMERIC_COLUMNS = tuple(c for c in GDSC_COLUMNS if c != "rurality")
+
 # Percent-valued GDSC columns; imd_avg_score is a score (>= 0, unbounded above)
 # and rurality is the ordinal category 1..6.
 GDSC_PERCENT_COLUMNS = tuple(c for c in GDSC_COLUMNS if c not in ("imd_avg_score", "rurality"))
@@ -99,17 +101,8 @@ class GdscProfile:
     rurality: int
 
     def numeric_vector(self) -> tuple[float, ...]:
-        """The 8 numeric features, GDSC_COLUMNS order (rurality excluded)."""
-        return (
-            self.imd_avg_score,
-            self.imd_prop_deprived,
-            self.long_term_unemployed,
-            self.routine_occupations,
-            self.no_qualifications,
-            self.english_proficiency,
-            self.ethnic_minority,
-            self.born_outside_uk,
-        )
+        """The 8 numeric features in GDSC_NUMERIC_COLUMNS order."""
+        return tuple(getattr(self, c) for c in GDSC_NUMERIC_COLUMNS)
 
 
 @dataclass(frozen=True)

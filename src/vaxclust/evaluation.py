@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .dataset import GDSC_COLUMNS, YearDataset
+from .dataset import GDSC_NUMERIC_COLUMNS, YearDataset
 from .errors import (
     DegenerateLabels,
     EmptyMatrix,
@@ -157,8 +157,7 @@ def dataset_design(dataset: YearDataset) -> tuple[np.ndarray, np.ndarray, list[s
     """Numeric matrix, rurality column, and their names, classifier-ready."""
     numeric = dataset.gdsc_numeric_matrix()
     categorical = dataset.rurality_column().reshape(-1, 1)
-    numeric_names = [c for c in GDSC_COLUMNS if c != "rurality"]
-    return numeric, categorical, numeric_names, ["rurality"]
+    return numeric, categorical, list(GDSC_NUMERIC_COLUMNS), ["rurality"]
 
 
 def cross_validate(

@@ -72,9 +72,6 @@ class TrainConfig:
         if self.loss not in LOSSES:
             raise ValueError(f"loss must be one of {LOSSES}")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 def encode_ordered_ts(categories, targets, permutation, prior_weight: float, prior: float) -> np.ndarray:
     """Ordered target-statistic encoding of one categorical column.
@@ -201,19 +198,6 @@ class OrderedTsEncoder:
                     table[i, comp_idx] = (sums[comp_idx] + a * prior) / (count + a)
             out[:, f * width : (f + 1) * width] = table[row_category]
         return out
-
-    def to_dict(self) -> dict:
-        return {
-            "feature_names": list(self.feature_names),
-            "n_components": self.n_components,
-            "prior_weight": self.prior_weight,
-            "priors": [list(p) for p in self.priors],
-            "component_names": list(self.component_names),
-            "stats": [
-                {str(c): [count, list(sums)] for c, (count, sums) in fs.items()}
-                for fs in self.stats
-            ],
-        }
 
     @classmethod
     def from_dict(cls, data: dict) -> "OrderedTsEncoder":
@@ -494,46 +478,36 @@ def fit(
     counts = np.bincount(labels, minlength=n_classes).astype(np.float64)
     if n_outputs == 1:
         base = np.array([np.log(counts[1] / counts[0])])
-        y = (labels == 1).astype(np.float64)
+        targets = (labels == 1)[:, None].astype(np.float64)
+        probabilities = _sigmoid
     else:
         base = np.log(counts / n)
-        onehot = np.eye(n_classes)[labels]
+        targets = np.eye(n_classes)[labels]
+        probabilities = _softmax
 
     margins = np.tile(base, (n, 1))
+    p = probabilities(margins)
     trees: list[ObliviousTree] = []
     losses: list[float] = []
     lr = config.learning_rate
-    l2 = config.l2_leaf_reg
 
     for _ in range(config.n_trees):
-        if n_outputs == 1:
-            p = _sigmoid(margins[:, 0])
-            grad = p - y
-            hess = p * (1.0 - p)
+        for c in range(n_outputs):
+            grad = p[:, c] - targets[:, c]
+            hess = p[:, c] * (1.0 - p[:, c])
             splits, values, cover, leaf_idx = _grow_oblivious_tree(
-                slots, thresholds, grad, hess, config.depth, l2
+                slots, thresholds, grad, hess, config.depth, config.l2_leaf_reg
             )
             trees.append(
-                ObliviousTree(splits=tuple(splits), leaf_values=values, leaf_cover=cover, class_index=0)
+                ObliviousTree(splits=tuple(splits), leaf_values=values, leaf_cover=cover, class_index=c)
             )
-            margins[:, 0] += lr * values[leaf_idx]
-            p = np.clip(_sigmoid(margins[:, 0]), 1e-15, 1.0 - 1e-15)
-            losses.append(float(-np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p))))
+            margins[:, c] += lr * values[leaf_idx]
+        p = probabilities(margins)
+        if n_outputs == 1:
+            y = targets[:, 0]
+            q = np.clip(p[:, 0], 1e-15, 1.0 - 1e-15)
+            losses.append(float(-np.mean(y * np.log(q) + (1.0 - y) * np.log(1.0 - q))))
         else:
-            p = _softmax(margins)
-            for c in range(n_classes):
-                grad = p[:, c] - onehot[:, c]
-                hess = p[:, c] * (1.0 - p[:, c])
-                splits, values, cover, leaf_idx = _grow_oblivious_tree(
-                    slots, thresholds, grad, hess, config.depth, l2
-                )
-                trees.append(
-                    ObliviousTree(
-                        splits=tuple(splits), leaf_values=values, leaf_cover=cover, class_index=c
-                    )
-                )
-                margins[:, c] += lr * values[leaf_idx]
-            p = _softmax(margins)
             losses.append(float(-np.mean(np.log(np.clip(p[np.arange(n), labels], 1e-15, None)))))
 
     return TreeEnsemble(
@@ -551,35 +525,17 @@ def fit(
     )
 
 
-def to_json(model: TreeEnsemble) -> str:
-    """Self-describing JSON document; floats round-trip exactly via repr."""
-    doc = {
-        "format_version": 1,
-        "model_type": "oblivious_gbdt",
-        "config": model.config.to_dict(),
-        "n_classes": model.n_classes,
-        "n_outputs": model.n_outputs,
-        "base_score": [float(x) for x in model.base_score],
-        "learning_rate": model.learning_rate,
-        "feature_names": list(model.feature_names),
-        "feature_source": list(model.feature_source),
-        "n_numeric": model.n_numeric,
-        "encoder": model.ts_encoder.to_dict() if model.ts_encoder else None,
-        "training_loss": list(model.training_loss),
-        "trees": [
-            {
-                "class_index": t.class_index,
-                "splits": [[f, thr] for f, thr in t.splits],
-                "leaf_values": [float(v) for v in t.leaf_values],
-                "leaf_cover": [int(c) for c in t.leaf_cover],
-            }
-            for t in model.trees
-        ],
-    }
-    return json.dumps(doc, sort_keys=True, indent=2)
-
-
 _DOCUMENT_FORMAT = {"format_version": 1, "model_type": "oblivious_gbdt"}
+
+
+def to_json(model: TreeEnsemble) -> str:
+    """Self-describing JSON document of the dataclass fields, ``ts_encoder``
+    under ``encoder``; floats round-trip exactly via repr."""
+    doc = {**_DOCUMENT_FORMAT, **asdict(model)}
+    encoder = doc["encoder"] = doc.pop("ts_encoder")
+    if encoder is not None:  # string category keys sort as text: "10" < "9"
+        encoder["stats"] = [{str(c): entry for c, entry in fs.items()} for fs in encoder["stats"]]
+    return json.dumps(doc, sort_keys=True, indent=2, default=lambda a: a.tolist())
 
 
 def _require(condition: bool, message: str) -> None:

@@ -161,39 +161,23 @@ def agglomerate(dist: DistanceMatrix, linkage: str = "ward") -> Dendrogram:
     return Dendrogram(n_leaves=n, merges=tuple(merges))
 
 
-def _members_per_node(dendro: Dendrogram) -> list[list[int]]:
-    members: list[list[int]] = [[i] for i in range(dendro.n_leaves)]
-    for m in dendro.merges:
-        members.append(members[m.left] + members[m.right])
-    return members
-
-
 def cut_at_k(dendro: Dendrogram, k: int) -> np.ndarray:
-    """Undo the last k-1 merges; raw labels numbered by smallest member leaf."""
+    """Undo the last k-1 merges; raw labels numbered by smallest member leaf.
+
+    Each kept merge makes node n+step the parent of its two children. A
+    parent's id exceeds its children's, so one pass from the highest node
+    down replaces every parent pointer by the node's root.
+    """
     n = dendro.n_leaves
     if not 1 <= k <= n:
         raise KOutOfRange(f"k={k} not in 1..{n}")
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    members = _members_per_node(dendro)
-    for m in dendro.merges[: n - k]:
-        ra, rb = find(members[m.left][0]), find(members[m.right][0])
-        parent[rb] = ra
-
-    cluster_of_root: dict[int, int] = {}
-    labels = np.empty(n, dtype=np.int64)
-    for leaf in range(n):
-        root = find(leaf)
-        if root not in cluster_of_root:
-            cluster_of_root[root] = len(cluster_of_root)
-        labels[leaf] = cluster_of_root[root]
-    return labels
+    root = list(range(2 * n - k))
+    for step, m in enumerate(dendro.merges[: n - k]):
+        root[m.left] = root[m.right] = n + step
+    for node in reversed(range(len(root))):
+        root[node] = root[root[node]]
+    first: dict[int, int] = {}
+    return np.array([first.setdefault(root[leaf], len(first)) for leaf in range(n)], dtype=np.int64)
 
 
 def suggest_k(dendro: Dendrogram, k_min: int = 2, k_max: int = 10) -> int:

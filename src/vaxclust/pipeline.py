@@ -30,9 +30,9 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .dataset import VACCINE_COLUMNS, GDSC_COLUMNS, YearDataset, csv_text, load_year, standardize
+from .dataset import GDSC_NUMERIC_COLUMNS, VACCINE_COLUMNS, YearDataset, csv_text, load_year, standardize
 from .errors import ConfigError, DataError, GeometryKeyMismatch, KOutOfRange, VaxclustError
-from .evaluation import cross_validate, dataset_design
+from .evaluation import MetricRow, cross_validate, dataset_design
 from .gbdt import TrainConfig
 from .hcluster import (
     LINKAGES,
@@ -47,7 +47,7 @@ from .hcluster import (
     suggest_k,
 )
 from .rng import derive_seed
-from .schema import JSON_TYPES
+from .schema import JSON_TYPES, check_fields
 from .shapley import fold_average, global_importance
 from .stats import BoxStats, box_stats, mann_whitney_u, rurality_cross_tab, welch_t
 
@@ -98,8 +98,8 @@ class RunConfig:
 
     def echo(self) -> dict:
         """Every result-affecting setting, defaults included — provenance."""
-        doc = {**asdict(self), **self.train.to_dict()}
-        del doc["train"]
+        doc = asdict(self)
+        doc.update(doc.pop("train"))
         return {key: list(value) if isinstance(value, tuple) else value for key, value in doc.items()}
 
     def vaccination_path(self, year: int) -> str:
@@ -203,8 +203,17 @@ class RunReport:
         return json.dumps(asdict(self), sort_keys=True, indent=2)
 
     @classmethod
-    def from_json(cls, text: str) -> "RunReport":
-        return cls(**json.loads(text))
+    def from_json(cls, text: str | bytes) -> "RunReport":
+        """The report a :meth:`to_json` document describes: its keys and JSON
+        types those of the fields, its metrics with a ``mean`` row of every
+        :class:`MetricRow` field. Anything else is a DataError."""
+        try:
+            doc = json.loads(text)
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+            raise DataError(f"report file is not JSON: {exc}") from exc
+        check_fields(cls, doc, DataError, "report")
+        check_fields(MetricRow, doc["metrics"].get("mean"), DataError, "report metrics mean")
+        return cls(**doc)
 
 
 def _versions() -> dict:
@@ -271,7 +280,7 @@ def analyze_cell(
     low = assignment.labels == 0
     high = assignment.labels == k - 1
     gdsc_matrix = np.column_stack([numeric, dataset.rurality_column().astype(np.float64)])
-    gdsc_names = [c for c in GDSC_COLUMNS if c != "rurality"] + ["rurality"]
+    gdsc_names = [*GDSC_NUMERIC_COLUMNS, "rurality"]
     tests = []
     welch_rows = []
     boxes: dict[str, dict] = {}

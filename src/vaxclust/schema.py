@@ -52,6 +52,12 @@ JSON_TYPES = {
     "bool": lambda v: isinstance(v, bool),
     "str": _is_str,
     "str | None": lambda v: v is None or _is_str(v),
+    "dict": lambda v: isinstance(v, dict),
+    "list[dict]": _list_of(lambda v: isinstance(v, dict)),
+    "list[str]": _list_of(_is_str),
+    "list[int]": _list_of(is_int),
+    "list[list[int]]": _list_of(_list_of(is_int)),
+    "list[list[float]]": _list_of(_list_of(is_number)),
     "tuple[int, ...]": _list_of(is_int),
     "tuple[str, ...]": _list_of(_is_str),
     "tuple[float, ...]": _list_of(is_number),

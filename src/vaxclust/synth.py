@@ -16,7 +16,6 @@ district: 14 rates, 8 numeric GDSC features (GDSC column order), rurality.
 
 from __future__ import annotations
 
-import csv
 import os
 from dataclasses import dataclass
 
@@ -24,11 +23,13 @@ import numpy as np
 
 from .dataset import (
     GDSC_COLUMNS,
+    GDSC_NUMERIC_COLUMNS,
     VACCINE_COLUMNS,
     DistrictId,
     GdscProfile,
     VaccinationProfile,
     YearDataset,
+    csv_text,
 )
 from .errors import SpecInvalid
 from .fixtures import table2_means
@@ -89,9 +90,8 @@ class SynthSpec:
         if self.vacc_noise_sd < 0 or self.gdsc_noise_sd < 0:
             raise SpecInvalid("noise standard deviations must be non-negative")
         if self.signal_offsets is not None:
-            numeric = tuple(c for c in GDSC_COLUMNS if c != "rurality")
             for name, offsets in self.signal_offsets:
-                if name not in numeric:
+                if name not in GDSC_NUMERIC_COLUMNS:
                     raise SpecInvalid(f"unknown numeric GDSC feature {name!r}")
                 if len(offsets) != self.k:
                     raise SpecInvalid(f"signal offsets for {name!r} need {self.k} entries")
@@ -153,7 +153,6 @@ def generate(spec: SynthSpec) -> tuple[YearDataset, np.ndarray]:
     rows = []
     truth = []
     counter = 0
-    numeric_names = [c for c in GDSC_COLUMNS if c != "rurality"]
     explicit = dict(spec.signal_offsets or ())
     for cluster, (means, n) in enumerate(zip(spec.cluster_means, spec.n_per_cluster)):
         mult = 0.0 if spec.zero_signal else _signal_multiplier(cluster, spec.k)
@@ -168,7 +167,7 @@ def generate(spec: SynthSpec) -> tuple[YearDataset, np.ndarray]:
                 for m in means
             )
             values = {}
-            for name in numeric_names:
+            for name in GDSC_NUMERIC_COLUMNS:
                 if name in explicit:
                     shift = explicit[name][cluster]
                 elif name in SIGNAL_PERCENT_FEATURES:
@@ -188,7 +187,8 @@ def generate(spec: SynthSpec) -> tuple[YearDataset, np.ndarray]:
 
 
 def write_dataset_files(dataset: YearDataset, truth: np.ndarray, out_dir) -> dict[str, str]:
-    """Write vaccination/gdsc tables in the ingestion format, plus truth labels."""
+    """Write vaccination/gdsc tables in the ingestion format, plus truth labels,
+    each through :func:`vaxclust.dataset.csv_text`."""
     os.makedirs(out_dir, exist_ok=True)
     year = dataset.year
     paths = {
@@ -199,23 +199,21 @@ def write_dataset_files(dataset: YearDataset, truth: np.ndarray, out_dir) -> dic
     # shortest positional decimal that round-trips; the ingestion grammar
     # rejects scientific notation
     fmt = lambda x: np.format_float_positional(x, unique=True, trim="0")
-    with open(paths["vaccination"], "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(["district_id", "district_name", *VACCINE_COLUMNS])
-        for district, vacc, _ in dataset.rows:
-            writer.writerow([district.id, district.name, *[fmt(r) for r in vacc.rates]])
-    with open(paths["gdsc"], "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(["district_id", *GDSC_COLUMNS])
-        for district, _, gdsc in dataset.rows:
-            numeric = dict(zip((c for c in GDSC_COLUMNS if c != "rurality"), gdsc.numeric_vector()))
-            writer.writerow(
-                [district.id]
-                + [str(gdsc.rurality) if c == "rurality" else fmt(numeric[c]) for c in GDSC_COLUMNS]
-            )
-    with open(paths["truth"], "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(["district_id", "cluster_index"])
-        for (district, _, _), label in zip(dataset.rows, truth):
-            writer.writerow([district.id, int(label)])
+    tables = {
+        "vaccination": csv_text(
+            ["district_id", "district_name", *VACCINE_COLUMNS],
+            ([d.id, d.name, *map(fmt, vacc.rates)] for d, vacc, _ in dataset.rows),
+        ),
+        "gdsc": csv_text(
+            ["district_id", *GDSC_NUMERIC_COLUMNS, "rurality"],
+            ([d.id, *map(fmt, gdsc.numeric_vector()), gdsc.rurality] for d, _, gdsc in dataset.rows),
+        ),
+        "truth": csv_text(
+            ["district_id", "cluster_index"],
+            ([d.id, int(label)] for (d, _, _), label in zip(dataset.rows, truth)),
+        ),
+    }
+    for name, text in tables.items():
+        with open(paths[name], "w", newline="", encoding="utf-8") as f:
+            f.write(text)
     return paths

@@ -196,3 +196,24 @@ def test_report_subcommand(tmp_path, synth_inputs):
     assert main(["report", "--runs", str(out)]) == 0
     text = (out / "metrics.csv").read_text()
     assert text.startswith("year,metric,2 cluster")
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda text: b"{not json",
+        lambda text: b'{"year": "\xc3\x28"}',
+        lambda text: b'{"year": 2021}',
+        lambda text: json.dumps({**json.loads(text), "metrics": {}}).encode(),
+    ],
+    ids=["not-json", "not-utf8", "year-only", "metrics-empty"],
+)
+def test_report_corrupt_file_is_data_error(tmp_path, synth_inputs, capsys, corrupt):
+    out = tmp_path / "out"
+    assert main(["run", "--config", _write_config(tmp_path, synth_inputs, out)]) == 0
+    report = out / "report_2021_k2.json"
+    report.write_bytes(corrupt(report.read_text()))
+    capsys.readouterr()
+    assert main(["report", "--runs", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: report") and "Traceback" not in err

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -199,11 +201,11 @@ def test_cross_validate_no_ts_leakage(rng):
     rurality = dataset.rurality_column().reshape(-1, 1)
     for fold, model in enumerate(result.models):
         train_rows = np.flatnonzero(result.fold_plan.assignments != fold)
-        fold_config = TrainConfig(**{**config.to_dict(), "seed": config.seed ^ fold})
+        fold_config = TrainConfig(**{**asdict(config), "seed": config.seed ^ fold})
         rebuilt, _ = OrderedTsEncoder.fit(
             rurality[train_rows], labels[train_rows], 2, fold_config, feature_names=["rurality"]
         )
-        assert rebuilt.to_dict() == model.ts_encoder.to_dict()
+        assert asdict(rebuilt) == asdict(model.ts_encoder)
 
 
 def test_metrics_mean_is_fold_order_invariant():

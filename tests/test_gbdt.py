@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -426,6 +427,66 @@ def test_grower_matches_per_column_oracle(monkeypatch):
     for (X, cats, y, cfg), text in zip(_grower_battery(), fitted):
         assert gbdt.to_json(gbdt.fit(X, cats, y, cfg)) == text, cfg
         assert gbdt.to_json(gbdt.from_json(text)) == text
+
+
+def _legacy_document(model):
+    """The model document as ``to_json`` built it field by field before it
+    took the fields from the dataclasses; the reference for its bytes."""
+    encoder = model.ts_encoder
+    return {
+        "format_version": 1,
+        "model_type": "oblivious_gbdt",
+        "config": asdict(model.config),
+        "n_classes": model.n_classes,
+        "n_outputs": model.n_outputs,
+        "base_score": [float(x) for x in model.base_score],
+        "learning_rate": model.learning_rate,
+        "feature_names": list(model.feature_names),
+        "feature_source": list(model.feature_source),
+        "n_numeric": model.n_numeric,
+        "encoder": None if encoder is None else {
+            "feature_names": list(encoder.feature_names),
+            "n_components": encoder.n_components,
+            "prior_weight": encoder.prior_weight,
+            "priors": [list(p) for p in encoder.priors],
+            "component_names": list(encoder.component_names),
+            "stats": [
+                {str(c): [count, list(sums)] for c, (count, sums) in fs.items()}
+                for fs in encoder.stats
+            ],
+        },
+        "training_loss": list(model.training_loss),
+        "trees": [
+            {
+                "class_index": t.class_index,
+                "splits": [[f, thr] for f, thr in t.splits],
+                "leaf_values": [float(v) for v in t.leaf_values],
+                "leaf_cover": [int(c) for c in t.leaf_cover],
+            }
+            for t in model.trees
+        ],
+    }
+
+
+def _document_battery():
+    """The grower battery, then a softmax fit at k 2, a fit at learning rate
+    1 and l2 0, and categorical codes -3..14, whose keys sort as text."""
+    yield from _grower_battery()
+    rng = np.random.default_rng(41)
+    X = rng.normal(size=(48, 3))
+    y = rng.permutation(np.arange(48) % 2)
+    yield X, None, y, TrainConfig(n_trees=4, depth=3, loss="multiclass_softmax", seed=1)
+    yield X, rng.integers(1, 7, size=(48, 1)), y, TrainConfig(
+        n_trees=4, depth=3, learning_rate=1, l2_leaf_reg=0, seed=2
+    )
+    yield X, rng.integers(-3, 15, size=(48, 2)), np.arange(48) % 3, TrainConfig(n_trees=3, depth=2, seed=3)
+
+
+def test_to_json_matches_legacy_document():
+    for X, cats, y, cfg in _document_battery():
+        model = gbdt.fit(X, cats, y, cfg)
+        assert gbdt.to_json(model) == json.dumps(_legacy_document(model), sort_keys=True, indent=2), cfg
+    assert {-3, 9, 10} <= model.ts_encoder.stats[0].keys()  # numeric and text order differ
 
 
 def test_fit_memory_stays_small_at_depth_16():
