@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    DataError,
     DuplicateDistrict,
     EmptyTable,
     JoinMismatch,
@@ -156,17 +157,13 @@ def _parse_percent(raw: str, column: str, district_id: str) -> float:
     return value
 
 
-def _open_reader(stream, required: tuple[str, ...]) -> tuple[csv.DictReader, list[str]]:
-    if isinstance(stream, (bytes, bytearray)):
-        stream = io.StringIO(stream.decode("utf-8"))
-    elif isinstance(stream, str):
-        stream = io.StringIO(stream)
+def _open_reader(stream, required: tuple[str, ...]) -> csv.DictReader:
     reader = csv.DictReader(stream)
     header = reader.fieldnames or []
     for column in required:
         if column not in header:
             raise MissingColumn(column)
-    return reader, header
+    return reader
 
 
 def csv_text(header, rows) -> str:
@@ -184,7 +181,7 @@ def csv_text(header, rows) -> str:
 
 def parse_vaccination_table(stream, year: int) -> dict[DistrictId, VaccinationProfile]:
     """Parse one year's vaccination table; header order is irrelevant."""
-    reader, _ = _open_reader(stream, ("district_id", "district_name") + VACCINE_COLUMNS)
+    reader = _open_reader(stream, ("district_id", "district_name") + VACCINE_COLUMNS)
     profiles: dict[DistrictId, VaccinationProfile] = {}
     seen: set[str] = set()
     for row in reader:
@@ -204,7 +201,7 @@ def parse_vaccination_table(stream, year: int) -> dict[DistrictId, VaccinationPr
 
 def parse_gdsc_table(stream, year: int) -> dict[str, GdscProfile]:
     """Parse one year's GDSC table, keyed by the opaque district id."""
-    reader, _ = _open_reader(stream, ("district_id",) + GDSC_COLUMNS)
+    reader = _open_reader(stream, ("district_id",) + GDSC_COLUMNS)
     profiles: dict[str, GdscProfile] = {}
     for row in reader:
         district_id = (row["district_id"] or "").strip()
@@ -252,11 +249,16 @@ def join_year(
 
 
 def load_year(vacc_path, gdsc_path, year: int, allow_partial: bool = False) -> YearDataset:
-    with open(vacc_path, encoding="utf-8", newline="") as f:
-        vacc = parse_vaccination_table(f, year)
-    with open(gdsc_path, encoding="utf-8", newline="") as f:
-        gdsc = parse_gdsc_table(f, year)
-    return join_year(vacc, gdsc, year, allow_partial=allow_partial)
+    """Both tables of a year, parsed and joined; a file that is not UTF-8 or
+    not CSV the ``csv`` module can read is a DataError naming it."""
+    tables = []
+    for path, parse in ((vacc_path, parse_vaccination_table), (gdsc_path, parse_gdsc_table)):
+        try:
+            with open(path, encoding="utf-8", newline="") as f:
+                tables.append(parse(f, year))
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise DataError(f"cannot read {path} as UTF-8 CSV: {exc}") from exc
+    return join_year(*tables, year, allow_partial=allow_partial)
 
 
 def standardize(matrix: np.ndarray, feature_names) -> StandardizedMatrix:

@@ -33,13 +33,6 @@ from .rng import Rng
 
 
 @dataclass(frozen=True)
-class FoldPlan:
-    k_folds: int
-    assignments: np.ndarray  # per-row fold index
-    seed: int
-
-
-@dataclass(frozen=True)
 class MetricRow:
     accuracy: float
     macro_precision: float
@@ -63,26 +56,25 @@ class MetricsBundle:
 class CvResult:
     bundle: MetricsBundle
     models: tuple[TreeEnsemble, ...]
-    fold_plan: FoldPlan
     test_indices: tuple[np.ndarray, ...]
-    predictions: np.ndarray  # out-of-fold predicted label per row
 
 
-def stratified_folds(labels, k_folds: int, seed: int) -> FoldPlan:
+def stratified_folds(labels, k_folds: int, seed: int) -> np.ndarray:
+    """Each row's fold index, 0..k_folds-1."""
     labels = np.asarray(labels, dtype=np.int64)
     n = labels.shape[0]
     if k_folds < 2:
         raise KFoldsOutOfRange("k_folds must be >= 2")
     if n < k_folds:
         raise TooFewRows(f"{n} rows cannot fill {k_folds} folds")
-    assignments = np.empty(n, dtype=np.int64)
+    folds = np.empty(n, dtype=np.int64)
     rng = Rng(seed)
     for c in np.unique(labels):
         members = np.flatnonzero(labels == c).tolist()
         rng.shuffle(members)
         for position, row in enumerate(members):
-            assignments[row] = position % k_folds
-    return FoldPlan(k_folds=k_folds, assignments=assignments, seed=seed)
+            folds[row] = position % k_folds
+    return folds
 
 
 def confusion_matrix(truth, predicted, k: int) -> np.ndarray:
@@ -178,10 +170,10 @@ def cross_validate(
     """
     labels = np.asarray(assignment.labels, dtype=np.int64)
     numeric, categorical, numeric_names, cat_names = dataset_design(dataset)
-    plan = stratified_folds(labels, k_folds, seed)
+    folds = stratified_folds(labels, k_folds, seed)
     k = assignment.k
     for fold in range(k_folds):
-        missing = sorted(set(range(k)) - set(labels[plan.assignments != fold].tolist()))
+        missing = sorted(set(range(k)) - set(labels[folds != fold].tolist()))
         if missing:
             raise DegenerateLabels(f"fold {fold} training split lacks class(es) {missing} of 0..{k - 1}")
 
@@ -190,11 +182,10 @@ def cross_validate(
     test_indices: list[np.ndarray] = []
     warnings: list[str] = []
     pooled = np.zeros((k, k), dtype=np.int64)
-    oof = np.full(labels.shape[0], -1, dtype=np.int64)
 
     for fold in range(k_folds):
-        test = np.flatnonzero(plan.assignments == fold)
-        train = np.flatnonzero(plan.assignments != fold)
+        test = np.flatnonzero(folds == fold)
+        train = np.flatnonzero(folds != fold)
         fold_config = replace(config, seed=config.seed ^ fold)
         model = fit(
             numeric[train],
@@ -213,7 +204,6 @@ def cross_validate(
         pooled += confusion
         models.append(model)
         test_indices.append(test)
-        oof[test] = predicted
 
     bundle = MetricsBundle(
         mean=_mean_rows(rows),
@@ -221,13 +211,7 @@ def cross_validate(
         pooled_confusion=pooled,
         warnings=tuple(warnings),
     )
-    return CvResult(
-        bundle=bundle,
-        models=tuple(models),
-        fold_plan=plan,
-        test_indices=tuple(test_indices),
-        predictions=oof,
-    )
+    return CvResult(bundle=bundle, models=tuple(models), test_indices=tuple(test_indices))
 
 
 def adjusted_rand_index(labels_a, labels_b) -> float:

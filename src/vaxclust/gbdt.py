@@ -622,7 +622,7 @@ def from_json(text: str | bytes) -> TreeEnsemble:
         n_classes=n_classes,
         n_outputs=n_outputs,
         base_score=np.array(record["base_score"], dtype=np.float64),
-        learning_rate=float(record["learning_rate"]),
+        learning_rate=record["learning_rate"],
         trees=trees,
         feature_names=tuple(record["feature_names"]),
         feature_source=tuple(record["feature_source"]),

@@ -34,19 +34,6 @@ CLUSTER_NAME_VOCAB: dict[int, tuple[str, ...]] = {
 
 
 @dataclass(frozen=True)
-class DistanceMatrix:
-    n: int
-    condensed: np.ndarray  # length n*(n-1)/2, row-major upper triangle
-
-    def get(self, i: int, j: int) -> float:
-        if i == j:
-            return 0.0
-        if i > j:
-            i, j = j, i
-        return float(self.condensed[condensed_index(i, j, self.n)])
-
-
-@dataclass(frozen=True)
 class Merge:
     left: int
     right: int
@@ -70,13 +57,8 @@ class ClusterAssignment:
         return self.ordered_names[label]
 
 
-def condensed_index(i: int, j: int, n: int) -> int:
-    """Index of pair (i < j) in the condensed upper-triangular layout."""
-    return n * i - (i * (i + 1)) // 2 + (j - i - 1)
-
-
-def pairwise_distances(X) -> DistanceMatrix:
-    """Euclidean distances between rows, condensed storage."""
+def pairwise_distances(X) -> np.ndarray:
+    """(n, n) Euclidean distances between rows, exactly symmetric, zero diagonal."""
     if isinstance(X, StandardizedMatrix):
         X = X.values
     X = np.asarray(X, dtype=np.float64)
@@ -84,30 +66,15 @@ def pairwise_distances(X) -> DistanceMatrix:
         raise TooFewRows("pairwise_distances requires at least 2 rows")
     if not np.all(np.isfinite(X)):
         raise NonFiniteInput("distance input contains non-finite values")
-    n = X.shape[0]
     sq = np.sum(X * X, axis=1)
     gram = X @ X.T
     d2 = sq[:, None] + sq[None, :] - 2.0 * gram
     np.maximum(d2, 0.0, out=d2)
-    iu = np.triu_indices(n, k=1)
-    return DistanceMatrix(n=n, condensed=np.sqrt(d2[iu]))
+    upper = np.triu(np.sqrt(d2), 1)
+    return upper + upper.T
 
 
-def _initial_costs(dist: DistanceMatrix, linkage: str) -> np.ndarray:
-    n = dist.n
-    cost = np.full((n, n), np.inf)
-    for i in range(n - 1):
-        start = condensed_index(i, i + 1, n)
-        row = dist.condensed[start : start + (n - 1 - i)]
-        if linkage == "ward":
-            cost[i, i + 1 :] = 0.5 * row * row  # unit sizes: 1 * 1 / (1 + 1)
-        else:
-            cost[i, i + 1 :] = row
-        cost[i + 1 :, i] = cost[i, i + 1 :]
-    return cost
-
-
-def agglomerate(dist: DistanceMatrix, linkage: str = "ward") -> Dendrogram:
+def agglomerate(dist: np.ndarray, linkage: str = "ward") -> Dendrogram:
     """Greedy agglomeration over a precomputed distance matrix.
 
     Ward merge heights are the Lance-Williams merge costs; average/complete
@@ -115,13 +82,14 @@ def agglomerate(dist: DistanceMatrix, linkage: str = "ward") -> Dendrogram:
     """
     if linkage not in LINKAGES:
         raise ValueError(f"unknown linkage {linkage!r}; expected one of {LINKAGES}")
-    n = dist.n
-    if not np.all(np.isfinite(dist.condensed)):
+    n = dist.shape[0]
+    if not np.all(np.isfinite(dist)):
         raise NonFiniteInput("distance matrix contains non-finite values")
 
     # symmetric cost matrix indexed by slot; slot s hosts cluster node_of[s],
     # inactive slots and the diagonal are +inf
-    cost = _initial_costs(dist, linkage)
+    cost = 0.5 * dist * dist if linkage == "ward" else dist.copy()  # ward: unit sizes, 1 * 1 / (1 + 1)
+    np.fill_diagonal(cost, np.inf)
     node_of = np.arange(n)
     weight = np.ones(n)
     merges: list[Merge] = []

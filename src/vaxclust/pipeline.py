@@ -113,17 +113,24 @@ class RunConfig:
         return _read_geometry(self.geometry_path) if self.geometry_path else None
 
 
-def _read_geometry(path: str) -> dict:
-    """Parsed GeoJSON object at ``path``; ConfigError if unreadable or not an object."""
+def _read_json_object(path, what: str) -> dict:
+    """The JSON object in the UTF-8 file at ``path``; a ConfigError if the file
+    is unreadable, not UTF-8, not JSON or not an object."""
     try:
         with open(path, encoding="utf-8") as f:
-            geometry = json.load(f)
+            value = json.load(f)
     except OSError as exc:
-        raise ConfigError(f"cannot read geometry file: {exc}") from exc
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"geometry file is not valid JSON: {exc}") from exc
-    if not isinstance(geometry, dict):
-        raise ConfigError("geometry file must hold a JSON object")
+        raise ConfigError(f"cannot read {what} file: {exc}") from exc
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise ConfigError(f"{what} file is not valid JSON: {exc}") from exc
+    if not isinstance(value, dict):
+        raise ConfigError(f"{what} file must hold a JSON object")
+    return value
+
+
+def _read_geometry(path: str) -> dict:
+    """Parsed GeoJSON object at ``path``; ConfigError if unreadable or malformed."""
+    geometry = _read_json_object(path, "geometry")
     features = geometry.get("features", [])
     if not isinstance(features, list) or not all(
         isinstance(f, dict) and isinstance(f.get("properties", {}), dict) for f in features
@@ -134,16 +141,7 @@ def _read_geometry(path: str) -> dict:
 
 def load_config(path, overrides: dict | None = None) -> RunConfig:
     """Flat JSON config file checked by :func:`config_from_mapping`; CLI overrides win."""
-    try:
-        with open(path, encoding="utf-8") as f:
-            raw = json.load(f)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError("config must be a flat JSON object")
-    return config_from_mapping({**raw, **(overrides or {})})
+    return config_from_mapping({**_read_json_object(path, "config"), **(overrides or {})})
 
 
 def config_from_mapping(raw: dict) -> RunConfig:

@@ -2,7 +2,7 @@
 
 Two independent routes to the same quantity:
 
-* :class:`TreeShapExplainer` (and :func:`tree_shap`) — path-dependent
+* :class:`TreeShapExplainer` — path-dependent
   TreeSHAP in closed form, one sum over leaves per tree. Conditional
   expectations for features outside a coalition follow the training-cover
   proportions stored on each tree, so no background dataset is needed. For
@@ -210,15 +210,6 @@ class TreeShapExplainer:
         return Attribution(phi=self.explain(x[None, :])[0], base=self.base.copy())
 
 
-def tree_shap(model: TreeEnsemble, x) -> Attribution:
-    """Exact attribution for one encoded feature row (convenience wrapper).
-
-    :meth:`TreeShapExplainer.explain` attributes many rows of one model at
-    once.
-    """
-    return TreeShapExplainer(model).attribute(x)
-
-
 class _TreeArrays:
     """Binary-tree form of one oblivious tree for the oracle, shrinkage folded in.
 
@@ -293,7 +284,7 @@ def _conditional_expectation(arr: _TreeArrays, x: np.ndarray, subset_mask: int, 
 
 
 def brute_force_shapley(model: TreeEnsemble, x, feature_subset_limit: int = 20) -> Attribution:
-    """Subset-enumeration Shapley values; oracle for :func:`tree_shap`.
+    """Subset-enumeration Shapley values; oracle for :class:`TreeShapExplainer`.
 
     phi_j = sum over S not containing j of
             |S|! (d - |S| - 1)! / d! * (v(S + j) - v(S))

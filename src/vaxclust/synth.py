@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import (
-    GDSC_COLUMNS,
+    GDSC_COLUMNS,  # noqa: F401  re-exported for callers of synth
     GDSC_NUMERIC_COLUMNS,
     VACCINE_COLUMNS,
     DistrictId,
@@ -32,15 +32,11 @@ from .dataset import (
     csv_text,
 )
 from .errors import SpecInvalid
-from .fixtures import table2_means
+from .fixtures import TABLE2, table2_means
 from .rng import Rng
 
-# Features that separate clusters; everything else is noise.
+# Numeric features that separate clusters, besides rurality; the rest are noise.
 SIGNAL_PERCENT_FEATURES = ("english_proficiency", "ethnic_minority", "born_outside_uk")
-SIGNAL_FEATURES = SIGNAL_PERCENT_FEATURES + ("rurality",)
-NOISE_FEATURES = tuple(
-    c for c in GDSC_COLUMNS if c not in SIGNAL_FEATURES
-)
 
 GDSC_BASE_MEANS = {
     "imd_avg_score": 22.0,
@@ -56,6 +52,11 @@ GDSC_BASE_MEANS = {
 RURALITY_LOW_PROFILE = (0.92, 0.04, 0.02, 0.01, 0.005, 0.005)  # urban-heavy
 RURALITY_HIGH_PROFILE = (0.30, 0.14, 0.14, 0.14, 0.14, 0.14)
 
+GDSC_NOISE_SD = 5.0
+# half-distance between adjacent-extreme cluster means on the three percent
+# signal features; puts the k=2 means 2 noise-sds apart
+SIGNAL_SHIFT = 5.0
+
 
 @dataclass(frozen=True)
 class SynthSpec:
@@ -64,16 +65,6 @@ class SynthSpec:
     cluster_means: tuple[tuple[float, ...], ...]  # (k, 14), ascending coverage
     n_per_cluster: tuple[int, ...]
     vacc_noise_sd: float = 2.0
-    gdsc_noise_sd: float = 5.0
-    # half-distance between adjacent-extreme cluster means on the three
-    # percent signal features; default puts the k=2 means 2 noise-sds apart
-    signal_shift: float = 5.0
-    # explicit per-feature per-cluster mean offsets; overrides signal_shift
-    # for the named features, e.g. (("english_proficiency", (5.0, -5.0)),)
-    signal_offsets: tuple[tuple[str, tuple[float, ...]], ...] | None = None
-    # per-cluster rurality category distributions (6 probabilities each);
-    # default interpolates urban-heavy -> spread along the coverage ranking
-    rurality_profiles: tuple[tuple[float, ...], ...] | None = None
     zero_signal: bool = False
     seed: int = 0
 
@@ -87,22 +78,8 @@ class SynthSpec:
                 raise SpecInvalid("cluster mean rates must lie in [0, 100]")
         if any(n < 2 for n in self.n_per_cluster):
             raise SpecInvalid("each cluster needs at least 2 districts")
-        if self.vacc_noise_sd < 0 or self.gdsc_noise_sd < 0:
-            raise SpecInvalid("noise standard deviations must be non-negative")
-        if self.signal_offsets is not None:
-            for name, offsets in self.signal_offsets:
-                if name not in GDSC_NUMERIC_COLUMNS:
-                    raise SpecInvalid(f"unknown numeric GDSC feature {name!r}")
-                if len(offsets) != self.k:
-                    raise SpecInvalid(f"signal offsets for {name!r} need {self.k} entries")
-        if self.rurality_profiles is not None:
-            if len(self.rurality_profiles) != self.k:
-                raise SpecInvalid(f"rurality_profiles needs {self.k} entries")
-            for profile in self.rurality_profiles:
-                if len(profile) != 6 or any(p < 0 for p in profile):
-                    raise SpecInvalid("each rurality profile needs 6 non-negative weights")
-                if abs(sum(profile) - 1.0) > 1e-9:
-                    raise SpecInvalid("rurality profiles must sum to 1")
+        if self.vacc_noise_sd < 0:
+            raise SpecInvalid("the noise standard deviation must be non-negative")
 
 
 def default_spec(
@@ -113,7 +90,12 @@ def default_spec(
     zero_signal: bool = False,
     vacc_noise_sd: float = 2.0,
 ) -> SynthSpec:
-    """Spec seeded from the embedded published cluster means."""
+    """Spec seeded from the embedded published cluster means; SpecInvalid for a
+    (year, k) pair the embedded table lacks."""
+    if (year, k) not in TABLE2:
+        raise SpecInvalid(
+            f"no embedded cluster means for year {year}, k={k}; embedded (year, k): {sorted(TABLE2)}"
+        )
     _, means = table2_means(year, k)
     if n_per_cluster is None:
         n_per_cluster = tuple([75] * k) if k == 2 else tuple([150 // k] * k)
@@ -153,13 +135,9 @@ def generate(spec: SynthSpec) -> tuple[YearDataset, np.ndarray]:
     rows = []
     truth = []
     counter = 0
-    explicit = dict(spec.signal_offsets or ())
     for cluster, (means, n) in enumerate(zip(spec.cluster_means, spec.n_per_cluster)):
         mult = 0.0 if spec.zero_signal else _signal_multiplier(cluster, spec.k)
-        if spec.rurality_profiles is not None:
-            profile = spec.rurality_profiles[cluster]
-        else:
-            profile = _rurality_profile(cluster, spec.k, spec.zero_signal)
+        profile = _rurality_profile(cluster, spec.k, spec.zero_signal)
         for _ in range(n):
             district = DistrictId(id=f"S{counter:04d}", name=f"Synth District {counter:04d}")
             rates = tuple(
@@ -168,13 +146,8 @@ def generate(spec: SynthSpec) -> tuple[YearDataset, np.ndarray]:
             )
             values = {}
             for name in GDSC_NUMERIC_COLUMNS:
-                if name in explicit:
-                    shift = explicit[name][cluster]
-                elif name in SIGNAL_PERCENT_FEATURES:
-                    shift = spec.signal_shift * mult
-                else:
-                    shift = 0.0
-                raw = GDSC_BASE_MEANS[name] + shift + rng.normal(sd=spec.gdsc_noise_sd)
+                shift = SIGNAL_SHIFT * mult if name in SIGNAL_PERCENT_FEATURES else 0.0
+                raw = GDSC_BASE_MEANS[name] + shift + rng.normal(sd=GDSC_NOISE_SD)
                 values[name] = _clip(raw) if name != "imd_avg_score" else max(0.0, raw)
             rurality = rng.categorical(profile) + 1
             rows.append(

@@ -64,15 +64,19 @@ def test_run_bad_config_key(tmp_path, capsys):
     assert main(["run", "--config", str(path)]) == 1
 
 
+def _cli_process(*args):
+    """``python -m vaxclust.cli ARGS`` in a fresh interpreter, output captured."""
+    src = os.path.dirname(os.path.dirname(vaxclust.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run(
+        [sys.executable, "-m", "vaxclust.cli", *args], capture_output=True, text=True, env=env, check=False,
+    )
+
+
 @pytest.mark.parametrize("key, value", [("n_trees", "5"), ("depth", 2.5), ("learning_rate", "0.1")])
 def test_run_wrong_config_type_is_config_error(tmp_path, synth_inputs, key, value):
     config = _write_config(tmp_path, synth_inputs, tmp_path / "out", **{key: value})
-    src = os.path.dirname(os.path.dirname(vaxclust.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(
-        [sys.executable, "-m", "vaxclust.cli", "run", "--config", config],
-        capture_output=True, text=True, env=env, check=False,
-    )
+    proc = _cli_process("run", "--config", config)
     assert proc.returncode == 1
     assert f"config error: config key '{key}'" in proc.stderr
     assert "Traceback" not in proc.stderr
@@ -82,6 +86,48 @@ def test_run_missing_inputs_is_data_error(tmp_path):
     out = tmp_path / "out"
     config = _write_config(tmp_path, tmp_path / "missing", out)
     assert main(["run", "--config", config]) == 2
+
+
+def _append_to_first_record(path, suffix: bytes):
+    """Append ``suffix`` to the first field of the table's first data record."""
+    head, first, rest = path.read_bytes().split(b"\n", 2)
+    path.write_bytes(b"\n".join([head, first.replace(b",", suffix + b",", 1), rest]))
+
+
+@pytest.mark.parametrize(
+    "suffix", [b"\xff", b"x" * 200_000], ids=["undecodable-byte", "oversized-field"]
+)
+def test_unreadable_input_table_is_recorded_data_error(tmp_path, synth_inputs, suffix):
+    _append_to_first_record(synth_inputs / "gdsc_2021.csv", suffix)
+    out = tmp_path / "out"
+    proc = _cli_process("run", "--config", _write_config(tmp_path, synth_inputs, out))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    summary = json.loads((out / "run_summary.json").read_text())
+    (failure,) = summary["cells_failed"]
+    assert (failure["stage"], failure["error"]) == ("ingestion", "DataError")
+    assert "gdsc_2021.csv" in failure["message"]
+    for stage in (["cluster", "--k-values", "2"], ["stats", "--k", "2"]):
+        assert main([stage[0], "--input-dir", str(synth_inputs), "--year", "2021",
+                     *stage[1:], "--out", str(tmp_path / "stage")]) == 2
+
+
+def test_undecodable_config_is_config_error(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_bytes(b'{"years": [2021], "input_dir": "in\xff", "out_dir": "out"}')
+    proc = _cli_process("run", "--config", str(path))
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("config error: config file is not valid JSON")
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("flags", [["--k", "4"], ["--year", "2024"]], ids=["k4", "year2024"])
+def test_synth_without_embedded_means_is_spec_error(tmp_path, flags):
+    proc = _cli_process("synth", *flags, "--out", str(tmp_path))
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: no embedded cluster means") and "(2021, 2)" in proc.stderr
+    assert not list(tmp_path.iterdir())
 
 
 def test_run_missing_geometry_is_config_error(tmp_path, synth_inputs, capsys):

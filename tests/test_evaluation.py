@@ -19,9 +19,9 @@ from vaxclust.hcluster import ClusterAssignment
 
 def test_stratified_folds_perfectly_balanced():
     labels = np.array([0] * 5 + [1] * 5)
-    plan = ev.stratified_folds(labels, 5, seed=1)
+    folds = ev.stratified_folds(labels, 5, seed=1)
     for fold in range(5):
-        members = labels[plan.assignments == fold]
+        members = labels[folds == fold]
         assert sorted(members.tolist()) == [0, 1]
 
 
@@ -29,9 +29,9 @@ def test_stratified_folds_deterministic():
     labels = np.arange(40) % 3
     a = ev.stratified_folds(labels, 5, seed=7)
     b = ev.stratified_folds(labels, 5, seed=7)
-    assert np.array_equal(a.assignments, b.assignments)
+    assert np.array_equal(a, b)
     c = ev.stratified_folds(labels, 5, seed=8)
-    assert not np.array_equal(a.assignments, c.assignments)
+    assert not np.array_equal(a, c)
 
 
 def test_stratified_folds_rejects_bad_k():
@@ -45,13 +45,13 @@ def test_fold_partition_laws_battery():
     labels = np.array([0] * 23 + [1] * 11 + [2] * 6)
     n = len(labels)
     for seed in range(100):
-        plan = ev.stratified_folds(labels, 5, seed=seed)
-        assert plan.assignments.shape == (n,)
-        assert set(plan.assignments.tolist()) == set(range(5))
+        folds = ev.stratified_folds(labels, 5, seed=seed)
+        assert folds.shape == (n,)
+        assert set(folds.tolist()) == set(range(5))
         for c in range(3):
             class_n = (labels == c).sum()
             for fold in range(5):
-                in_fold = ((labels == c) & (plan.assignments == fold)).sum()
+                in_fold = ((labels == c) & (folds == fold)).sum()
                 assert abs(in_fold - class_n / 5) < 1.0
 
 
@@ -200,7 +200,7 @@ def test_cross_validate_no_ts_leakage(rng):
     result = ev.cross_validate(dataset, assignment, config, k_folds=5, seed=3)
     rurality = dataset.rurality_column().reshape(-1, 1)
     for fold, model in enumerate(result.models):
-        train_rows = np.flatnonzero(result.fold_plan.assignments != fold)
+        train_rows = np.setdiff1d(np.arange(len(labels)), result.test_indices[fold])
         fold_config = TrainConfig(**{**asdict(config), "seed": config.seed ^ fold})
         rebuilt, _ = OrderedTsEncoder.fit(
             rurality[train_rows], labels[train_rows], 2, fold_config, feature_names=["rurality"]

@@ -570,3 +570,15 @@ def test_from_json_accepts_its_own_document():
     text = json.dumps(_model_document(), sort_keys=True, indent=2)
     assert gbdt.to_json(gbdt.from_json(text)) == text
     assert gbdt.to_json(gbdt.from_json(text.encode())) == text
+
+
+def test_from_json_round_trips_integer_learning_rate():
+    rng = np.random.default_rng(30)
+    X = rng.normal(size=(30, 2))
+    y = (X[:, 0] > 0).astype(int)
+    model = gbdt.fit(X, None, y, TrainConfig(n_trees=2, depth=2, learning_rate=1))
+    text = gbdt.to_json(model)
+    assert '"learning_rate": 1,' in text
+    restored = gbdt.from_json(text)
+    assert gbdt.to_json(restored) == text
+    assert np.array_equal(gbdt.predict_margin(restored, X, None), gbdt.predict_margin(model, X, None))

@@ -61,21 +61,23 @@ def quick_dataset(rates_matrix, ids=None):
 
 def test_distance_345_triangle():
     d = hc.pairwise_distances(np.array([[0.0, 0.0], [3.0, 4.0]]))
-    assert d.get(0, 1) == pytest.approx(5.0, abs=1e-12)
+    assert d[0, 1] == pytest.approx(5.0, abs=1e-12)
 
 
 def test_distance_identical_rows_zero():
     d = hc.pairwise_distances(np.array([[1.0, 2.0], [1.0, 2.0]]))
-    assert d.get(0, 1) == 0.0
+    assert d[0, 1] == 0.0
 
 
 def test_distance_matches_double_loop_oracle(rng):
     X = rng.normal(size=(5, 14))
     d = hc.pairwise_distances(X)
+    assert d.shape == (5, 5)
+    assert np.array_equal(d, d.T) and np.all(np.diag(d) == 0.0)
     for i in range(5):
         for j in range(i + 1, 5):
             naive = np.sqrt(((X[i] - X[j]) ** 2).sum())
-            assert abs(d.get(i, j) - naive) < 1e-12
+            assert abs(d[i, j] - naive) < 1e-12
 
 
 def test_distance_rejects_nonfinite():

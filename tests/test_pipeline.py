@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import csv
+import glob
 import json
 import os
 import shutil
-from dataclasses import fields
+import tempfile
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -15,9 +17,10 @@ from conftest import tree_digest
 from test_hcluster import quick_dataset
 from vaxclust import pipeline as pl
 from vaxclust import synth
-from vaxclust.dataset import VACCINE_COLUMNS
+from vaxclust.cli import main
+from vaxclust.dataset import VACCINE_COLUMNS, VaccinationProfile, YearDataset
 from vaxclust.errors import ConfigError, GeometryKeyMismatch
-from vaxclust.fixtures import load_wtable_assignment, table2_means
+from vaxclust.fixtures import STUDY_YEARS, load_wtable_assignment, table2_means
 from vaxclust.gbdt import TrainConfig
 from vaxclust.hcluster import ClusterAssignment
 
@@ -318,6 +321,89 @@ def test_determinism_across_runs_and_threads(tmp_path):
         assert pl.run_pipeline(config).exit_code == 0
         digests.append(tree_digest(out))
     assert digests[0] == digests[1] == digests[2]
+
+
+NAMES = ("Kingston upon Hull, City of", 'The "Quoted" District', "Ynys Môn")
+
+
+@st.composite
+def tiny_year(draw, year):
+    """2-12 districts of a synthetic year, the first named with a comma, a
+    quote and an accent; rates optionally on tied levels, one column constant."""
+    spec = synth.default_spec(year=year, n_per_cluster=(6, 6), seed=draw(st.integers(0, 99)))
+    dataset, truth = synth.generate(spec)
+    keep = sorted(draw(st.sets(st.integers(0, 11), min_size=2, max_size=12)))
+    step = draw(st.sampled_from([None, 5.0, 20.0]))
+    constant = draw(st.booleans())
+    rows = []
+    for i in keep:
+        district, vacc, gdsc = dataset.rows[i]
+        rates = vacc.rates if step is None else tuple(step * round(r / step) for r in vacc.rates)
+        if constant:
+            rates = (80.0, *rates[1:])
+        name = NAMES[len(rows)] if len(rows) < len(NAMES) else district.name
+        rows.append((replace(district, name=name), VaccinationProfile(rates), gdsc))
+    return YearDataset(year=year, rows=tuple(rows)), truth[keep]
+
+
+def _truncate(path: str, fraction: float) -> None:
+    with open(path, "r+b") as f:
+        f.truncate(int(os.path.getsize(path) * fraction))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(
+    years=st.lists(st.sampled_from(STUDY_YEARS), min_size=1, max_size=2, unique=True).flatmap(
+        lambda years: st.tuples(*(tiny_year(year) for year in years))
+    ),
+    k_values=st.lists(st.sampled_from([2, 3, 4, 6]), min_size=1, max_size=2, unique=True),
+    n_trees=st.integers(1, 4),
+    depth=st.integers(1, 3),
+    k_folds=st.integers(2, 5),
+    linkage=st.sampled_from(["ward", "average"]),
+    fraction=st.floats(0.0, 1.0),
+)
+def test_whole_run_ends_in_an_exit_code_property(years, k_values, n_trees, depth, k_folds, linkage, fraction):
+    with tempfile.TemporaryDirectory() as tmp:
+        indir, out = os.path.join(tmp, "in"), os.path.join(tmp, "out")
+        for dataset, truth in years:
+            synth.write_dataset_files(dataset, truth, indir)
+        config = os.path.join(tmp, "config.json")
+        with open(config, "w", encoding="utf-8") as f:
+            json.dump({
+                "years": [dataset.year for dataset, _ in years], "input_dir": indir, "out_dir": out,
+                "k_values": k_values, "n_trees": n_trees, "depth": depth, "k_folds": k_folds,
+                "linkage": linkage, "seed": 5,
+            }, f)
+
+        result = pl.run_pipeline(pl.load_config(config))
+        assert result.exit_code in (0, 2, 3)
+        with open(os.path.join(out, "run_summary.json"), encoding="utf-8") as f:
+            summary = json.load(f)
+        cells = summary["cells_ok"] + [f"{c['year']}_k{c['k']}" for c in summary["cells_failed"]]
+        assert sorted(cells) == sorted(f"{dataset.year}_k{k}" for dataset, _ in years for k in k_values)
+
+        # the stage subcommands on the files written above, then on truncated copies
+        cut_in, cut_out = os.path.join(tmp, "cut_in"), os.path.join(tmp, "cut_out")
+        shutil.copytree(indir, cut_in)
+        shutil.copytree(out, cut_out)
+        for path in glob.glob(os.path.join(cut_in, "*.csv")) + glob.glob(os.path.join(cut_out, "report_*.json")):
+            _truncate(path, fraction)
+        year, k = str(years[0][0].year), str(k_values[0])
+        model, cut_model = os.path.join(tmp, "model.json"), os.path.join(tmp, "cut_model.json")
+        stage = ["--config", config, "--year", year]
+        codes = [main(["train", *stage, "--k", k, "--model-out", model])]
+        if os.path.exists(model):
+            shutil.copy(model, cut_model)
+            _truncate(cut_model, fraction)
+        for input_dir, model_path, runs in ((indir, model, out), (cut_in, cut_model, cut_out)):
+            codes += [
+                main(["train", *stage, "--input-dir", input_dir, "--k", k, "--model-out", os.path.join(tmp, "m.json")]),
+                main(["explain", *stage, "--input-dir", input_dir, "--model", model_path,
+                      "--out", os.path.join(tmp, "explain"), "--per-row"]),
+                main(["report", "--runs", runs, "--out", os.path.join(tmp, "metrics.csv")]),
+            ]
+        assert all(code in (0, 1, 2, 3) for code in codes), codes
 
 
 def _assignment_for(dataset, labels, names=("L", "H")):

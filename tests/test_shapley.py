@@ -36,7 +36,7 @@ def _tree(splits, values, cover, class_index=0):
 
 def test_constant_model_attributes_nothing():
     model = _ensemble([_tree([], [2.5], [10])], base=[0.4])
-    attribution = shapley.tree_shap(model, np.zeros(3))
+    attribution = shapley.TreeShapExplainer(model).attribute(np.zeros(3))
     assert np.all(attribution.phi == 0.0)
     assert attribution.base[0] == pytest.approx(0.4 + 2.5)
 
@@ -48,12 +48,12 @@ def test_depth_one_tree_two_player_formula():
     model = _ensemble([tree], base=[0.0], lr=1.0)
     expectation = (n_left * v_left + n_right * v_right) / (n_left + n_right)
 
-    attribution = shapley.tree_shap(model, np.array([0.2, 0.0, 0.0]))  # goes left
+    attribution = shapley.TreeShapExplainer(model).attribute(np.array([0.2, 0.0, 0.0]))  # goes left
     assert attribution.phi[0, 0] == pytest.approx(v_left - expectation, abs=1e-12)
     assert np.all(attribution.phi[0, 1:] == 0.0)
     assert attribution.base[0] == pytest.approx(expectation, abs=1e-12)
 
-    attribution = shapley.tree_shap(model, np.array([0.9, 0.0, 0.0]))  # goes right
+    attribution = shapley.TreeShapExplainer(model).attribute(np.array([0.9, 0.0, 0.0]))  # goes right
     assert attribution.phi[0, 0] == pytest.approx(v_right - expectation, abs=1e-12)
 
 
@@ -61,7 +61,7 @@ def test_three_random_trees_match_brute_force(rng):
     model = random_oblivious_model(rng, n_features=4, n_classes=2, max_trees=3)
     for _ in range(5):
         x = rng.normal(size=4)
-        fast = shapley.tree_shap(model, x)
+        fast = shapley.TreeShapExplainer(model).attribute(x)
         slow = shapley.brute_force_shapley(model, x)
         assert np.abs(fast.phi - slow.phi).max() < 1e-9
         assert np.abs(fast.base - slow.base).max() < 1e-9
@@ -75,8 +75,8 @@ def test_additivity_across_trees(rng):
     only1 = _ensemble([t1], base=[0.2], lr=lr)
     only2 = _ensemble([t2], base=[0.0], lr=lr)
     x = np.array([0.1, 0.6, -2.0])
-    combined = shapley.tree_shap(both, x)
-    split_sum = shapley.tree_shap(only1, x).phi + shapley.tree_shap(only2, x).phi
+    combined, part1, part2 = (shapley.TreeShapExplainer(m).attribute(x) for m in (both, only1, only2))
+    split_sum = part1.phi + part2.phi
     assert np.abs(combined.phi - split_sum).max() < 1e-12
 
 
@@ -88,7 +88,7 @@ def test_null_player_exact_zero(rng):
         if not unused:
             continue
         x = rng.normal(size=5)
-        fast = shapley.tree_shap(model, x)
+        fast = shapley.TreeShapExplainer(model).attribute(x)
         slow = shapley.brute_force_shapley(model, x)
         for j in unused:
             assert np.all(fast.phi[:, j] == 0.0)
@@ -104,7 +104,7 @@ def test_symmetric_duplicate_features_equal_phi():
         x = np.array([x0, x0])  # identical coordinates
         attribution = shapley.brute_force_shapley(model, x)
         assert attribution.phi[0, 0] == pytest.approx(attribution.phi[0, 1], abs=1e-12)
-        fast = shapley.tree_shap(model, x)
+        fast = shapley.TreeShapExplainer(model).attribute(x)
         assert fast.phi[0, 0] == pytest.approx(fast.phi[0, 1], abs=1e-12)
 
 
@@ -155,7 +155,7 @@ def test_oracle_equivalence_battery(rng):
             repeated += sum(len({f for f, _ in t.splits}) < t.n_levels for t in model.trees)
             empty += sum(int(np.sum(t.leaf_cover == 0)) for t in model.trees)
         x = rng.normal(size=d)
-        fast = shapley.tree_shap(model, x)
+        fast = shapley.TreeShapExplainer(model).attribute(x)
         slow = shapley.brute_force_shapley(model, x)
         assert np.abs(fast.phi - slow.phi).max() < 1e-9, f"trial {trial}"
         assert np.abs(fast.base - slow.base).max() < 1e-9, f"trial {trial}"
@@ -231,7 +231,7 @@ def test_missing_cover_rejected():
                         leaf_cover=np.array([0, 0]), class_index=0)
     model = _ensemble([bad], base=[0.0])
     with pytest.raises(MissingCover):
-        shapley.tree_shap(model, np.zeros(3))
+        shapley.TreeShapExplainer(model).attribute(np.zeros(3))
 
 
 def test_empty_sample_rejected():

@@ -111,29 +111,3 @@ def test_spec_validation():
         bad = tuple(tuple(110.0 for _ in range(14)) for _ in range(2))
         synth.SynthSpec(year=2021, k=2, cluster_means=bad, n_per_cluster=(5, 5)).validate()
 
-
-def test_explicit_signal_offsets_and_rurality_profiles():
-    spec = synth.default_spec(n_per_cluster=(200, 200), seed=6)
-    custom = synth.SynthSpec(
-        year=spec.year, k=2, cluster_means=spec.cluster_means,
-        n_per_cluster=(200, 200), gdsc_noise_sd=1.0, seed=6,
-        signal_offsets=(("imd_avg_score", (12.0, -12.0)),),
-        rurality_profiles=((1.0, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 1.0)),
-    )
-    dataset, truth = synth.generate(custom)
-    gdsc = dataset.gdsc_numeric_matrix()
-    gap = gdsc[truth == 0, 0].mean() - gdsc[truth == 1, 0].mean()
-    assert gap > 20  # 12 - (-12) with sd 1 noise
-    rurality = dataset.rurality_column()
-    assert set(rurality[truth == 0].tolist()) == {1}
-    assert set(rurality[truth == 1].tolist()) == {6}
-    with pytest.raises(SpecInvalid):
-        synth.SynthSpec(
-            year=2021, k=2, cluster_means=spec.cluster_means, n_per_cluster=(5, 5),
-            signal_offsets=(("rurality", (1.0, -1.0)),),
-        ).validate()
-    with pytest.raises(SpecInvalid):
-        synth.SynthSpec(
-            year=2021, k=2, cluster_means=spec.cluster_means, n_per_cluster=(5, 5),
-            rurality_profiles=((0.5, 0.5, 0, 0, 0, 0),),
-        ).validate()
