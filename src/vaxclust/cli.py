@@ -129,8 +129,8 @@ def cmd_explain(args) -> int:
     if args.per_row:
         phi = TreeShapExplainer(model).explain(design)
         rows = (
-            (district.id, output, fname, float(phi[i, output, j]))
-            for i, (district, _, _) in enumerate(dataset.rows)
+            (district_id, output, fname, float(phi[i, output, j]))
+            for i, district_id in enumerate(dataset.ids)
             for output in range(phi.shape[1])
             for j, fname in enumerate(model.feature_names)
         )

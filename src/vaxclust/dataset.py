@@ -1,6 +1,7 @@
 """Ingestion, validation, join, and standardization of the per-year input tables.
 
-Two UTF-8 comma-delimited tables per study year:
+Two UTF-8 comma-delimited tables per study year (a leading byte-order mark
+is skipped):
 
 * vaccination table: ``district_id, district_name`` plus the 14 coverage
   columns listed in :data:`VACCINE_COLUMNS` (percent of eligible children).
@@ -74,63 +75,41 @@ _DECIMAL_RE = re.compile(r"^[+-]?(\d+(\.\d*)?|\.\d+)$")
 _INT_RE = re.compile(r"^[+-]?\d+$")
 
 
-@dataclass(frozen=True, order=True)
-class DistrictId:
-    id: str
-    name: str = ""
-
-
-@dataclass(frozen=True)
-class VaccinationProfile:
-    rates: tuple[float, ...]  # 14 values, VACCINE_COLUMNS order
-
-    def __post_init__(self):
-        if len(self.rates) != len(VACCINE_COLUMNS):
-            raise ValueError(f"expected {len(VACCINE_COLUMNS)} rates, got {len(self.rates)}")
-
-
-@dataclass(frozen=True)
-class GdscProfile:
-    imd_avg_score: float
-    imd_prop_deprived: float
-    long_term_unemployed: float
-    routine_occupations: float
-    no_qualifications: float
-    english_proficiency: float
-    ethnic_minority: float
-    born_outside_uk: float
-    rurality: int
-
-    def numeric_vector(self) -> tuple[float, ...]:
-        """The 8 numeric features in GDSC_NUMERIC_COLUMNS order."""
-        return tuple(getattr(self, c) for c in GDSC_NUMERIC_COLUMNS)
-
-
 @dataclass(frozen=True)
 class YearDataset:
+    """One year's joined districts in id order: row i of every array belongs to
+    district ``ids[i]``. The arrays are read-only, so callers share them."""
+
     year: int
-    rows: tuple[tuple[DistrictId, VaccinationProfile, GdscProfile], ...]
+    ids: tuple[str, ...]
+    names: tuple[str, ...]
+    rates: np.ndarray  # (n, 14) float64, VACCINE_COLUMNS order
+    gdsc: np.ndarray  # (n, 8) float64, GDSC_NUMERIC_COLUMNS order
+    rurality: np.ndarray  # (n,) int64, categories 1..6
+
+    def __post_init__(self):
+        n = len(self.ids)
+        shapes = {
+            "names": ((len(self.names),), (n,)),
+            "rates": (self.rates.shape, (n, len(VACCINE_COLUMNS))),
+            "gdsc": (self.gdsc.shape, (n, len(GDSC_NUMERIC_COLUMNS))),
+            "rurality": (self.rurality.shape, (n,)),
+        }
+        for name, (shape, expected) in shapes.items():
+            if shape != expected:
+                raise ValueError(f"{name} has shape {shape}, expected {expected} for {n} districts")
+        for array in (self.rates, self.gdsc, self.rurality):
+            array.flags.writeable = False
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self.ids)
 
-    def district_ids(self) -> list[str]:
-        return [d.id for d, _, _ in self.rows]
-
-    def district_names(self) -> list[str]:
-        return [d.name for d, _, _ in self.rows]
-
+    # the two accessors the acceptance suite calls; code reads the fields
     def vaccination_matrix(self) -> np.ndarray:
-        """(n, 14) raw coverage rates in VACCINE_COLUMNS order."""
-        return np.array([v.rates for _, v, _ in self.rows], dtype=np.float64)
-
-    def gdsc_numeric_matrix(self) -> np.ndarray:
-        """(n, 8) numeric GDSC features (rurality excluded)."""
-        return np.array([g.numeric_vector() for _, _, g in self.rows], dtype=np.float64)
+        return self.rates
 
     def rurality_column(self) -> np.ndarray:
-        """(n,) ordinal rurality categories as integers 1..6."""
-        return np.array([g.rurality for _, _, g in self.rows], dtype=np.int64)
+        return self.rurality
 
 
 @dataclass(frozen=True)
@@ -179,30 +158,29 @@ def csv_text(header, rows) -> str:
     return buffer.getvalue()
 
 
-def parse_vaccination_table(stream, year: int) -> dict[DistrictId, VaccinationProfile]:
-    """Parse one year's vaccination table; header order is irrelevant."""
+def parse_vaccination_table(stream, year: int) -> dict[str, tuple[str, tuple[float, ...]]]:
+    """Parse one year's vaccination table into ``{id: (name, rates)}``, the 14
+    rates in VACCINE_COLUMNS order; header order is irrelevant."""
     reader = _open_reader(stream, ("district_id", "district_name") + VACCINE_COLUMNS)
-    profiles: dict[DistrictId, VaccinationProfile] = {}
-    seen: set[str] = set()
+    profiles: dict[str, tuple[str, tuple[float, ...]]] = {}
     for row in reader:
         district_id = (row["district_id"] or "").strip()
         if not district_id:
             raise OutOfRange("district_id", row["district_id"])
-        if district_id in seen:
+        if district_id in profiles:
             raise DuplicateDistrict(district_id)
-        seen.add(district_id)
         rates = tuple(_parse_percent(row[c], c, district_id) for c in VACCINE_COLUMNS)
-        key = DistrictId(id=district_id, name=(row["district_name"] or "").strip())
-        profiles[key] = VaccinationProfile(rates=rates)
+        profiles[district_id] = ((row["district_name"] or "").strip(), rates)
     if not profiles:
         raise EmptyTable(f"vaccination table for year {year} has no data rows")
     return profiles
 
 
-def parse_gdsc_table(stream, year: int) -> dict[str, GdscProfile]:
-    """Parse one year's GDSC table, keyed by the opaque district id."""
+def parse_gdsc_table(stream, year: int) -> dict[str, tuple[tuple[float, ...], int]]:
+    """Parse one year's GDSC table into ``{id: (numeric, rurality)}``, the 8
+    numeric features in GDSC_NUMERIC_COLUMNS order."""
     reader = _open_reader(stream, ("district_id",) + GDSC_COLUMNS)
-    profiles: dict[str, GdscProfile] = {}
+    profiles: dict[str, tuple[tuple[float, ...], int]] = {}
     for row in reader:
         district_id = (row["district_id"] or "").strip()
         if not district_id:
@@ -212,24 +190,23 @@ def parse_gdsc_table(stream, year: int) -> dict[str, GdscProfile]:
         imd_avg_score = _parse_decimal(row["imd_avg_score"], "imd_avg_score", district_id)
         if imd_avg_score < 0:
             raise OutOfRange("imd_avg_score", imd_avg_score, district_id)
-        percents = {c: _parse_percent(row[c], c, district_id) for c in GDSC_PERCENT_COLUMNS}
+        # GDSC_NUMERIC_COLUMNS is imd_avg_score followed by the percent columns
+        numeric = (imd_avg_score, *(_parse_percent(row[c], c, district_id) for c in GDSC_PERCENT_COLUMNS))
         rurality_raw = (row["rurality"] or "").strip()
         if not _INT_RE.match(rurality_raw):
             raise RuralityOutOfDomain(row["rurality"], district_id)
         rurality = int(rurality_raw)
         if rurality not in RURALITY_CATEGORIES:
             raise RuralityOutOfDomain(rurality, district_id)
-        profiles[district_id] = GdscProfile(
-            imd_avg_score=imd_avg_score, rurality=rurality, **percents
-        )
+        profiles[district_id] = (numeric, rurality)
     if not profiles:
         raise EmptyTable(f"gdsc table for year {year} has no data rows")
     return profiles
 
 
 def join_year(
-    vacc: dict[DistrictId, VaccinationProfile],
-    gdsc: dict[str, GdscProfile],
+    vacc: dict[str, tuple[str, tuple[float, ...]]],
+    gdsc: dict[str, tuple[tuple[float, ...], int]],
     year: int,
     allow_partial: bool = False,
 ) -> YearDataset:
@@ -238,23 +215,30 @@ def join_year(
     A district present in exactly one table raises :class:`JoinMismatch`
     unless ``allow_partial`` is set, in which case unmatched rows are dropped.
     """
-    vacc_by_id = {d.id: (d, profile) for d, profile in vacc.items()}
-    left_only = sorted(set(vacc_by_id) - set(gdsc))
-    right_only = sorted(set(gdsc) - set(vacc_by_id))
+    left_only = sorted(set(vacc) - set(gdsc))
+    right_only = sorted(set(gdsc) - set(vacc))
     if (left_only or right_only) and not allow_partial:
         raise JoinMismatch(left_only, right_only)
-    matched = sorted(set(vacc_by_id) & set(gdsc))
-    rows = tuple((vacc_by_id[i][0], vacc_by_id[i][1], gdsc[i]) for i in matched)
-    return YearDataset(year=year, rows=rows)
+    ids = tuple(sorted(set(vacc) & set(gdsc)))
+    # reshape keeps an empty partial join two-dimensional
+    return YearDataset(
+        year=year,
+        ids=ids,
+        names=tuple(vacc[i][0] for i in ids),
+        rates=np.array([vacc[i][1] for i in ids], dtype=np.float64).reshape(-1, len(VACCINE_COLUMNS)),
+        gdsc=np.array([gdsc[i][0] for i in ids], dtype=np.float64).reshape(-1, len(GDSC_NUMERIC_COLUMNS)),
+        rurality=np.array([gdsc[i][1] for i in ids], dtype=np.int64),
+    )
 
 
 def load_year(vacc_path, gdsc_path, year: int, allow_partial: bool = False) -> YearDataset:
-    """Both tables of a year, parsed and joined; a file that is not UTF-8 or
-    not CSV the ``csv`` module can read is a DataError naming it."""
+    """Both tables of a year, parsed and joined; a leading byte-order mark is
+    skipped. A file that is not UTF-8 or not CSV the ``csv`` module can read is
+    a DataError naming it."""
     tables = []
     for path, parse in ((vacc_path, parse_vaccination_table), (gdsc_path, parse_gdsc_table)):
         try:
-            with open(path, encoding="utf-8", newline="") as f:
+            with open(path, encoding="utf-8-sig", newline="") as f:
                 tables.append(parse(f, year))
         except (UnicodeDecodeError, csv.Error) as exc:
             raise DataError(f"cannot read {path} as UTF-8 CSV: {exc}") from exc
@@ -264,8 +248,7 @@ def load_year(vacc_path, gdsc_path, year: int, allow_partial: bool = False) -> Y
 def standardize(matrix: np.ndarray, feature_names) -> StandardizedMatrix:
     """Column-wise z-score with sample standard deviation (n-1 denominator).
 
-    Constant columns map to all-zero columns with sd recorded as 0 so the
-    transform stays invertible via :func:`destandardize`.
+    Constant columns map to all-zero columns with sd recorded as 0.
     """
     matrix = np.asarray(matrix, dtype=np.float64)
     if matrix.ndim != 2 or matrix.shape[0] < 2:
@@ -282,9 +265,3 @@ def standardize(matrix: np.ndarray, feature_names) -> StandardizedMatrix:
         feature_sds=np.where(constant, 0.0, sds),
         feature_names=tuple(feature_names),
     )
-
-
-def destandardize(sm: StandardizedMatrix) -> np.ndarray:
-    """Invert :func:`standardize`; constant columns come back as their mean."""
-    sds = np.where(sm.feature_sds == 0.0, 0.0, sm.feature_sds)
-    return sm.values * sds + sm.feature_means

@@ -147,9 +147,7 @@ def _mean_rows(rows: list[MetricRow]) -> MetricRow:
 
 def dataset_design(dataset: YearDataset) -> tuple[np.ndarray, np.ndarray, list[str], list[str]]:
     """Numeric matrix, rurality column, and their names, classifier-ready."""
-    numeric = dataset.gdsc_numeric_matrix()
-    categorical = dataset.rurality_column().reshape(-1, 1)
-    return numeric, categorical, list(GDSC_NUMERIC_COLUMNS), ["rurality"]
+    return dataset.gdsc, dataset.rurality.reshape(-1, 1), list(GDSC_NUMERIC_COLUMNS), ["rurality"]
 
 
 def cross_validate(

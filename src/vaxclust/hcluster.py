@@ -186,8 +186,7 @@ def label_by_coverage(raw_labels: np.ndarray, dataset: YearDataset, k: int) -> C
     {2, 3, 6} falls back to generic names C1..Ck.
     """
     raw_labels = np.asarray(raw_labels)
-    rates = dataset.vaccination_matrix()
-    ids = dataset.district_ids()
+    rates, ids = dataset.rates, dataset.ids
     clusters = sorted(set(int(c) for c in raw_labels))
     if len(clusters) != k:
         raise KOutOfRange(f"raw labels contain {len(clusters)} clusters, expected {k}")
@@ -210,7 +209,7 @@ def cluster_mean_table(assignment: ClusterAssignment, dataset: YearDataset) -> n
     Column sums use math.fsum (correctly rounded), so a cluster of 2^m
     identical profiles reproduces that profile bit-exactly.
     """
-    rates = dataset.vaccination_matrix()
+    rates = dataset.rates
     table = np.empty((assignment.k, rates.shape[1]))
     for c in range(assignment.k):
         members = rates[assignment.labels == c]

@@ -114,10 +114,11 @@ class RunConfig:
 
 
 def _read_json_object(path, what: str) -> dict:
-    """The JSON object in the UTF-8 file at ``path``; a ConfigError if the file
-    is unreadable, not UTF-8, not JSON or not an object."""
+    """The JSON object in the UTF-8 file at ``path``, a leading byte-order mark
+    skipped; a ConfigError if the file is unreadable, not UTF-8, not JSON or
+    not an object."""
     try:
-        with open(path, encoding="utf-8") as f:
+        with open(path, encoding="utf-8-sig") as f:
             value = json.load(f)
     except OSError as exc:
         raise ConfigError(f"cannot read {what} file: {exc}") from exc
@@ -240,8 +241,7 @@ def cluster_year(dataset: YearDataset, config: RunConfig) -> tuple[Dendrogram, i
     Up to 3 districts leave at most one candidate k, which ``suggest_k`` (a
     search over k_min < k_max) does not take.
     """
-    rates = dataset.vaccination_matrix()
-    matrix = standardize(rates, VACCINE_COLUMNS).values if config.scale_rates else rates
+    matrix = standardize(dataset.rates, VACCINE_COLUMNS).values if config.scale_rates else dataset.rates
     dendro = agglomerate(pairwise_distances(matrix), linkage=config.linkage)
     k_max = min(10, dendro.n_leaves - 1)
     return dendro, suggest_k(dendro, 2, k_max) if k_max > 2 else k_max
@@ -277,7 +277,7 @@ def analyze_cell(
 
     low = assignment.labels == 0
     high = assignment.labels == k - 1
-    gdsc_matrix = np.column_stack([numeric, dataset.rurality_column().astype(np.float64)])
+    gdsc_matrix = np.column_stack([numeric, dataset.rurality.astype(np.float64)])
     gdsc_names = [*GDSC_NUMERIC_COLUMNS, "rurality"]
     tests = []
     welch_rows = []
@@ -302,8 +302,8 @@ def analyze_cell(
         year=year,
         k=k,
         suggested_k=suggested,
-        district_ids=dataset.district_ids(),
-        district_names=dataset.district_names(),
+        district_ids=list(dataset.ids),
+        district_names=list(dataset.names),
         cluster_labels=[int(c) for c in assignment.labels],
         cluster_names=list(assignment.ordered_names),
         cluster_mean_table=[[float(v) for v in row] for row in means],
@@ -335,18 +335,16 @@ def emit_choropleth(assignment: ClusterAssignment, dataset: YearDataset, geometr
     ``geometry`` is a parsed GeoJSON FeatureCollection whose features carry
     the district id in properties.district_id (or the feature ``id``).
     """
-    rates = dataset.vaccination_matrix()
-    properties = []
-    for row, (district, _, _) in enumerate(dataset.rows):
-        properties.append(
-            {
-                "district_id": district.id,
-                "district_name": district.name,
-                "cluster_index": int(assignment.labels[row]),
-                "cluster_name": assignment.name_of(int(assignment.labels[row])),
-                "mean_overall_coverage": float(rates[row].mean()),
-            }
-        )
+    properties = [
+        {
+            "district_id": district_id,
+            "district_name": name,
+            "cluster_index": int(label),
+            "cluster_name": assignment.name_of(int(label)),
+            "mean_overall_coverage": float(rates.mean()),
+        }
+        for district_id, name, label, rates in zip(dataset.ids, dataset.names, assignment.labels, dataset.rates)
+    ]
     if geometry is None:
         return properties
     geometries = {}
@@ -396,8 +394,8 @@ def write_text(path: str, text: str) -> None:
 def cluster_table(dataset: YearDataset, assignment: ClusterAssignment) -> str:
     """``clusters_Y_kK.csv``: each district with its cluster index and name."""
     rows = [
-        (district.id, district.name, int(label), assignment.name_of(int(label)))
-        for (district, _, _), label in zip(dataset.rows, assignment.labels)
+        (district_id, name, int(label), assignment.name_of(int(label)))
+        for district_id, name, label in zip(dataset.ids, dataset.names, assignment.labels)
     ]
     return csv_text(("district_id", "district_name", "cluster_index", "cluster_name"), rows)
 

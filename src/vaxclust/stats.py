@@ -207,4 +207,4 @@ def crosstab_from_pairs(rurality_values, cluster_labels, k: int) -> np.ndarray:
 
 
 def rurality_cross_tab(assignment: ClusterAssignment, dataset: YearDataset) -> np.ndarray:
-    return crosstab_from_pairs(dataset.rurality_column(), assignment.labels, assignment.k)
+    return crosstab_from_pairs(dataset.rurality, assignment.labels, assignment.k)

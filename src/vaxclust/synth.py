@@ -25,9 +25,6 @@ from .dataset import (
     GDSC_COLUMNS,  # noqa: F401  re-exported for callers of synth
     GDSC_NUMERIC_COLUMNS,
     VACCINE_COLUMNS,
-    DistrictId,
-    GdscProfile,
-    VaccinationProfile,
     YearDataset,
     csv_text,
 )
@@ -132,31 +129,33 @@ def generate(spec: SynthSpec) -> tuple[YearDataset, np.ndarray]:
     """Dataset plus true cluster labels (ascending-coverage cluster indices)."""
     spec.validate()
     rng = Rng(spec.seed)
-    rows = []
-    truth = []
-    counter = 0
+    rates, gdsc, rurality, truth = [], [], [], []
     for cluster, (means, n) in enumerate(zip(spec.cluster_means, spec.n_per_cluster)):
         mult = 0.0 if spec.zero_signal else _signal_multiplier(cluster, spec.k)
         profile = _rurality_profile(cluster, spec.k, spec.zero_signal)
         for _ in range(n):
-            district = DistrictId(id=f"S{counter:04d}", name=f"Synth District {counter:04d}")
-            rates = tuple(
+            rates.append([
                 _clip(m + rng.normal(sd=spec.vacc_noise_sd)) if spec.vacc_noise_sd > 0 else m
                 for m in means
-            )
-            values = {}
+            ])
+            values = []
             for name in GDSC_NUMERIC_COLUMNS:
                 shift = SIGNAL_SHIFT * mult if name in SIGNAL_PERCENT_FEATURES else 0.0
                 raw = GDSC_BASE_MEANS[name] + shift + rng.normal(sd=GDSC_NOISE_SD)
-                values[name] = _clip(raw) if name != "imd_avg_score" else max(0.0, raw)
-            rurality = rng.categorical(profile) + 1
-            rows.append(
-                (district, VaccinationProfile(rates=rates), GdscProfile(rurality=rurality, **values))
-            )
+                values.append(_clip(raw) if name != "imd_avg_score" else max(0.0, raw))
+            gdsc.append(values)
+            rurality.append(rng.categorical(profile) + 1)
             truth.append(cluster)
-            counter += 1
     # generation order is id order, so the sorted-dataset invariant holds
-    return YearDataset(year=spec.year, rows=tuple(rows)), np.array(truth, dtype=np.int64)
+    dataset = YearDataset(
+        year=spec.year,
+        ids=tuple(f"S{i:04d}" for i in range(len(truth))),
+        names=tuple(f"Synth District {i:04d}" for i in range(len(truth))),
+        rates=np.array(rates, dtype=np.float64),
+        gdsc=np.array(gdsc, dtype=np.float64),
+        rurality=np.array(rurality, dtype=np.int64),
+    )
+    return dataset, np.array(truth, dtype=np.int64)
 
 
 def write_dataset_files(dataset: YearDataset, truth: np.ndarray, out_dir) -> dict[str, str]:
@@ -175,15 +174,15 @@ def write_dataset_files(dataset: YearDataset, truth: np.ndarray, out_dir) -> dic
     tables = {
         "vaccination": csv_text(
             ["district_id", "district_name", *VACCINE_COLUMNS],
-            ([d.id, d.name, *map(fmt, vacc.rates)] for d, vacc, _ in dataset.rows),
+            ([i, name, *map(fmt, rates)] for i, name, rates in zip(dataset.ids, dataset.names, dataset.rates)),
         ),
         "gdsc": csv_text(
             ["district_id", *GDSC_NUMERIC_COLUMNS, "rurality"],
-            ([d.id, *map(fmt, gdsc.numeric_vector()), gdsc.rurality] for d, _, gdsc in dataset.rows),
+            ([i, *map(fmt, gdsc), int(r)] for i, gdsc, r in zip(dataset.ids, dataset.gdsc, dataset.rurality)),
         ),
         "truth": csv_text(
             ["district_id", "cluster_index"],
-            ([d.id, int(label)] for (d, _, _), label in zip(dataset.rows, truth)),
+            ([i, int(label)] for i, label in zip(dataset.ids, truth)),
         ),
     }
     for name, text in tables.items():

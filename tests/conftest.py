@@ -3,11 +3,12 @@ from __future__ import annotations
 import hashlib
 import io
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from vaxclust.dataset import GDSC_COLUMNS, VACCINE_COLUMNS
+from vaxclust.dataset import GDSC_COLUMNS, VACCINE_COLUMNS, YearDataset
 from vaxclust.gbdt import ObliviousTree, TrainConfig, TreeEnsemble
 
 
@@ -44,6 +45,17 @@ def gdsc_row(district_id, rurality=1, **overrides):
     for c in GDSC_COLUMNS:
         cells.append(rurality if c == "rurality" else values[c])
     return cells
+
+
+def assert_same_dataset(a: YearDataset, b: YearDataset) -> None:
+    """Field-by-field equality of two datasets, array dtypes included (``==``
+    on a dataclass holding arrays raises)."""
+    for f in fields(YearDataset):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(x, np.ndarray):
+            assert x.dtype == y.dtype and np.array_equal(x, y), f.name
+        else:
+            assert x == y, f.name
 
 
 def random_oblivious_model(rng, n_features, n_classes, max_trees=12, max_depth=4, n_train=60, min_depth=0):

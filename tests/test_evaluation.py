@@ -144,10 +144,9 @@ def test_macro_metrics_against_oracle_battery(rng):
 def _labelled_dataset(rng, n=60, threshold_feature="english_proficiency"):
     """YearDataset whose cluster label is a deterministic threshold on one
     GDSC feature; impossible to misclassify given enough trees."""
-    from vaxclust.dataset import DistrictId, GdscProfile, VaccinationProfile, YearDataset
+    from vaxclust.dataset import GDSC_NUMERIC_COLUMNS, YearDataset
 
-    rows = []
-    labels = []
+    gdsc, rurality, rates, labels = [], [], [], []
     for i in range(n):
         value = float(rng.uniform(0, 40))
         label = int(value > 20)
@@ -162,11 +161,19 @@ def _labelled_dataset(rng, n=60, threshold_feature="english_proficiency"):
             "born_outside_uk": float(rng.uniform(0, 40)),
         }
         values[threshold_feature] = value
-        gdsc = GdscProfile(rurality=int(rng.integers(1, 7)), **values)
-        rates = tuple(float(60 + 30 * label + rng.uniform(-1, 1)) for _ in range(14))
-        rows.append((DistrictId(f"E{i:03d}", f"D{i}"), VaccinationProfile(rates), gdsc))
+        gdsc.append([values[c] for c in GDSC_NUMERIC_COLUMNS])
+        rurality.append(int(rng.integers(1, 7)))
+        rates.append([float(60 + 30 * label + rng.uniform(-1, 1)) for _ in range(14)])
         labels.append(label)
-    return YearDataset(year=2021, rows=tuple(rows)), np.array(labels)
+    dataset = YearDataset(
+        year=2021,
+        ids=tuple(f"E{i:03d}" for i in range(n)),
+        names=tuple(f"D{i}" for i in range(n)),
+        rates=np.array(rates),
+        gdsc=np.array(gdsc),
+        rurality=np.array(rurality, dtype=np.int64),
+    )
+    return dataset, np.array(labels)
 
 
 def test_cross_validate_separable_dataset_is_perfect(rng):
@@ -198,7 +205,7 @@ def test_cross_validate_no_ts_leakage(rng):
     assignment = ClusterAssignment(k=2, labels=labels, ordered_names=("L", "H"))
     config = TrainConfig(n_trees=5, depth=2, seed=3)
     result = ev.cross_validate(dataset, assignment, config, k_folds=5, seed=3)
-    rurality = dataset.rurality_column().reshape(-1, 1)
+    rurality = dataset.rurality.reshape(-1, 1)
     for fold, model in enumerate(result.models):
         train_rows = np.setdiff1d(np.arange(len(labels)), result.test_indices[fold])
         fold_config = TrainConfig(**{**asdict(config), "seed": config.seed ^ fold})

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from vaxclust import hcluster as hc
-from vaxclust.dataset import DistrictId, GdscProfile, VaccinationProfile, YearDataset
+from vaxclust.dataset import YearDataset
 from vaxclust.errors import KOutOfRange, NonFiniteInput
 from vaxclust.fixtures import table2_means
 
@@ -44,19 +44,15 @@ def exhaustive_ward(X):
 
 
 def quick_dataset(rates_matrix, ids=None):
-    rows = []
     n = len(rates_matrix)
-    ids = ids or [f"E{i:03d}" for i in range(n)]
-    for i in range(n):
-        gdsc = GdscProfile(
-            imd_avg_score=20, imd_prop_deprived=10, long_term_unemployed=5,
-            routine_occupations=12, no_qualifications=20, english_proficiency=8,
-            ethnic_minority=15, born_outside_uk=12, rurality=1,
-        )
-        rows.append(
-            (DistrictId(ids[i], f"D{i}"), VaccinationProfile(tuple(float(x) for x in rates_matrix[i])), gdsc)
-        )
-    return YearDataset(year=2021, rows=tuple(rows))
+    return YearDataset(
+        year=2021,
+        ids=tuple(ids or [f"E{i:03d}" for i in range(n)]),
+        names=tuple(f"D{i}" for i in range(n)),
+        rates=np.array(rates_matrix, dtype=np.float64),
+        gdsc=np.tile([20.0, 10.0, 5.0, 12.0, 20.0, 8.0, 15.0, 12.0], (n, 1)),
+        rurality=np.ones(n, dtype=np.int64),
+    )
 
 
 def test_distance_345_triangle():

@@ -6,7 +6,7 @@ import json
 import os
 import shutil
 import tempfile
-from dataclasses import fields, replace
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -18,7 +18,7 @@ from test_hcluster import quick_dataset
 from vaxclust import pipeline as pl
 from vaxclust import synth
 from vaxclust.cli import main
-from vaxclust.dataset import VACCINE_COLUMNS, VaccinationProfile, YearDataset
+from vaxclust.dataset import VACCINE_COLUMNS, YearDataset
 from vaxclust.errors import ConfigError, GeometryKeyMismatch
 from vaxclust.fixtures import STUDY_YEARS, load_wtable_assignment, table2_means
 from vaxclust.gbdt import TrainConfig
@@ -73,6 +73,16 @@ def test_config_overrides_win(tmp_path):
     assert config.seed == 99
     assert config.out_dir == "z"
     assert config.train.seed == 99
+
+
+def test_config_and_geometry_may_start_with_byte_order_mark(tmp_path):
+    doc = {"years": [2021], "input_dir": "x", "out_dir": "y", "seed": 1}
+    path = tmp_path / "config.json"
+    path.write_bytes(b"\xef\xbb\xbf" + json.dumps(doc).encode())
+    assert pl.load_config(path) == pl.config_from_mapping(doc)
+    geometry = {"type": "FeatureCollection", "features": []}
+    path.write_bytes(b"\xef\xbb\xbf" + json.dumps(geometry).encode())
+    assert pl._read_geometry(str(path)) == geometry
 
 
 def test_config_validation_errors():
@@ -335,15 +345,19 @@ def tiny_year(draw, year):
     keep = sorted(draw(st.sets(st.integers(0, 11), min_size=2, max_size=12)))
     step = draw(st.sampled_from([None, 5.0, 20.0]))
     constant = draw(st.booleans())
-    rows = []
-    for i in keep:
-        district, vacc, gdsc = dataset.rows[i]
-        rates = vacc.rates if step is None else tuple(step * round(r / step) for r in vacc.rates)
-        if constant:
-            rates = (80.0, *rates[1:])
-        name = NAMES[len(rows)] if len(rows) < len(NAMES) else district.name
-        rows.append((replace(district, name=name), VaccinationProfile(rates), gdsc))
-    return YearDataset(year=year, rows=tuple(rows)), truth[keep]
+    rates = dataset.rates[keep] if step is None else step * np.round(dataset.rates[keep] / step)
+    if constant:
+        rates[:, 0] = 80.0
+    names = tuple(NAMES[j] if j < len(NAMES) else dataset.names[i] for j, i in enumerate(keep))
+    subset = YearDataset(
+        year=year,
+        ids=tuple(dataset.ids[i] for i in keep),
+        names=names,
+        rates=rates,
+        gdsc=dataset.gdsc[keep],
+        rurality=dataset.rurality[keep],
+    )
+    return subset, truth[keep]
 
 
 def _truncate(path: str, fraction: float) -> None:

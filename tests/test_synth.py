@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from conftest import assert_same_dataset
 from vaxclust import synth
 from vaxclust.dataset import load_year
 from vaxclust.errors import SpecInvalid
@@ -28,8 +29,8 @@ def test_zero_noise_reproduces_means_exactly():
     spec = synth.default_spec(n_per_cluster=(4, 4), vacc_noise_sd=0.0)
     dataset, truth = synth.generate(spec)
     _, means = table2_means(2021, 2)
-    for (district, vacc, _), label in zip(dataset.rows, truth):
-        assert list(vacc.rates) == list(means[label])
+    for rates, label in zip(dataset.rates, truth):
+        assert list(rates) == list(means[label])
 
 
 def test_same_seed_byte_identical_files(tmp_path):
@@ -48,27 +49,23 @@ def test_generated_files_round_trip_through_ingestion(tmp_path):
     dataset, truth = synth.generate(spec)
     paths = synth.write_dataset_files(dataset, truth, tmp_path)
     loaded = load_year(paths["vaccination"], paths["gdsc"], 2021)
-    assert loaded == dataset
+    assert_same_dataset(loaded, dataset)
 
 
 def test_domains_always_respected():
     spec = synth.default_spec(n_per_cluster=(50, 50), seed=123, vacc_noise_sd=30.0)
     dataset, _ = synth.generate(spec)
-    rates = dataset.vaccination_matrix()
-    assert rates.min() >= 0.0 and rates.max() <= 100.0
-    rurality = dataset.rurality_column()
-    assert set(rurality.tolist()) <= set(range(1, 7))
-    gdsc = dataset.gdsc_numeric_matrix()
-    assert gdsc.min() >= 0.0
+    assert dataset.rates.min() >= 0.0 and dataset.rates.max() <= 100.0
+    assert set(dataset.rurality.tolist()) <= set(range(1, 7))
+    assert dataset.gdsc.min() >= 0.0
 
 
 def test_law_of_large_numbers_cluster_means():
     spec = synth.default_spec(n_per_cluster=(500, 500), seed=9)
     dataset, truth = synth.generate(spec)
-    rates = dataset.vaccination_matrix()
     _, means = table2_means(2021, 2)
     for cluster in (0, 1):
-        sample_mean = rates[truth == cluster].mean(axis=0)
+        sample_mean = dataset.rates[truth == cluster].mean(axis=0)
         bound = 3.0 * spec.vacc_noise_sd / np.sqrt(500)
         assert np.abs(sample_mean - means[cluster]).max() < bound + 0.07  # clip bias margin
 
@@ -76,7 +73,7 @@ def test_law_of_large_numbers_cluster_means():
 def test_default_spec_clusters_are_recoverable():
     spec = synth.default_spec(n_per_cluster=(75, 75), seed=1)
     dataset, truth = synth.generate(spec)
-    sm = standardize(dataset.vaccination_matrix(), VACCINE_COLUMNS)
+    sm = standardize(dataset.rates, VACCINE_COLUMNS)
     labels = cut_at_k(agglomerate(pairwise_distances(sm)), 2)
     assert adjusted_rand_index(labels, truth) >= 0.95
 
@@ -84,12 +81,12 @@ def test_default_spec_clusters_are_recoverable():
 def test_zero_signal_removes_gdsc_separation():
     spec = synth.default_spec(n_per_cluster=(200, 200), seed=4, zero_signal=True)
     dataset, truth = synth.generate(spec)
-    gdsc = dataset.gdsc_numeric_matrix()
+    gdsc = dataset.gdsc
     names = [c for c in synth.GDSC_COLUMNS if c != "rurality"]
     for j, name in enumerate(names):
         gap = abs(gdsc[truth == 0, j].mean() - gdsc[truth == 1, j].mean())
         assert gap < 2.0, name
-    rurality = dataset.rurality_column()
+    rurality = dataset.rurality
     share_low = (rurality[truth == 0] == 1).mean()
     share_high = (rurality[truth == 1] == 1).mean()
     assert abs(share_low - share_high) < 0.15
