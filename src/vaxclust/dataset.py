@@ -86,6 +86,9 @@ class YearDataset:
     rates: np.ndarray  # (n, 14) float64, VACCINE_COLUMNS order
     gdsc: np.ndarray  # (n, 8) float64, GDSC_NUMERIC_COLUMNS order
     rurality: np.ndarray  # (n,) int64, categories 1..6
+    # ids found in one table only, which a partial join left out
+    vaccination_only: tuple[str, ...] = ()
+    gdsc_only: tuple[str, ...] = ()
 
     def __post_init__(self):
         n = len(self.ids)
@@ -213,7 +216,8 @@ def join_year(
     """Inner-join the two parsed tables on district id, sorted by id.
 
     A district present in exactly one table raises :class:`JoinMismatch`
-    unless ``allow_partial`` is set, in which case unmatched rows are dropped.
+    unless ``allow_partial`` is set, in which case unmatched rows are dropped
+    and their ids kept in ``vaccination_only`` and ``gdsc_only``.
     """
     left_only = sorted(set(vacc) - set(gdsc))
     right_only = sorted(set(gdsc) - set(vacc))
@@ -228,6 +232,8 @@ def join_year(
         rates=np.array([vacc[i][1] for i in ids], dtype=np.float64).reshape(-1, len(VACCINE_COLUMNS)),
         gdsc=np.array([gdsc[i][0] for i in ids], dtype=np.float64).reshape(-1, len(GDSC_NUMERIC_COLUMNS)),
         rurality=np.array([gdsc[i][1] for i in ids], dtype=np.int64),
+        vaccination_only=tuple(left_only),
+        gdsc_only=tuple(right_only),
     )
 
 

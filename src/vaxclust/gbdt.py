@@ -316,11 +316,7 @@ def predict_class(model: TreeEnsemble, numeric, categorical=None) -> np.ndarray:
     return np.argmax(predict_proba(model, numeric, categorical), axis=1)
 
 
-def quantile_candidates(column: np.ndarray, n_buckets: int = N_QUANTILE_BUCKETS) -> np.ndarray:
-    """Interior quantile borders (deduplicated); constant columns yield none."""
-    qs = np.arange(1, n_buckets) / n_buckets
-    borders = np.quantile(column, qs, method="linear")
-    return np.unique(borders)
+_QUANTILES = np.arange(1, N_QUANTILE_BUCKETS) / N_QUANTILE_BUCKETS
 
 
 def _split_table(design: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -336,11 +332,24 @@ def _split_table(design: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     n_rows, n_cols = design.shape
     thresholds = np.full((n_cols, N_QUANTILE_BUCKETS), np.inf)
     slots = np.empty((n_rows, n_cols), dtype=np.int64)
+    borders = np.quantile(design, _QUANTILES, axis=0, method="linear")  # (quantile, column)
     for j in range(n_cols):
-        candidates = quantile_candidates(design[:, j])
+        candidates = np.unique(borders[:, j])
         thresholds[j, : candidates.size] = candidates
         slots[:, j] = j * N_QUANTILE_BUCKETS + np.searchsorted(candidates, design[:, j], side="left")
     return slots, thresholds
+
+
+def _newton_score(squares: np.ndarray, denominators: np.ndarray) -> np.ndarray:
+    """``squares / denominators``, 0 where a denominator is <= 0, written
+    over ``squares`` (``denominators`` is overwritten too).
+
+    A denominator <= 0 becomes +inf, and a finite square over +inf is +0.0:
+    the result of the masked divide, from one plain one.
+    """
+    denominators[denominators <= 0] = np.inf
+    squares /= denominators
+    return squares
 
 
 def _grow_oblivious_tree(slots, thresholds, grad, hess, depth, l2):
@@ -353,9 +362,11 @@ def _grow_oblivious_tree(slots, thresholds, grad, hess, depth, l2):
     the (column, slot) gains picks the split, ties going to the lowest
     column, then the lowest threshold. Only leaves that hold rows get
     histogram rows, as an empty leaf adds nothing to a gain, so a deep tree
-    on few rows builds no 2^level table. Returns splits and per-leaf (value,
-    cover) tables; stops early when no split gains more than the minimum
-    threshold.
+    on few rows builds no 2^level table; a row's histogram row is its leaf's
+    rank among the occupied leaves, from a ``bincount`` and a ``cumsum``.
+    Newton scores are plain divides (:func:`_newton_score`). Returns splits
+    and per-leaf (value, cover) tables; stops early when no split gains more
+    than the minimum threshold.
     """
     n, n_cols = slots.shape
     width = thresholds.size
@@ -374,10 +385,11 @@ def _grow_oblivious_tree(slots, thresholds, grad, hess, depth, l2):
         n_leaves = 1 << level
         g_leaf = np.bincount(leaf_idx, weights=grad, minlength=n_leaves)
         h_leaf = np.bincount(leaf_idx, weights=hess, minlength=n_leaves)
-        denom = h_leaf + l2
-        base = np.sum(np.divide(g_leaf * g_leaf, denom, out=np.zeros_like(denom), where=denom > 0))
+        base = np.sum(_newton_score(g_leaf * g_leaf, h_leaf + l2))
 
-        occupied, row_leaf = np.unique(leaf_idx, return_inverse=True)
+        leaf_rows = np.bincount(leaf_idx, minlength=n_leaves)
+        occupied = np.flatnonzero(leaf_rows)
+        row_leaf = (np.cumsum(leaf_rows > 0) - 1)[leaf_idx]  # each row's rank among occupied leaves
         keys = (row_leaf[:, None] * width + slots).ravel()
         size = occupied.size * width
         shape = (occupied.size, n_cols, N_QUANTILE_BUCKETS)
@@ -385,11 +397,12 @@ def _grow_oblivious_tree(slots, thresholds, grad, hess, depth, l2):
         hl = np.cumsum(np.bincount(keys, weights=h_rows, minlength=size).reshape(shape), axis=2)
         gr = g_leaf[occupied, None, None] - gl
         hr = h_leaf[occupied, None, None] - hl
-        dl = hl + l2
-        dr = hr + l2
-        score = np.divide(gl * gl, dl, out=np.zeros_like(dl), where=dl > 0) + np.divide(
-            gr * gr, dr, out=np.zeros_like(dr), where=dr > 0
-        )
+        hl += l2
+        hr += l2
+        gl *= gl
+        gr *= gr
+        score = _newton_score(gl, hl)
+        score += _newton_score(gr, hr)
         gains = score.sum(axis=0) - base  # (column, slot)
         if lone.size:
             dense = np.zeros((lone.size, n_leaves))

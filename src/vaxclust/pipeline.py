@@ -199,7 +199,8 @@ class RunReport:
     notes: list[str]
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True, indent=2)
+        # the fields as they are: asdict would deep-copy every list and dict
+        return json.dumps({f.name: getattr(self, f.name) for f in fields(self)}, sort_keys=True, indent=2)
 
     @classmethod
     def from_json(cls, text: str | bytes) -> "RunReport":
@@ -296,7 +297,13 @@ def analyze_cell(
         "no class weighting applied",
         "shap computed on each fold's held-out rows, then fold-averaged",
         "rank tests compare the lowest- vs highest-coverage clusters",
-    ] + list(cv.bundle.warnings)
+    ]
+    if dataset.vaccination_only or dataset.gdsc_only:
+        notes.append(
+            f"partial join dropped districts found in one table only: vaccination only "
+            f"{list(dataset.vaccination_only)}, gdsc only {list(dataset.gdsc_only)}"
+        )
+    notes += cv.bundle.warnings
 
     return RunReport(
         year=year,
@@ -486,9 +493,15 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
 
     clustered: dict[int, tuple[YearDataset, Dendrogram, int]] = {}
     errors: dict = {}
+    dropped: dict[str, dict] = {}
     for year in config.years:
         try:
             dataset = load_dataset(config, year)
+            if dataset.vaccination_only or dataset.gdsc_only:
+                dropped[str(year)] = {
+                    "vaccination_only": list(dataset.vaccination_only),
+                    "gdsc_only": list(dataset.gdsc_only),
+                }
             dendro, suggested = cluster_year(dataset, config)
             write_text(os.path.join(config.out_dir, f"dendrogram_{year}.csv"), dendrogram_table(dendro))
         except (DataError, OSError) as exc:
@@ -531,6 +544,8 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
         "cells_ok": [f"{y}_k{k}" for (y, k) in sorted(results)],
         "cells_failed": [errors[c] for c in sorted(errors)],
     }
+    if dropped:  # only then, so a run on matching tables keeps its bytes
+        summary["dropped_districts"] = dropped
     write_text(
         os.path.join(config.out_dir, "run_summary.json"),
         json.dumps(summary, sort_keys=True, indent=2) + "\n",

@@ -122,6 +122,7 @@ def test_join_year_mismatch_reported_both_sides():
     assert err.value.right_only == ["C"]
     partial = ds.join_year(vacc, gdsc, 2021, allow_partial=True)
     assert partial.ids == ("B",)
+    assert (partial.vaccination_only, partial.gdsc_only) == (("A",), ("C",))
     assert partial.rates.shape == (1, 14)
     disjoint = ds.join_year(*_parsed_pair(["A"], ["C"]), 2021, allow_partial=True)
     assert (disjoint.rates.shape, disjoint.gdsc.shape, disjoint.rurality.shape) == ((0, 14), (0, 8), (0,))

@@ -6,7 +6,7 @@ import json
 import os
 import shutil
 import tempfile
-from dataclasses import fields
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
@@ -188,6 +188,7 @@ def test_run_pipeline_happy_path(tmp_path):
     assert os.path.exists(os.path.join(out, "metrics.csv"))
     assert os.path.exists(os.path.join(out, "metrics_full.json"))
     assert os.path.exists(os.path.join(out, "run_summary.json"))
+    assert "dropped_districts" not in _summary(config)  # both tables name every district
 
 
 def test_emitted_ids_subset_of_dataset(tmp_path):
@@ -204,6 +205,26 @@ def test_report_round_trips(tmp_path):
     result = pl.run_pipeline(config)
     report = result.reports[(2021, 2)]
     assert pl.RunReport.from_json(report.to_json()) == report
+    # to_json reads the fields in place; asdict's deep copy gives the same bytes
+    assert report.to_json() == json.dumps(asdict(report), sort_keys=True, indent=2)
+
+
+def test_partial_join_records_dropped_districts(tmp_path):
+    config = small_config(tmp_path, allow_partial=True)
+    path = os.path.join(config.input_dir, "gdsc_2021.csv")
+    with open(path, encoding="utf-8") as f:
+        lines = f.read().splitlines(keepends=True)
+    dropped = lines[3].split(",")[0]
+    with open(path, "w", encoding="utf-8") as f:
+        f.writelines(lines[:3] + lines[4:])
+    result = pl.run_pipeline(config)
+    assert result.exit_code == 0
+    assert _summary(config)["dropped_districts"] == {"2021": {"vaccination_only": [dropped], "gdsc_only": []}}
+    report = result.reports[(2021, 2)]
+    assert dropped not in report.district_ids
+    assert [note for note in report.notes if dropped in note] == [
+        f"partial join dropped districts found in one table only: vaccination only ['{dropped}'], gdsc only []"
+    ]
 
 
 def test_report_echoes_every_default(tmp_path):

@@ -9,6 +9,104 @@ from vaxclust.errors import EmptySample, MissingCover, TooManyFeatures
 from vaxclust.gbdt import ObliviousTree, TrainConfig, TreeEnsemble
 
 
+class _OracleTerms:
+    """One tree's leaves in the closed form of its Shapley values: the
+    per-tree explainer the one-table :class:`shapley.TreeShapExplainer`
+    replaced, kept as the reference for its bits.
+
+    The players are the tree's distinct design columns (``columns``);
+    ``level_masks[s]`` holds, as leaf-index bits, the levels split on
+    columns[s]. Only leaves with a nonzero value carry terms. Per kept leaf:
+    its index, its value with shrinkage folded in, ``zero[:, s]`` — the
+    product of the cover fractions of its path at the levels of player s
+    (0 below an empty node) — and ``empty_masks``, the levels of the players
+    whose fraction is 0, on which a row must agree with the leaf for the leaf
+    to count at all.
+    """
+
+    def __init__(self, tree, learning_rate):
+        if tree.leaf_cover is None or np.sum(tree.leaf_cover) <= 0:
+            raise MissingCover("tree has no populated leaf_cover")
+        cover = np.asarray(tree.leaf_cover, dtype=np.float64)
+        values = learning_rate * np.asarray(tree.leaf_values, dtype=np.float64)
+        self.class_index = tree.class_index
+        self.expected = float(values @ cover) / float(cover.sum())  # v(empty coalition)
+
+        features = [f for f, _ in tree.splits]
+        columns = list(dict.fromkeys(features))
+        player = [columns.index(f) for f in features]
+        first = [features.index(c) for c in columns]  # each player's first level
+        masks = [0] * len(columns)
+        for level, p in enumerate(player):
+            masks[p] |= 1 << level
+        self.columns = np.array(columns, dtype=np.int64)
+        self.level_masks = np.array(masks, dtype=np.int64)
+
+        # node covers depth by depth; the depth-m node whose level decisions
+        # are the m low bits of i sits at node_cover[2^m - 1 + i]
+        covers = [cover]
+        for level in range(tree.n_levels - 1, -1, -1):
+            covers.insert(0, covers[0][: 1 << level] + covers[0][1 << level :])
+        node_cover = np.concatenate(covers)
+        prefix = np.array([(1 << m) - 1 for m in range(tree.n_levels + 1)], dtype=np.int64)
+
+        self.leaves = np.flatnonzero(values)
+        self.values = values[self.leaves]
+        path = node_cover[prefix + (self.leaves[:, None] & prefix)]  # (leaf, depth) covers
+        fraction = np.divide(
+            path[:, 1:], path[:, :-1], out=np.zeros((self.leaves.size, tree.n_levels)), where=path[:, :-1] > 0
+        )
+        # each player's z: the product of its levels' fractions, in level order
+        self.zero = fraction[:, first]
+        for level, p in enumerate(player):
+            if level != first[p]:
+                self.zero[:, p] *= fraction[:, level]
+        self.empty_masks = (self.zero == 0.0) @ self.level_masks
+
+    def phi(self, patterns):
+        """(len(patterns), len(columns)) attributions for decision patterns
+        (bit l set: went right at level l), one pattern at a time."""
+        u = self.columns.size
+        nodes, weights = shapley._gauss_legendre(u)
+        out = np.zeros((patterns.size, u))
+        for i, pattern in enumerate(patterns):
+            disagree = pattern ^ self.leaves
+            leaf = np.flatnonzero((disagree & self.empty_masks) == 0)
+            one = ((disagree[leaf][:, None] & self.level_masks) == 0).astype(np.float64)
+            zero = self.zero[leaf]
+            # (quadrature node, term, player) factors z (1 - t) + o t; a
+            # player's integrand is the product of the other players' factors
+            factors = zero * (1.0 - nodes)[:, None, None] + one * nodes[:, None, None]
+            before = np.ones_like(factors)
+            after = np.ones_like(factors)
+            np.cumprod(factors[:, :, :-1], axis=2, out=before[:, :, 1:])
+            np.cumprod(factors[:, :, :0:-1], axis=2, out=after[:, :, -2::-1])
+            others = before * after
+            integral = weights[0] * others[0]
+            for w, product in zip(weights[1:], others[1:]):
+                integral += w * product
+            terms = (one - zero) * integral * self.values[leaf][:, None]
+            out[i] = np.bincount(np.tile(np.arange(u), leaf.size), weights=terms.ravel(), minlength=u)
+        return out
+
+
+def _oracle_explain(model, design):
+    """(phi, base) of the per-tree explainer: each tree's distinct patterns
+    attributed on their own, added onto the rows tree after tree."""
+    terms = [_OracleTerms(t, model.learning_rate) for t in model.trees]
+    base = np.array(model.base_score, dtype=np.float64)
+    for tree_terms in terms:
+        base[tree_terms.class_index] += tree_terms.expected
+    design = np.atleast_2d(np.asarray(design, dtype=np.float64))
+    phi = np.zeros((design.shape[0], model.n_outputs, model.n_features))
+    for tree, tree_terms in zip(model.trees, terms):
+        if tree_terms.columns.size == 0:
+            continue
+        patterns, inverse = np.unique(tree.leaf_indices(design), return_inverse=True)
+        phi[:, tree_terms.class_index, tree_terms.columns] += tree_terms.phi(patterns)[inverse]
+    return phi, base
+
+
 def _ensemble(trees, base, lr=1.0, n_features=3, n_classes=2):
     n_outputs = 1 if n_classes == 2 else n_classes
     return TreeEnsemble(
@@ -162,6 +260,57 @@ def test_oracle_equivalence_battery(rng):
     assert repeated and empty
 
 
+def _fold_models():
+    """Depth-6 models trained on the folds of synthetic years, each with its
+    held-out design, as the pipeline explains them."""
+    from vaxclust import synth
+    from vaxclust.evaluation import dataset_design, stratified_folds
+
+    for k in (2, 3, 6):
+        spec = synth.default_spec(year=2021, k=k, n_per_cluster=(75 // k,) * k, seed=30 + k)
+        dataset, truth = synth.generate(spec)
+        numeric, categorical, numeric_names, cat_names = dataset_design(dataset)
+        folds = stratified_folds(truth, 3, k)
+        for fold in range(3):
+            train = folds != fold
+            model = gbdt.fit(numeric[train], categorical[train], truth[train],
+                             TrainConfig(n_trees=6, depth=6, seed=fold),
+                             numeric_names=numeric_names, categorical_names=cat_names)
+            yield model, model.encode_features(numeric[~train], categorical[~train])
+
+
+def _assert_oracle_bits(model, design):
+    explainer = shapley.TreeShapExplainer(model)
+    phi, base = _oracle_explain(model, design)
+    assert explainer.explain(design).tobytes() == phi.tobytes()
+    assert explainer.base.tobytes() == base.tobytes()
+    for row, row_phi in zip(design[:3], phi):
+        assert explainer.attribute(row).phi.tobytes() == row_phi.tobytes()
+
+
+def test_explain_matches_per_tree_oracle_bit_for_bit(rng):
+    # random ensembles of depth 0-12 (zero-level trees, repeated columns and
+    # leaves without training rows among them), k 2/3/6, batches and single
+    # rows (the path of a one-row attribute call)
+    seen = {"zero_level": 0, "repeated": 0, "empty_leaf": 0}
+    for trial in range(60):
+        n_classes = (2, 3, 6)[trial % 3]
+        d = int(rng.integers(1, 8))
+        max_depth = int(rng.integers(0, 13))
+        model = random_oblivious_model(rng, n_features=d, n_classes=n_classes,
+                                       max_trees=3 if max_depth > 8 else 12, max_depth=max_depth)
+        seen["zero_level"] += sum(t.n_levels == 0 for t in model.trees)
+        seen["repeated"] += sum(len({f for f, _ in t.splits}) < t.n_levels for t in model.trees)
+        seen["empty_leaf"] += sum(int(np.sum(t.leaf_cover == 0)) for t in model.trees)
+        _assert_oracle_bits(model, rng.normal(size=(int(rng.integers(1, 30)), d)))
+    assert all(seen.values()), seen
+    deepest = 0
+    for model, design in _fold_models():
+        deepest = max(deepest, *(t.n_levels for t in model.trees))
+        _assert_oracle_bits(model, design)
+    assert deepest == 6
+
+
 def test_batch_phi_equals_attribute_bit_for_bit(rng, monkeypatch):
     X = rng.normal(size=(40, 5))
     y = (X[:, 0] > 0).astype(int) + (X[:, 3] > 0.5).astype(int)
@@ -176,7 +325,8 @@ def test_batch_phi_equals_attribute_bit_for_bit(rng, monkeypatch):
         for i, row in enumerate(rows):
             assert np.array_equal(batch[i], explainer.attribute(row).phi), i
         with monkeypatch.context() as patch:
-            patch.setattr(shapley, "_TERM_BUDGET", 1)  # one pattern per chunk
+            # one (tree, pattern) pair per term chunk, one row per scatter chunk
+            patch.setattr(shapley, "_TERM_BUDGET", 1)
             assert np.array_equal(shapley.TreeShapExplainer(model).explain(rows), batch)
 
 
