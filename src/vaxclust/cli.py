@@ -37,7 +37,7 @@ from .pipeline import (
     write_cell_artifacts,
     write_text,
 )
-from .shapley import TreeShapExplainer, global_importance
+from .shapley import TreeShapExplainer, global_importance, importance_of
 from .synth import default_spec, generate, write_dataset_files
 
 
@@ -80,9 +80,19 @@ def cmd_run(args) -> int:
     return result.exit_code
 
 
+def _load(config, year):
+    """The year's dataset; the districts a partial join dropped go to stderr."""
+    dataset = load_dataset(config, year)
+    for side, dropped in (("vaccination", dataset.vaccination_only), ("gdsc", dataset.gdsc_only)):
+        if dropped:
+            print(f"year {year}: partial join dropped {len(dropped)} district(s) found in the "
+                  f"{side} table only: {', '.join(dropped)}", file=sys.stderr)
+    return dataset
+
+
 def cmd_cluster(args) -> int:
     config = _config(args)
-    dataset = load_dataset(config, args.year)
+    dataset = _load(config, args.year)
     dendro, suggested = cluster_year(dataset, config)
     os.makedirs(config.out_dir, exist_ok=True)
     write_text(os.path.join(config.out_dir, f"dendrogram_{args.year}.csv"), dendrogram_table(dendro))
@@ -97,7 +107,7 @@ def cmd_cluster(args) -> int:
 def _cut(args):
     """(config, dataset, assignment at ``--k``, suggested k) for one year."""
     config = _config(args)
-    dataset = load_dataset(config, args.year)
+    dataset = _load(config, args.year)
     dendro, suggested = cluster_year(dataset, config)
     return config, dataset, assign_clusters(dataset, dendro, args.k), suggested
 
@@ -116,18 +126,21 @@ def cmd_train(args) -> int:
 
 def cmd_explain(args) -> int:
     config = _config(args)
-    dataset = load_dataset(config, args.year)
+    dataset = _load(config, args.year)
     with open(args.model, "rb") as f:
         model = model_from_json(f.read())
     numeric, categorical, _, _ = dataset_design(dataset)
     design = model.encode_features(numeric, categorical)
-    importance = global_importance(model, design)
+    if args.per_row:  # one SHAP pass serves the ranking and the rows
+        phi = TreeShapExplainer(model).explain(design)
+        importance = importance_of(model, phi)
+    else:
+        importance = global_importance(model, design)
     os.makedirs(config.out_dir, exist_ok=True)
     path = os.path.join(config.out_dir, f"shap_importance_{args.year}.csv")
     ranked = ((name, value, rank) for rank, (name, value) in enumerate(importance.ranking(), start=1))
     write_text(path, csv_text(("feature_name", "mean_abs_shap", "rank"), ranked))
     if args.per_row:
-        phi = TreeShapExplainer(model).explain(design)
         rows = (
             (district_id, output, fname, float(phi[i, output, j]))
             for i, district_id in enumerate(dataset.ids)

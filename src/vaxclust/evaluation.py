@@ -14,20 +14,20 @@ Final cross-validation numbers are the plain mean of per-fold metric rows
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .dataset import GDSC_NUMERIC_COLUMNS, YearDataset
 from .errors import (
-    DegenerateLabels,
     EmptyMatrix,
     KFoldsOutOfRange,
     LabelOutOfRange,
     LengthMismatch,
     TooFewRows,
 )
-from .gbdt import TrainConfig, TreeEnsemble, fit, predict_class
+from .gbdt import TrainConfig, TreeEnsemble, fit_folds, predict_class
+from .gbdt import fit  # noqa: F401  perfbench/spans.py wraps evaluation.fit by name
 from .hcluster import ClusterAssignment
 from .rng import Rng
 
@@ -161,38 +161,27 @@ def cross_validate(
 
     Each fold's model is fit on the remaining folds only (the target-statistic
     encoder included, so held-out rows never leak their labels), then scored
-    on the held-out rows. A fold whose test rows miss a class is a warning;
-    its metrics cover the classes present. A fold whose training rows miss a
-    class (a cluster too small to leave members in every training split)
-    raises :class:`DegenerateLabels` before any model is fit.
+    on the held-out rows; :func:`gbdt.fit_folds` boosts the folds' models
+    together. A fold whose test rows miss a class is a warning; its metrics
+    cover the classes present. A fold whose training rows miss a class (a
+    cluster too small to leave members in every training split) raises
+    :class:`DegenerateLabels` before any model is fit.
     """
     labels = np.asarray(assignment.labels, dtype=np.int64)
     numeric, categorical, numeric_names, cat_names = dataset_design(dataset)
     folds = stratified_folds(labels, k_folds, seed)
-    k = assignment.k
-    for fold in range(k_folds):
-        missing = sorted(set(range(k)) - set(labels[folds != fold].tolist()))
-        if missing:
-            raise DegenerateLabels(f"fold {fold} training split lacks class(es) {missing} of 0..{k - 1}")
+    models = fit_folds(
+        numeric, categorical, labels, folds, config,
+        numeric_names=numeric_names, categorical_names=cat_names,
+    )
 
+    k = assignment.k
     rows: list[MetricRow] = []
-    models: list[TreeEnsemble] = []
     test_indices: list[np.ndarray] = []
     warnings: list[str] = []
     pooled = np.zeros((k, k), dtype=np.int64)
-
-    for fold in range(k_folds):
+    for fold, model in enumerate(models):
         test = np.flatnonzero(folds == fold)
-        train = np.flatnonzero(folds != fold)
-        fold_config = replace(config, seed=config.seed ^ fold)
-        model = fit(
-            numeric[train],
-            categorical[train],
-            labels[train],
-            fold_config,
-            numeric_names=numeric_names,
-            categorical_names=cat_names,
-        )
         predicted = predict_class(model, numeric[test], categorical[test])
         confusion = confusion_matrix(labels[test], predicted, k)
         missing = [c for c in range(k) if not np.any(labels[test] == c)]
@@ -200,7 +189,6 @@ def cross_validate(
             warnings.append(f"fold {fold} test set missing class(es) {missing}")
         rows.append(macro_metrics(confusion, restrict_to_present=bool(missing)))
         pooled += confusion
-        models.append(model)
         test_indices.append(test)
 
     bundle = MetricsBundle(

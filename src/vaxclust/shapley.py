@@ -451,8 +451,14 @@ def global_importance(model: TreeEnsemble, design: np.ndarray) -> GlobalImportan
     design = np.atleast_2d(np.asarray(design, dtype=np.float64))
     if design.shape[0] == 0:
         raise EmptySample("global importance needs at least one row")
-    totals = np.abs(TreeShapExplainer(model).explain(design)).sum(axis=0)
-    per_column = totals.mean(axis=0) / design.shape[0]
+    return importance_of(model, TreeShapExplainer(model).explain(design))
+
+
+def importance_of(model: TreeEnsemble, phi: np.ndarray) -> GlobalImportance:
+    """:func:`global_importance` from the (row, output, column) phi that
+    :meth:`TreeShapExplainer.explain` gave for the sample rows."""
+    totals = np.abs(phi).sum(axis=0)
+    per_column = totals.mean(axis=0) / phi.shape[0]
 
     source_names: list[str] = []
     source_of: dict[str, int] = {}

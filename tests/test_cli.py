@@ -9,7 +9,10 @@ import sys
 import pytest
 
 import vaxclust
+from vaxclust import shapley
 from vaxclust.cli import main
+from vaxclust.dataset import csv_text, load_year
+from vaxclust.evaluation import dataset_design
 from vaxclust.gbdt import from_json as model_from_json
 
 
@@ -209,6 +212,69 @@ def test_train_explain_round_trip(tmp_path, synth_inputs):
                  "--k", "2", "--model-out", str(model_path)]) == 0
     model = model_from_json(model_path.read_text())
     assert (model.config.n_trees, model.config.depth, len(model.trees)) == (3, 2, 3)
+
+
+def test_explain_per_row_runs_shap_once(tmp_path, synth_inputs, monkeypatch):
+    model_path = tmp_path / "model.json"
+    assert main(["train", "--input-dir", str(synth_inputs), "--year", "2021",
+                 "--k", "3", "--model-out", str(model_path), "--seed", "4"]) == 0
+    calls = []
+    explain = shapley.TreeShapExplainer.explain
+
+    def counted(self, design):
+        calls.append(len(design))
+        return explain(self, design)
+
+    monkeypatch.setattr(shapley.TreeShapExplainer, "explain", counted)
+    out = tmp_path / "explain"
+    assert main(["explain", "--input-dir", str(synth_inputs), "--year", "2021",
+                 "--model", str(model_path), "--out", str(out), "--per-row"]) == 0
+    assert calls == [24]
+
+    # the two files as the ranking and the rows each computed them on their own
+    model = model_from_json(model_path.read_bytes())
+    dataset = load_year(str(synth_inputs / "vaccination_2021.csv"), str(synth_inputs / "gdsc_2021.csv"), 2021)
+    numeric, categorical, _, _ = dataset_design(dataset)
+    design = model.encode_features(numeric, categorical)
+    ranking = shapley.global_importance(model, design).ranking()
+    phi = explain(shapley.TreeShapExplainer(model), design)
+    ranked = ((name, value, rank) for rank, (name, value) in enumerate(ranking, start=1))
+    assert (out / "shap_importance_2021.csv").read_text(encoding="utf-8") == csv_text(
+        ("feature_name", "mean_abs_shap", "rank"), ranked
+    )
+    rows = (
+        (district_id, output, name, float(phi[i, output, j]))
+        for i, district_id in enumerate(dataset.ids)
+        for output in range(phi.shape[1])
+        for j, name in enumerate(model.feature_names)
+    )
+    assert (out / "shap_rows_2021.csv").read_text(encoding="utf-8") == csv_text(
+        ("district_id", "output", "feature_name", "phi"), rows
+    )
+
+
+@pytest.mark.parametrize("command", ["cluster", "train", "explain", "stats"])
+def test_stage_commands_report_dropped_districts(tmp_path, synth_inputs, capsys, command):
+    model_path = tmp_path / "model.json"
+    assert main(["train", "--input-dir", str(synth_inputs), "--year", "2021",
+                 "--k", "2", "--model-out", str(model_path)]) == 0
+    path = synth_inputs / "gdsc_2021.csv"
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    dropped = lines[3].split(",")[0]
+    path.write_text("".join(lines[:3] + lines[4:]), encoding="utf-8")
+    capsys.readouterr()
+    extra = {
+        "cluster": [],
+        "train": ["--k", "2", "--model-out", str(tmp_path / "partial.json")],
+        "explain": ["--model", str(model_path)],
+        "stats": ["--k", "2"],
+    }[command]
+    code = main([command, "--input-dir", str(synth_inputs), "--year", "2021", "--allow-partial",
+                 "--out", str(tmp_path / "out"), *extra])
+    assert code == 0
+    assert capsys.readouterr().err == (
+        f"year 2021: partial join dropped 1 district(s) found in the vaccination table only: {dropped}\n"
+    )
 
 
 @pytest.mark.parametrize(

@@ -1,14 +1,16 @@
 from __future__ import annotations
 
+import itertools
 import json
 import tracemalloc
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
 from vaxclust import gbdt
 from vaxclust.errors import DataError, DegenerateLabels, FeatureArityMismatch, NonFiniteFeature
+from vaxclust.evaluation import stratified_folds
 from vaxclust.gbdt import ObliviousTree, TrainConfig, TreeEnsemble, encode_ordered_ts
 
 
@@ -422,12 +424,193 @@ def test_split_table_matches_searchsorted(rng):
         assert buckets.tolist() == np.searchsorted(cand, X[:, j], side="left").tolist()
 
 
-def test_grower_matches_per_column_oracle(monkeypatch):
-    fitted = [gbdt.to_json(gbdt.fit(X, cats, y, cfg)) for X, cats, y, cfg in _grower_battery()]
-    monkeypatch.setattr(gbdt, "_grow_oblivious_tree", _oracle_grow)
-    for (X, cats, y, cfg), text in zip(_grower_battery(), fitted):
-        assert gbdt.to_json(gbdt.fit(X, cats, y, cfg)) == text, cfg
+def _per_tree_grow(slots, thresholds, grad, hess, depth, l2):
+    """The grower before trees grew in batches, kept as the reference: one
+    tree per call, one histogram pass per level over its occupied leaves."""
+    n, n_cols = slots.shape
+    width = thresholds.size
+    padded = np.isinf(thresholds)
+    lone = np.flatnonzero(padded.sum(axis=1) == gbdt.N_QUANTILE_BUCKETS - 1)
+    g_rows = np.repeat(grad, n_cols)
+    h_rows = np.repeat(hess, n_cols)
+    leaf_idx = np.zeros(n, dtype=np.int64)
+    splits = []
+    for level in range(depth):
+        n_leaves = 1 << level
+        g_leaf = np.bincount(leaf_idx, weights=grad, minlength=n_leaves)
+        h_leaf = np.bincount(leaf_idx, weights=hess, minlength=n_leaves)
+        base = np.sum(gbdt._newton_score(g_leaf * g_leaf, h_leaf + l2))
+        leaf_rows = np.bincount(leaf_idx, minlength=n_leaves)
+        occupied = np.flatnonzero(leaf_rows)
+        row_leaf = (np.cumsum(leaf_rows > 0) - 1)[leaf_idx]
+        keys = (row_leaf[:, None] * width + slots).ravel()
+        size = occupied.size * width
+        shape = (occupied.size, n_cols, gbdt.N_QUANTILE_BUCKETS)
+        gl = np.cumsum(np.bincount(keys, weights=g_rows, minlength=size).reshape(shape), axis=2)
+        hl = np.cumsum(np.bincount(keys, weights=h_rows, minlength=size).reshape(shape), axis=2)
+        gr = g_leaf[occupied, None, None] - gl
+        hr = h_leaf[occupied, None, None] - hl
+        hl += l2
+        hr += l2
+        gl *= gl
+        gr *= gr
+        score = gbdt._newton_score(gl, hl)
+        score += gbdt._newton_score(gr, hr)
+        gains = score.sum(axis=0) - base
+        if lone.size:
+            dense = np.zeros((lone.size, n_leaves))
+            dense[:, occupied] = score[:, lone, 0].T
+            gains[lone, 0] = dense.sum(axis=1) - base
+        gains[padded] = -np.inf
+        best = int(np.argmax(gains))
+        if not gains.flat[best] > gbdt._MIN_SPLIT_GAIN:
+            break
+        j = best // gbdt.N_QUANTILE_BUCKETS
+        splits.append((j, float(thresholds.flat[best])))
+        leaf_idx |= (slots[:, j] > best).astype(np.int64) << level
+    n_leaves = 1 << len(splits)
+    g_leaf = np.bincount(leaf_idx, weights=grad, minlength=n_leaves)
+    h_leaf = np.bincount(leaf_idx, weights=hess, minlength=n_leaves)
+    cover = np.bincount(leaf_idx, minlength=n_leaves)
+    denom = h_leaf + l2
+    values = np.where(denom > 0, -np.divide(g_leaf, denom, out=np.zeros_like(denom), where=denom > 0), 0.0)
+    return splits, values, cover, leaf_idx
+
+
+def _oracle_fit(X, cats, y, cfg, grow=_per_tree_grow):
+    """``fit`` as it was before models boosted together: one model, one
+    ``grow`` call per (round, class)."""
+    model, design, labels = gbdt._prepare(X, cats, y, cfg, None, None)
+    slots, thresholds = gbdt._split_table(design)
+    n = labels.size
+    if model.n_outputs == 1:
+        targets = (labels == 1)[:, None].astype(np.float64)
+        probabilities = gbdt._sigmoid
+    else:
+        targets = np.eye(model.n_classes)[labels]
+        probabilities = gbdt._softmax
+    margins = np.tile(model.base_score, (n, 1))
+    p = probabilities(margins)
+    trees, losses = [], []
+    for _ in range(cfg.n_trees):
+        for c in range(model.n_outputs):
+            grad = p[:, c] - targets[:, c]
+            hess = p[:, c] * (1.0 - p[:, c])
+            splits, values, cover, leaf_idx = grow(slots, thresholds, grad, hess, cfg.depth, cfg.l2_leaf_reg)
+            trees.append(ObliviousTree(tuple(splits), values, cover, c))
+            margins[:, c] += model.learning_rate * values[leaf_idx]
+        p = probabilities(margins)
+        if model.n_outputs == 1:
+            q = np.clip(p[:, 0], 1e-15, 1.0 - 1e-15)
+            losses.append(float(-np.mean(targets[:, 0] * np.log(q) + (1.0 - targets[:, 0]) * np.log(1.0 - q))))
+        else:
+            losses.append(float(-np.mean(np.log(np.clip(p[np.arange(n), labels], 1e-15, None)))))
+    return replace(model, trees=tuple(trees), training_loss=tuple(losses))
+
+
+def test_grower_matches_per_column_oracle():
+    for X, cats, y, cfg in _grower_battery():
+        text = gbdt.to_json(gbdt.fit(X, cats, y, cfg))
+        assert gbdt.to_json(_oracle_fit(X, cats, y, cfg, grow=_oracle_grow)) == text, cfg
         assert gbdt.to_json(gbdt.from_json(text)) == text
+
+
+def _fold_battery():
+    """(X, cats, y, folds, cfg): the grower battery in 5 stratified folds
+    (its one-candidate columns included); deep fits, softmax at k 2 among
+    them, whose folds see different signal; and fits on a constant, a
+    binary and a sparse 0/1 column at k 2/3/6."""
+    for i, (X, cats, y, cfg) in enumerate(_grower_battery()):
+        yield X, cats, y, stratified_folds(y, 5, seed=i), cfg
+    for i in range(6):
+        rng = np.random.default_rng(700 + i)
+        n = int(rng.integers(60, 130))
+        X = rng.normal(size=(n, 4))
+        y = rng.permutation(np.arange(n) % 2)
+        cats = rng.integers(1, 7, size=(n, 1)) if i % 2 else None
+        loss = "multiclass_softmax" if i < 3 else "auto"
+        # column 0 separates the classes outside fold 0 only, so the folds'
+        # models see different signal and their trees stop at different levels
+        folds = stratified_folds(y, 3 + i % 3, seed=i)
+        X[folds != 0, 0] = np.where(y[folds != 0] == 1, 2.0, -2.0)
+        cfg = TrainConfig(n_trees=4, depth=6 + i, l2_leaf_reg=(0.0, 3.0)[i % 2], learning_rate=1.0, seed=i, loss=loss)
+        yield X, cats, y, folds, cfg
+    for i in range(6):
+        rng = np.random.default_rng(800 + i)
+        n_folds = 5
+        n = 32 * 4 + 1 + n_folds * int(rng.integers(5, 9))
+        k = (2, 3, 6)[i % 3]
+        lone = np.zeros(n)
+        lone[rng.choice(n, size=6, replace=False)] = 1.0
+        X = np.column_stack([rng.normal(size=n), np.full(n, -1.0), rng.integers(0, 2, size=n), lone])
+        y = rng.permutation(np.arange(n) % k)
+        cfg = TrainConfig(n_trees=3, depth=4 + i % 3, l2_leaf_reg=(0.0, 3.0)[i % 2], learning_rate=0.5, seed=i)
+        yield X, None, y, stratified_folds(y, n_folds, seed=i), cfg
+
+
+def _fold_fits(battery):
+    """Per fit: ``fit_folds``'s models, ``fit``'s on each fold and the oracle's, as model files."""
+    for X, cats, y, folds, cfg in battery:
+        batched = [gbdt.to_json(m) for m in gbdt.fit_folds(X, cats, y, folds, cfg)]
+        single, oracle = [], []
+        for f in range(int(folds.max()) + 1):
+            train = folds != f
+            args = (X[train], None if cats is None else cats[train], y[train], replace(cfg, seed=cfg.seed ^ f))
+            single.append(gbdt.to_json(gbdt.fit(*args)))
+            oracle.append(gbdt.to_json(_oracle_fit(*args)))
+        yield cfg, batched, single, oracle
+
+
+def test_fit_folds_match_per_tree_oracle_bit_for_bit(monkeypatch):
+    seen = {"uneven": False, "lone": False, "stopped": False}
+    best_splits = gbdt._best_splits
+
+    def spy(*args):
+        tree_leaf, n_leaves, padded, lone = args[-5:-1]
+        counts = np.bincount(np.unique(tree_leaf) // n_leaves, minlength=padded.shape[0])
+        seen["uneven"] |= bool(counts.min() != counts.max())
+        seen["lone"] |= lone is not None and padded.shape[0] > 1
+        return best_splits(*args)
+
+    monkeypatch.setattr(gbdt, "_best_splits", spy)
+    for cfg, batched, single, oracle in _fold_fits(_fold_battery()):
+        assert batched == oracle, cfg
+        assert single == oracle, cfg
+        levels = [[len(t["splits"]) for t in json.loads(text)["trees"]] for text in batched]
+        seen["stopped"] |= any(len(set(round_levels)) > 1 for round_levels in zip(*levels))
+    assert all(seen.values()), seen
+
+    # runs of one tree each: the same models
+    monkeypatch.setattr(gbdt, "_HISTOGRAM_BUDGET", 1)
+    for cfg, batched, _, oracle in _fold_fits(itertools.islice(_fold_battery(), 0, None, 6)):
+        assert batched == oracle, cfg
+
+
+def test_fit_folds_rejects_fold_missing_a_class():
+    X = np.random.default_rng(4).normal(size=(10, 2))
+    y = np.array([0, 1, 0, 1, 0, 1, 0, 1, 2, 2])
+    folds = np.array([0, 0, 1, 1, 0, 0, 1, 1, 1, 1])  # fold 1 holds every class-2 row
+    with pytest.raises(DegenerateLabels, match=r"fold 1 training split lacks class\(es\) \[2\]"):
+        gbdt.fit_folds(X, None, y, folds, TrainConfig(n_trees=2, depth=2))
+
+
+def test_fit_folds_memory_stays_small():
+    # a k=6 cell of 5 folds grows 30 trees a round; unbounded, their
+    # depth-6 histograms peaked at ~15 MB
+    rng = np.random.default_rng(6)
+    X = rng.normal(size=(150, 8))
+    cats = rng.integers(1, 7, size=(150, 1))
+    y = rng.permutation(np.arange(150) % 6)
+    folds = stratified_folds(y, 5, seed=6)
+    tracemalloc.start()
+    try:
+        models = gbdt.fit_folds(X, cats, y, folds, TrainConfig(n_trees=3, depth=6, seed=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert models[0].n_features == 14
+    assert max(tree.n_levels for model in models for tree in model.trees) == 6
+    assert peak < 4e6
 
 
 def _legacy_document(model):
