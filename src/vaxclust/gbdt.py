@@ -84,7 +84,7 @@ class TrainConfig:
             raise ValueError(f"loss must be one of {LOSSES}")
 
 
-def encode_ordered_ts(categories, targets, permutation, prior_weight: float, prior: float) -> np.ndarray:
+def encode_ordered_ts(categories, targets, permutation, prior_weight: float, prior) -> np.ndarray:
     """Ordered target-statistic encoding of one categorical column.
 
     The row at permutation position j is encoded from the targets of
@@ -93,19 +93,27 @@ def encode_ordered_ts(categories, targets, permutation, prior_weight: float, pri
         (prefix_sum + prior_weight * prior) / (prefix_count + prior_weight)
 
     so the first occurrence of any category encodes to the prior exactly.
-    Each category's prefix sums are one ``cumsum`` in permutation order, the
-    same additions as a running total.
+    ``targets`` is one component per row, or (n, K) with ``prior`` (K,) for
+    K components at once. The prefix sums and counts are one ``cumsum``
+    along the positions of a zero-padded (component, category, position)
+    table: a category's running total adds its own targets in permutation
+    order, and the +0.0 of other categories' positions changes none of them.
+    The table holds (K + 1) * categories * n floats.
     """
     permutation = np.asarray(permutation)
-    categories = np.asarray(categories).astype(np.int64)[permutation]
-    targets = np.asarray(targets, dtype=np.float64)[permutation]
-    out = np.empty(len(categories), dtype=np.float64)
-    for c in np.unique(categories):
-        at = categories == c
-        prefix_sum = np.concatenate(([0.0], np.cumsum(targets[at])[:-1]))
-        prefix_count = np.arange(prefix_sum.size)
-        out[permutation[at]] = (prefix_sum + prior_weight * prior) / (prefix_count + prior_weight)
-    return out
+    n = permutation.size
+    seen, codes = np.unique(np.asarray(categories).astype(np.int64)[permutation], return_inverse=True)
+    targets = np.asarray(targets, dtype=np.float64)
+    components = targets.reshape(n, -1)[permutation].T  # (K, position)
+    positions = np.arange(n)
+    table = np.zeros((components.shape[0] + 1, seen.size, n + 1))
+    table[:-1, codes, positions + 1] = components
+    table[-1, codes, positions + 1] = 1.0  # the counts, as a last component
+    running = np.cumsum(table, axis=2)[:, codes, positions]  # totals before each position
+    prefix_sum, prefix_count = running[:-1].T, running[-1][:, None]
+    out = np.empty((n, components.shape[0]), dtype=np.float64)
+    out[permutation] = (prefix_sum + prior_weight * np.asarray(prior)) / (prefix_count + prior_weight)
+    return out.reshape(targets.shape)
 
 
 @dataclass(frozen=True)
@@ -144,12 +152,14 @@ class OrderedTsEncoder:
         """Freeze full-training statistics and return (encoder, training_columns)."""
         n, d_cat = categories.shape
         if n_classes == 2:
-            components = [(labels == 1).astype(np.float64)]
+            components = (labels == 1)[:, None]
             component_names = ("",)
         else:
-            components = [(labels == c).astype(np.float64) for c in range(n_classes)]
+            components = labels[:, None] == np.arange(n_classes)
             component_names = tuple(f"class{c}" for c in range(n_classes))
-        priors = (tuple(float(t.mean()) for t in components),) * d_cat  # global, same per feature
+        components = components.astype(np.float64)  # (row, component) indicators
+        prior = components.mean(axis=0)  # global, same per feature; indicator sums are exact
+        priors = (tuple(prior.tolist()),) * d_cat
 
         permutations = [
             Rng(derive_seed(config.seed, 0xC47, p)).permutation(n)
@@ -157,32 +167,25 @@ class OrderedTsEncoder:
         ]
 
         stats = []
-        train_cols = np.empty((n, d_cat * len(components)), dtype=np.float64)
-        col = 0
+        width = components.shape[1]
+        train_cols = np.empty((n, d_cat * width), dtype=np.float64)
         for f in range(d_cat):
-            feature_stats: dict[int, tuple[int, tuple[float, ...]]] = {}
-            for c in np.unique(categories[:, f]):
-                mask = categories[:, f] == c
-                feature_stats[int(c)] = (
-                    int(mask.sum()),
-                    tuple(float(t[mask].sum()) for t in components),
-                )
-            stats.append(feature_stats)
-            for comp_idx, t in enumerate(components):
-                prior = priors[f][comp_idx]
-                encoded = np.zeros(n, dtype=np.float64)
-                for perm in permutations:
-                    encoded += encode_ordered_ts(
-                        categories[:, f], t, perm, config.ts_prior_weight, prior
-                    )
-                train_cols[:, col] = encoded / len(permutations)
-                col += 1
+            seen, codes = np.unique(categories[:, f], return_inverse=True)
+            counts = np.bincount(codes, minlength=seen.size).tolist()
+            sums = np.stack([np.bincount(codes, weights=t, minlength=seen.size) for t in components.T], axis=1)
+            stats.append({
+                int(c): (count, tuple(row)) for c, count, row in zip(seen.tolist(), counts, sums.tolist())
+            })
+            encoded = np.zeros((n, width), dtype=np.float64)
+            for perm in permutations:
+                encoded += encode_ordered_ts(categories[:, f], components, perm, config.ts_prior_weight, prior)
+            train_cols[:, f * width : (f + 1) * width] = encoded / len(permutations)
 
         if feature_names is None:
             feature_names = [f"cat{f}" for f in range(d_cat)]
         encoder = cls(
             feature_names=tuple(feature_names),
-            n_components=len(components),
+            n_components=width,
             prior_weight=float(config.ts_prior_weight),
             priors=priors,
             stats=tuple(stats),
@@ -444,26 +447,54 @@ def _best_splits(slots, g, h, g_rows, h_rows, tree_leaf, n_leaves, padded, lone,
     return best, [bool(gains[t, slot] > _MIN_SPLIT_GAIN) for t, slot in enumerate(best)]
 
 
-def _grow_trees(slots, thresholds, sizes, grad, hess, depth, l2):
+@dataclass(frozen=True)
+class _Layout:
+    """The trees of a boosting round and their split tables, the same every
+    round: tree b owns ``sizes[b]`` consecutive rows of ``slots`` and row b of
+    ``thresholds`` (from :func:`_split_table`, flattened to (column, bucket)
+    slots). ``padded`` marks slots with no candidate, ``lone`` the columns
+    with one, ``has_lone`` the trees with such a column."""
+
+    slots: np.ndarray
+    thresholds: np.ndarray
+    sizes: list[int]
+    padded: np.ndarray
+    lone: np.ndarray
+    has_lone: list[bool]
+    tree_of_row: np.ndarray
+
+    @classmethod
+    def of(cls, slots: np.ndarray, thresholds: np.ndarray, sizes: list[int]) -> "_Layout":
+        n_trees, n_cols, _ = thresholds.shape
+        padded = np.isinf(thresholds)
+        lone = padded.sum(axis=2) == N_QUANTILE_BUCKETS - 1
+        return cls(
+            slots=slots,
+            thresholds=thresholds.reshape(n_trees, n_cols * N_QUANTILE_BUCKETS),
+            sizes=sizes,
+            padded=padded.reshape(n_trees, n_cols * N_QUANTILE_BUCKETS),
+            lone=lone,
+            has_lone=lone.any(axis=1).tolist(),
+            tree_of_row=np.repeat(np.arange(n_trees), sizes),
+        )
+
+
+def _grow_trees(layout: _Layout, grad, hess, depth, l2):
     """Symmetric trees grown together, each by greedy level-wise splits that
     maximize its total Newton gain, bit for bit as if it grew alone.
 
-    Tree b owns ``sizes[b]`` consecutive rows of ``slots``, ``grad`` and
-    ``hess``, and the table ``thresholds[b]``; ``slots`` and ``thresholds``
-    come from :func:`_split_table`. Each level scores the trees still
-    growing in runs of whole trees whose work arrays stay under
-    ``_HISTOGRAM_BUDGET`` cells (:func:`_best_splits`); a tree whose best
-    split gains no more than the minimum stops and drops out of later
-    levels. Newton scores are plain divides (:func:`_newton_score`). Returns
-    each tree's (splits, leaf values, leaf covers) and each row's leaf value.
+    Tree b owns ``layout.sizes[b]`` consecutive rows of ``grad`` and
+    ``hess``. Each level scores the trees still growing in runs of whole
+    trees whose work arrays stay under ``_HISTOGRAM_BUDGET`` cells
+    (:func:`_best_splits`); a tree whose best split gains no more than the
+    minimum stops and drops out of later levels. Newton scores are plain
+    divides (:func:`_newton_score`). Returns each tree's (splits, leaf
+    values, leaf covers) and each row's leaf value.
     """
-    n_trees, n_cols, _ = thresholds.shape
-    width = n_cols * N_QUANTILE_BUCKETS
-    thresholds = thresholds.reshape(n_trees, width)
-    padded = np.isinf(thresholds)
-    lone = padded.reshape(n_trees, n_cols, N_QUANTILE_BUCKETS).sum(axis=2) == N_QUANTILE_BUCKETS - 1
-    has_lone = lone.any(axis=1).tolist()
-    tree_of_row = np.repeat(np.arange(n_trees), sizes)
+    slots, thresholds, sizes = layout.slots, layout.thresholds, layout.sizes
+    padded, lone, has_lone, tree_of_row = layout.padded, layout.lone, layout.has_lone, layout.tree_of_row
+    n_trees, width = thresholds.shape
+    n_cols = slots.shape[1]
     splits: list[list[tuple[int, float]]] = [[] for _ in range(n_trees)]
     leaf_idx = np.zeros(grad.size, dtype=np.int64)
 
@@ -621,8 +652,11 @@ def _boost(untrained) -> list[TreeEnsemble]:
     bounds = [0, *itertools.accumulate(sizes)]
     tables = [_split_table(design) for _, design, _ in untrained]
     # round tree b is class b // n_models of model b % n_models, on that model's rows
-    slots = np.concatenate([s for s, _ in tables] * n_outputs)
-    thresholds = np.stack([t for _, t in tables] * n_outputs)
+    layout = _Layout.of(
+        np.concatenate([s for s, _ in tables] * n_outputs),
+        np.stack([t for _, t in tables] * n_outputs),
+        sizes * n_outputs,
+    )
 
     labels = np.concatenate([y for _, _, y in untrained])
     n = labels.size
@@ -641,9 +675,7 @@ def _boost(untrained) -> list[TreeEnsemble]:
     for _ in range(config.n_trees):
         grad = (p - targets).T.ravel()
         hess = (p * (1.0 - p)).T.ravel()
-        grown, row_values = _grow_trees(
-            slots, thresholds, sizes * n_outputs, grad, hess, config.depth, config.l2_leaf_reg
-        )
+        grown, row_values = _grow_trees(layout, grad, hess, config.depth, config.l2_leaf_reg)
         for b, (splits, values, cover) in enumerate(grown):
             c, f = divmod(b, n_models)
             trees[f].append(ObliviousTree(splits=tuple(splits), leaf_values=values, leaf_cover=cover, class_index=c))

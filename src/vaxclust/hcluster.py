@@ -11,6 +11,18 @@ sum-of-squares meaning.
 
 All tie-breaking is by smallest (left_node, right_node) pair so reruns are
 bit-identical. Leaf nodes are 0..n-1; internal nodes n..2n-2 in merge order.
+
+Each merge is the greedy one of a full scan of the cost matrix, found
+without it: the agglomeration keeps every active row's minimum cost (the
+nearest-neighbour list of Anderberg, the "generic" algorithm of Muellner
+2011, arXiv:1109.2378), and the merge height is the least of them. Ties are
+decided only in the rows whose minimum equals the height: the left node is
+the smallest node among them, the right node its smallest partner at that
+height. After the Lance-Williams update the merged row's minimum is that of
+its new costs, and another row's is the lesser of its old minimum and its
+new cost to the merged cluster, unless the old minimum sat in either merged
+column: only those rows are scanned again. On typical data a merge is O(n)
+numpy work; NN-chain, which reorders the merges, is not used.
 """
 
 from __future__ import annotations
@@ -87,29 +99,38 @@ def agglomerate(dist: np.ndarray, linkage: str = "ward") -> Dendrogram:
         raise NonFiniteInput("distance matrix contains non-finite values")
 
     # symmetric cost matrix indexed by slot; slot s hosts cluster node_of[s],
-    # inactive slots and the diagonal are +inf
+    # inactive slots and the diagonal are +inf; row_min[s] is the minimum of row s
     cost = 0.5 * dist * dist if linkage == "ward" else dist.copy()  # ward: unit sizes, 1 * 1 / (1 + 1)
     np.fill_diagonal(cost, np.inf)
+    row_min = cost.min(axis=1)
     node_of = np.arange(n)
     weight = np.ones(n)
+    active = np.ones(n, dtype=bool)
     merges: list[Merge] = []
 
     for step in range(n - 1):
-        height = float(cost.min())
-        ties = np.argwhere(cost == height)
-        # smallest (left_node, right_node) pair wins; exact float ties only
-        a, b = min(
-            (slot_pair for slot_pair in ties if slot_pair[0] < slot_pair[1]),
-            key=lambda p: (min(node_of[p[0]], node_of[p[1]]), max(node_of[p[0]], node_of[p[1]])),
-        )
+        height = float(row_min.min())
+        # smallest (left_node, right_node) pair at the height wins; exact
+        # float ties only. Every row whose minimum is the height holds such
+        # a pair, so the left node is the smallest node of those rows and the
+        # right node its smallest partner at the height.
+        rows = np.flatnonzero(row_min == height)
+        if rows.size == 2:  # no tie: the two rows are the pair
+            a, b = rows.tolist()
+        else:
+            s = int(rows[np.argmin(node_of[rows])])
+            partners = np.flatnonzero(cost[s] == height)
+            t = int(partners[np.argmin(node_of[partners])])
+            a, b = min(s, t), max(s, t)
         wi, wj = weight[a], weight[b]
         merged = wi + wj
         ni, nj = sorted((int(node_of[a]), int(node_of[b])))
         merges.append(Merge(left=ni, right=nj, height=height, size=int(round(merged))))
 
         # merged cluster reuses slot a; Lance-Williams update against the rest
-        others = np.isfinite(cost[a]) | np.isfinite(cost[b])
-        others[a] = others[b] = False
+        active[a] = active[b] = False
+        others = np.flatnonzero(active)
+        active[a] = True
         wc = weight[others]
         d_ic = cost[a, others]
         d_jc = cost[b, others]
@@ -119,10 +140,19 @@ def agglomerate(dist: np.ndarray, linkage: str = "ward") -> Dendrogram:
             new = (wi * d_ic + wj * d_jc) / merged
         else:  # complete
             new = np.maximum(d_ic, d_jc)
+        # a row keeps its minimum unless it sat in column a or b: then rescan it
+        others_min = row_min[others]
+        stale = (d_ic == others_min) | (d_jc == others_min)
         cost[a, others] = new
         cost[others, a] = new
         cost[b, :] = np.inf
         cost[:, b] = np.inf
+        others_min = np.minimum(others_min, new)
+        if stale.any():
+            others_min[stale] = cost[others[stale]].min(axis=1)
+        row_min[others] = others_min
+        row_min[a] = new.min(initial=np.inf)
+        row_min[b] = np.inf
         weight[a] = merged
         node_of[a] = n + step
 

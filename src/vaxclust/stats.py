@@ -170,30 +170,53 @@ def quartiles(values) -> tuple[float, float, float]:
     return float(q1), float(q2), float(q3)
 
 
+_QUARTILE_LEVELS = np.array([0.25, 0.5, 0.75])
+
+
 def box_stats(values, grouping) -> dict[int, BoxStats]:
-    """Five-number summary plus 1.5*IQR whiskers and outliers, per cluster."""
+    """Five-number summary plus 1.5*IQR whiskers and outliers, per cluster.
+
+    One stable sort by (cluster, value) lays every cluster's sample out in
+    order. Quartiles interpolate its slice as ``numpy.quantile(...,
+    method="linear")`` does, with the same arithmetic; extremes, whiskers and
+    outliers are read off the slice's ends and the bounds' sorted positions.
+    """
     values = np.asarray(values, dtype=np.float64)
     grouping = np.asarray(grouping)
     if values.size == 0:
         raise EmptyGroup("no values to summarize")
+    order = np.lexsort((values, grouping))
+    ordered = values[order]
+    clusters, starts, sizes = np.unique(grouping[order], return_index=True, return_counts=True)
+
+    # numpy's "linear" rule: virtual index (n-1)*p, and a lerp from the order
+    # statistic below it that switches to one from above where t >= 0.5
+    virtual = (sizes[:, None] - 1) * _QUARTILE_LEVELS
+    below = np.floor(virtual)
+    t = virtual - below
+    at = starts[:, None] + below.astype(np.intp)
+    lower = ordered[at]
+    upper = ordered[np.minimum(at + 1, (starts + sizes - 1)[:, None])]
+    step = upper - lower
+    q = np.where(t >= 0.5, upper - step * (1 - t), lower + step * t)
+
+    iqr = q[:, 2] - q[:, 0]
+    low_bound = q[:, 0] - 1.5 * iqr
+    high_bound = q[:, 2] + 1.5 * iqr
     out: dict[int, BoxStats] = {}
-    for cluster in sorted(set(int(g) for g in grouping)):
-        sample = values[grouping == cluster]
-        q1, median, q3 = quartiles(sample)
-        iqr = q3 - q1
-        low_bound = q1 - 1.5 * iqr
-        high_bound = q3 + 1.5 * iqr
-        inside = sample[(sample >= low_bound) & (sample <= high_bound)]
-        outliers = tuple(sorted(float(x) for x in sample[(sample < low_bound) | (sample > high_bound)]))
-        out[cluster] = BoxStats(
-            minimum=float(sample.min()),
-            q1=q1,
-            median=median,
-            q3=q3,
-            maximum=float(sample.max()),
-            whisker_low=float(inside.min()),
-            whisker_high=float(inside.max()),
-            outliers=outliers,
+    for c, (start, size) in enumerate(zip(starts.tolist(), sizes.tolist())):
+        sample = ordered[start : start + size]
+        first = int(np.searchsorted(sample, low_bound[c], side="left"))
+        end = int(np.searchsorted(sample, high_bound[c], side="right"))
+        out[int(clusters[c])] = BoxStats(
+            minimum=float(sample[0]),
+            q1=float(q[c, 0]),
+            median=float(q[c, 1]),
+            q3=float(q[c, 2]),
+            maximum=float(sample[-1]),
+            whisker_low=float(sample[first]),
+            whisker_high=float(sample[end - 1]),
+            outliers=tuple(sample[:first].tolist() + sample[end:].tolist()),
         )
     return out
 

@@ -12,6 +12,7 @@ from vaxclust import gbdt
 from vaxclust.errors import DataError, DegenerateLabels, FeatureArityMismatch, NonFiniteFeature
 from vaxclust.evaluation import stratified_folds
 from vaxclust.gbdt import ObliviousTree, TrainConfig, TreeEnsemble, encode_ordered_ts
+from vaxclust.rng import Rng, derive_seed
 
 
 def test_encode_ordered_ts_prefix_formula():
@@ -330,6 +331,57 @@ def test_encoders_match_row_loop_oracle():
         encoder, _ = gbdt.OrderedTsEncoder.fit(train, labels, k, cfg)
         queries = rng.integers(0, 9, size=(n, train.shape[1]))  # 0, 7 and 8 unseen
         assert encoder.encode(queries).tobytes() == _oracle_encode(encoder, queries).tobytes()
+
+
+def _oracle_encoder_fit(categories, labels, n_classes, config):
+    """The per-(component, category) loops ``OrderedTsEncoder.fit`` replaced,
+    kept as the reference: (priors, stats, training columns)."""
+    n, d_cat = categories.shape
+    if n_classes == 2:
+        components = [(labels == 1).astype(np.float64)]
+    else:
+        components = [(labels == c).astype(np.float64) for c in range(n_classes)]
+    priors = (tuple(float(t.mean()) for t in components),) * d_cat
+    permutations = [
+        Rng(derive_seed(config.seed, 0xC47, p)).permutation(n) for p in range(config.n_permutations)
+    ]
+    stats = []
+    train_cols = np.empty((n, d_cat * len(components)))
+    col = 0
+    for f in range(d_cat):
+        feature_stats = {}
+        for c in np.unique(categories[:, f]):
+            mask = categories[:, f] == c
+            feature_stats[int(c)] = (int(mask.sum()), tuple(float(t[mask].sum()) for t in components))
+        stats.append(feature_stats)
+        for comp_idx, t in enumerate(components):
+            encoded = np.zeros(n)
+            for perm in permutations:
+                encoded += _oracle_encode_ordered_ts(
+                    categories[:, f], t, perm, config.ts_prior_weight, priors[f][comp_idx]
+                )
+            train_cols[:, col] = encoded / len(permutations)
+            col += 1
+    return priors, tuple(stats), train_cols
+
+
+@pytest.mark.parametrize("k", [2, 3, 6])
+def test_encoder_fit_matches_category_loop_oracle(k):
+    rng = np.random.default_rng(k)
+    for trial in range(12):
+        n = int(rng.integers(k, 80))
+        labels = rng.permutation(np.concatenate([np.arange(k), rng.integers(0, k, size=n - k)]))
+        cats = rng.integers(1, 7, size=(n, int(rng.integers(1, 3))))
+        cats[rng.integers(0, n), 0] = 99  # a singleton category
+        cfg = TrainConfig(
+            seed=trial, n_permutations=1 + trial % 3, ts_prior_weight=(0.5, 1.0, 3.0)[trial // 3 % 3]
+        )
+        encoder, columns = gbdt.OrderedTsEncoder.fit(cats, labels, k, cfg)
+        priors, stats, want = _oracle_encoder_fit(cats, labels, k, cfg)
+        assert encoder.n_components == (1 if k == 2 else k)
+        assert encoder.priors == priors
+        assert encoder.stats == stats
+        assert columns.tobytes() == want.tobytes()
 
 
 def _oracle_grow(slots, thresholds, grad, hess, depth, l2):

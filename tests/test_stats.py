@@ -216,6 +216,59 @@ def test_box_stats_group_permutation_invariant(rng):
     assert base == shuffled
 
 
+def _oracle_box_stats(values, grouping):
+    """One cluster at a time from ``quartiles`` and boolean masks, the
+    reference for the single-sort ``box_stats``."""
+    values = np.asarray(values, dtype=np.float64)
+    grouping = np.asarray(grouping)
+    out = {}
+    for cluster in sorted(set(int(g) for g in grouping)):
+        sample = values[grouping == cluster]
+        q1, median, q3 = stats.quartiles(sample)
+        iqr = q3 - q1
+        low_bound = q1 - 1.5 * iqr
+        high_bound = q3 + 1.5 * iqr
+        inside = sample[(sample >= low_bound) & (sample <= high_bound)]
+        outliers = tuple(sorted(float(x) for x in sample[(sample < low_bound) | (sample > high_bound)]))
+        out[cluster] = stats.BoxStats(
+            minimum=float(sample.min()),
+            q1=q1,
+            median=median,
+            q3=q3,
+            maximum=float(sample.max()),
+            whisker_low=float(inside.min()),
+            whisker_high=float(inside.max()),
+            outliers=outliers,
+        )
+    return out
+
+
+@pytest.mark.parametrize("k", [2, 3, 6])
+def test_box_stats_match_per_cluster_oracle(k):
+    rng = np.random.default_rng(k)
+    for size in range(1, 41):
+        groups = rng.permutation(np.arange(k * size) % k)  # every cluster holds `size` values
+        for values in (
+            rng.normal(scale=10.0, size=k * size),  # negative values
+            rng.integers(-3, 4, size=k * size).astype(np.float64),  # ties
+            np.where(rng.uniform(size=k * size) < 0.1, 1e3, rng.uniform(60.0, 90.0, size=k * size)),  # outliers
+        ):
+            got = stats.box_stats(values, groups)
+            assert repr(got) == repr(_oracle_box_stats(values, groups))  # float bits, not just ==
+            assert list(got) == list(range(k))
+        uneven = rng.integers(0, k, size=size)
+        values = rng.normal(size=size)
+        assert stats.box_stats(values, uneven) == _oracle_box_stats(values, uneven)
+
+
+def test_box_stats_cluster_ids_need_not_be_contiguous():
+    values = np.array([5.0, -1.0, 3.0, 3.0, 8.0, 2.5])
+    groups = np.array([7, 2, 7, 2, 7, 2])
+    got = stats.box_stats(values, groups)
+    assert list(got) == [2, 7]
+    assert got == _oracle_box_stats(values, groups)
+
+
 def test_box_stats_rejects_empty():
     with pytest.raises(EmptyGroup):
         stats.box_stats([], [])
