@@ -201,12 +201,18 @@ def cross_validate(
 
 
 def adjusted_rand_index(labels_a, labels_b) -> float:
-    """Chance-corrected agreement between two partitions of the same rows."""
+    """Chance-corrected agreement between two partitions of the same rows.
+
+    Two partitions of fewer than two rows agree trivially: 1.0, as in
+    scikit-learn.
+    """
     a = np.asarray(labels_a)
     b = np.asarray(labels_b)
     if a.shape != b.shape:
         raise LengthMismatch("partitions differ in length")
     n = a.shape[0]
+    if n < 2:
+        return 1.0
     _, a_idx = np.unique(a, return_inverse=True)
     _, b_idx = np.unique(b, return_inverse=True)
     table = np.zeros((a_idx.max() + 1, b_idx.max() + 1), dtype=np.int64)

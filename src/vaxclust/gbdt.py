@@ -24,12 +24,14 @@ threshold, so training is bit-reproducible for a given (data, config, seed).
 The models of several training sets boost together: :func:`fit_folds`
 trains every cross-validation fold's model in one loop over their
 concatenated rows, and each round grows the trees of every (class, fold) in
-one grower call, whose histograms carry (tree, occupied leaf) keys. A level
-scores its trees in runs of whole trees whose work arrays stay under
-``_HISTOGRAM_BUDGET`` cells, so memory does not grow with the number of
-trees. Each tree's arithmetic is the one it would do alone, so every model
-is bit for bit the one :func:`fit` gives on its fold's rows; :func:`fit` is
-the same loop over one training set.
+one grower call, whose histograms carry (tree, occupied leaf) keys. Every
+tree's rows stay in place for the whole round. A level scores the trees
+still growing in runs, blocks of consecutive growing trees whose work arrays
+stay under ``_HISTOGRAM_BUDGET`` cells, and skips the trees that stopped, so
+a run's work arrays do not grow with the number of trees. Each tree's
+arithmetic is the one it would do alone, so every model is bit for bit the
+one :func:`fit` gives on its fold's rows; :func:`fit` is the same loop over
+one training set.
 """
 
 from __future__ import annotations
@@ -369,8 +371,8 @@ def _newton_score(squares: np.ndarray, denominators: np.ndarray) -> np.ndarray:
 
 # Upper bound on the cells of one grower run: its (leaf, column, bucket)
 # histogram, its (row, column) keys and its dense leaf table. A level scores
-# its live trees in runs of whole trees under it, so batching the trees of
-# every fold and class does not grow the work arrays with their number:
+# its growing trees in runs of consecutive trees under it, so batching the
+# trees of every fold and class does not grow the work arrays with their number:
 # unbounded, one 30-tree depth-6 round of a k=6 cell peaked at 12.8 MB. On
 # 150-district cells, 2^14 fitted 40 rounds about 7% faster but held 0.5 MB
 # more peak RSS; 2^12 and 2^16 were slower than both.
@@ -484,12 +486,14 @@ def _grow_trees(layout: _Layout, grad, hess, depth, l2):
     maximize its total Newton gain, bit for bit as if it grew alone.
 
     Tree b owns ``layout.sizes[b]`` consecutive rows of ``grad`` and
-    ``hess``. Each level scores the trees still growing in runs of whole
-    trees whose work arrays stay under ``_HISTOGRAM_BUDGET`` cells
-    (:func:`_best_splits`); a tree whose best split gains no more than the
-    minimum stops and drops out of later levels. Newton scores are plain
-    divides (:func:`_newton_score`). Returns each tree's (splits, leaf
-    values, leaf covers) and each row's leaf value.
+    ``hess``, and its rows stay in place for the whole call: each level
+    updates their leaves where they are. A level scores the trees still
+    growing in runs, blocks of consecutive growing trees whose work arrays
+    stay under ``_HISTOGRAM_BUDGET`` cells (:func:`_best_splits`); a tree
+    whose best split gains no more than the minimum stops, and later levels
+    skip it. Newton scores are plain divides (:func:`_newton_score`).
+    Returns each tree's (splits, leaf values, leaf covers) and each row's
+    leaf value.
     """
     slots, thresholds, sizes = layout.slots, layout.thresholds, layout.sizes
     padded, lone, has_lone, tree_of_row = layout.padded, layout.lone, layout.has_lone, layout.tree_of_row
@@ -497,61 +501,37 @@ def _grow_trees(layout: _Layout, grad, hess, depth, l2):
     n_cols = slots.shape[1]
     splits: list[list[tuple[int, float]]] = [[] for _ in range(n_trees)]
     leaf_idx = np.zeros(grad.size, dtype=np.int64)
-
-    # The live (still growing) trees and their rows: ``rows`` picks them out
-    # of ``slots`` once a tree has stopped, and the other row arrays and
-    # per-tree tables are cut down to them.
-    live, live_sizes, rows = list(range(n_trees)), sizes, None
-    g, h, leaf, row_tree = grad, hess, leaf_idx, tree_of_row
-    whole = None  # g and h repeated per column, while one run holds every live row
-    starts = [0, *itertools.accumulate(live_sizes)]
+    g_rows, h_rows = np.repeat(grad, n_cols), np.repeat(hess, n_cols)
+    starts = [0, *itertools.accumulate(sizes)]
+    rows_most = max(sizes)
+    growing = [True] * n_trees
     for level in range(depth):
         n_leaves = 1 << level
-        rows_most = max(live_sizes)
         cost = max(min(rows_most, n_leaves) * width, rows_most * n_cols, n_leaves)
         step = max(1, _HISTOGRAM_BUDGET // cost)  # trees per run
-        best: list[int] = []
-        ok: list[bool] = []
-        for a in range(0, len(live), step):
-            b = min(a + step, len(live))
-            r0, r1 = starts[a], starts[b]
-            if b - a < len(live):
-                weights = np.repeat(g[r0:r1], n_cols), np.repeat(h[r0:r1], n_cols)
-            elif whole is None:
-                weights = whole = np.repeat(g, n_cols), np.repeat(h, n_cols)
+        runs: list[list[int]] = []
+        for t in itertools.compress(range(n_trees), growing):
+            if runs and runs[-1][1] == t and t - runs[-1][0] < step:
+                runs[-1][1] = t + 1
             else:
-                weights = whole
-            run = _best_splits(
-                slots[r0:r1] if rows is None else slots[rows[r0:r1]], g[r0:r1], h[r0:r1], *weights,
-                leaf[r0:r1] if b - a == 1 else ((row_tree[r0:r1] - a) << level) | leaf[r0:r1],
+                runs.append([t, t + 1])
+        for a, b in runs:
+            r0, r1 = starts[a], starts[b]
+            cells = slice(r0 * n_cols, r1 * n_cols)
+            best, ok = _best_splits(
+                slots[r0:r1], grad[r0:r1], hess[r0:r1], g_rows[cells], h_rows[cells],
+                leaf_idx[r0:r1] if b - a == 1 else ((tree_of_row[r0:r1] - a) << level) | leaf_idx[r0:r1],
                 n_leaves, padded[a:b], lone[a:b] if any(has_lone[a:b]) else None, l2,
             )
-            best += run[0]
-            ok += run[1]
-        for i, slot in enumerate(best):
-            if ok[i]:
-                j = slot // N_QUANTILE_BUCKETS
-                splits[live[i]].append((j, float(thresholds[live[i], slot])))
-                r0, r1 = starts[i], starts[i + 1]
-                column = slots[r0:r1, j] if rows is None else slots[rows[r0:r1], j]
-                leaf[r0:r1] |= (column > slot).astype(np.int64) << level
-        if not all(ok):
-            live = [t for t, grows in zip(live, ok) if grows]
-            if not live:
-                break
-            keep = np.repeat(ok, live_sizes)
-            if rows is None:
-                rows = np.arange(grad.size)
-            leaf_idx[rows[~keep]] = leaf[~keep]
-            rows, g, h, leaf = rows[keep], g[keep], h[keep], leaf[keep]
-            padded, lone = padded[ok], lone[ok]
-            has_lone = [flag for flag, grows in zip(has_lone, ok) if grows]
-            live_sizes = [size for size, grows in zip(live_sizes, ok) if grows]
-            row_tree = np.repeat(np.arange(len(live)), live_sizes)
-            starts = [0, *itertools.accumulate(live_sizes)]
-            whole = None
-    if rows is not None:
-        leaf_idx[rows] = leaf
+            for t, slot, grows in zip(range(a, b), best, ok):
+                growing[t] = grows
+                if grows:
+                    j = slot // N_QUANTILE_BUCKETS
+                    splits[t].append((j, float(thresholds[t, slot])))
+                    rows = slice(starts[t], starts[t + 1])
+                    leaf_idx[rows] |= (slots[rows, j] > slot).astype(np.int64) << level
+        if not any(growing):
+            break
 
     offsets = np.array([0, *itertools.accumulate(1 << len(tree_splits) for tree_splits in splits)])
     key = offsets[tree_of_row] + leaf_idx
@@ -776,7 +756,9 @@ def from_json(text: str | bytes) -> TreeEnsemble:
     Keys and JSON types are those of the dataclass fields (the document's
     ``encoder`` holds ``ts_encoder``), and the shapes must agree: one base
     score per output, one leaf value and cover per leaf of each tree, split
-    columns and class indices in range. Anything else is a DataError.
+    columns and class indices in range, at least one training row covered
+    by each tree and the config's learning rate at the top level. Anything
+    else is a DataError.
     """
     try:
         doc = json.loads(text)
@@ -816,6 +798,7 @@ def from_json(text: str | bytes) -> TreeEnsemble:
         f"{n_outputs} output(s) cannot score {n_classes} classes",
     )
     _require(len(record["base_score"]) == n_outputs, "base_score must hold one value per output")
+    _require(record["learning_rate"] == config.learning_rate, "learning_rate must be the config's")
     _require(len(record["feature_source"]) == n_features, "feature_source must name every feature")
     _require(
         record["n_numeric"] >= 0 and record["n_numeric"] + n_encoded == n_features,
@@ -835,6 +818,7 @@ def from_json(text: str | bytes) -> TreeEnsemble:
             all(is_int(c) and 0 <= c < 2**63 for c in spec["leaf_cover"]),
             f"tree {i} leaf_cover must hold row counts",
         )
+        _require(any(spec["leaf_cover"]), f"tree {i} leaf_cover must count some training rows")
 
     trees = tuple(
         ObliviousTree(

@@ -290,6 +290,28 @@ def test_explain_corrupt_model_is_data_error(tmp_path, synth_inputs, capsys, con
     assert capsys.readouterr().err.startswith("data error: model")
 
 
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda doc: doc["trees"][0].update(leaf_cover=[0] * len(doc["trees"][0]["leaf_cover"])),
+        lambda doc: doc.update(learning_rate=-5.0),
+    ],
+    ids=["leaf-cover-empty", "learning-rate-vs-config"],
+)
+def test_explain_inconsistent_model_is_data_error(tmp_path, synth_inputs, capsys, corrupt):
+    model_path = tmp_path / "model.json"
+    assert main(["train", "--input-dir", str(synth_inputs), "--year", "2021",
+                 "--k", "2", "--model-out", str(model_path)]) == 0
+    doc = json.loads(model_path.read_text())
+    corrupt(doc)
+    model_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    code = main(["explain", "--input-dir", str(synth_inputs), "--year", "2021",
+                 "--model", str(model_path), "--out", str(tmp_path / "explain")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("data error: model")
+
+
 def test_stats_subcommand(tmp_path, synth_inputs):
     out = tmp_path / "stats"
     code = main(["stats", "--input-dir", str(synth_inputs), "--year", "2021",

@@ -233,3 +233,9 @@ def test_adjusted_rand_index():
         np.arange(1000) % 2, np.random.default_rng(5).integers(0, 2, 1000)
     )
     assert abs(near_zero) < 0.1
+
+
+@pytest.mark.parametrize("labels", [[], [0], [3]])
+def test_adjusted_rand_index_below_two_rows_is_one(labels):
+    # fewer than two rows hold no pair to disagree on; 0/0 before
+    assert ev.adjusted_rand_index(labels, list(reversed(labels))) == 1.0

@@ -600,14 +600,19 @@ def _fold_battery():
         yield X, None, y, stratified_folds(y, n_folds, seed=i), cfg
 
 
+def _fold_args(X, cats, y, folds, cfg):
+    """Per fold, the ``fit`` arguments of the model ``fit_folds`` trains for it."""
+    for f in range(int(folds.max()) + 1):
+        train = folds != f
+        yield X[train], None if cats is None else cats[train], y[train], replace(cfg, seed=cfg.seed ^ f)
+
+
 def _fold_fits(battery):
     """Per fit: ``fit_folds``'s models, ``fit``'s on each fold and the oracle's, as model files."""
     for X, cats, y, folds, cfg in battery:
         batched = [gbdt.to_json(m) for m in gbdt.fit_folds(X, cats, y, folds, cfg)]
         single, oracle = [], []
-        for f in range(int(folds.max()) + 1):
-            train = folds != f
-            args = (X[train], None if cats is None else cats[train], y[train], replace(cfg, seed=cfg.seed ^ f))
+        for args in _fold_args(X, cats, y, folds, cfg):
             single.append(gbdt.to_json(gbdt.fit(*args)))
             oracle.append(gbdt.to_json(_oracle_fit(*args)))
         yield cfg, batched, single, oracle
@@ -636,6 +641,50 @@ def test_fit_folds_match_per_tree_oracle_bit_for_bit(monkeypatch):
     monkeypatch.setattr(gbdt, "_HISTOGRAM_BUDGET", 1)
     for cfg, batched, _, oracle in _fold_fits(itertools.islice(_fold_battery(), 0, None, 6)):
         assert batched == oracle, cfg
+
+
+def test_stopped_trees_cost_nothing_and_split_runs(monkeypatch):
+    # A round's grower scores a tree's rows at each level it reaches: every
+    # level it split at, plus the one where it stopped, if any; summed,
+    # its rows times min(n_levels + 1, depth). A run holds only consecutive
+    # growing trees, so a stopped tree between growing ones splits a level
+    # into more runs, whatever the budget.
+    rounds = []  # per grower call, its _best_splits calls' (n_leaves, rows)
+    best_splits, grow_trees = gbdt._best_splits, gbdt._grow_trees
+
+    def spy(*args):
+        rounds[-1].append((args[-4], args[0].shape[0]))
+        return best_splits(*args)
+
+    def grow_spy(*args):
+        rounds.append([])
+        return grow_trees(*args)
+
+    monkeypatch.setattr(gbdt, "_best_splits", spy)
+    monkeypatch.setattr(gbdt, "_grow_trees", grow_spy)
+    budgets = (1, gbdt._HISTOGRAM_BUDGET, 1 << 20)
+    split_runs = False
+    for X, cats, y, folds, cfg in _fold_battery():
+        fold_args = list(_fold_args(X, cats, y, folds, cfg))
+        oracle = [gbdt.to_json(_oracle_fit(*args)) for args in fold_args]
+        for budget in budgets:
+            monkeypatch.setattr(gbdt, "_HISTOGRAM_BUDGET", budget)
+            rounds.clear()
+            models = gbdt.fit_folds(X, cats, y, folds, cfg)
+            assert [gbdt.to_json(m) for m in models] == oracle, (budget, cfg)
+            n_outputs = models[0].n_outputs
+            tree_rows = [args[2].size for args in fold_args] * n_outputs
+            for r, calls in enumerate(rounds):
+                # round tree b is class b // len(models) of model b % len(models)
+                n_levels = [m.trees[r * n_outputs + c].n_levels for c in range(n_outputs) for m in models]
+                for level in range(cfg.depth):
+                    scored = [n >= level for n in n_levels]
+                    runs = [rows for n_leaves, rows in calls if n_leaves == 1 << level]
+                    assert sum(runs) == sum(itertools.compress(tree_rows, scored)), (budget, cfg, r, level)
+                    blocks = sum(grows for grows, _ in itertools.groupby(scored))
+                    assert len(runs) >= blocks, (budget, cfg, r, level)
+                    split_runs |= budget == 1 << 20 and blocks > 1
+    assert split_runs
 
 
 def test_fit_folds_rejects_fold_missing_a_class():
@@ -789,6 +838,8 @@ def _set(path, value):
         pytest.param(_corrupted(lambda d: d["trees"][0]["leaf_cover"].pop()), id="leaf-cover-len"),
         pytest.param(_corrupted(_set(["trees", 0, "leaf_cover", 0], -1)), id="leaf-cover-negative"),
         pytest.param(_corrupted(_set(["trees", 0, "leaf_cover", 0], 2**63)), id="leaf-cover-int64"),
+        pytest.param(_corrupted(lambda d: d["trees"][0].update(leaf_cover=[0] * len(d["trees"][0]["leaf_cover"]))), id="leaf-cover-empty"),
+        pytest.param(_corrupted(_set(["learning_rate"], -5.0)), id="learning-rate-vs-config"),
         pytest.param(_corrupted(_set(["trees", 0, "splits", 0, 0], 6)), id="split-column-range"),
         pytest.param(_corrupted(_set(["trees", 0, "class_index"], 3)), id="class-index-range"),
         pytest.param(_corrupted(_set(["n_outputs"], 1)), id="outputs-vs-classes"),
