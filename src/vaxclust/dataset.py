@@ -1,23 +1,27 @@
 """Ingestion, validation, join, and standardization of the per-year input tables.
 
-Two UTF-8 comma-delimited tables per study year (a leading byte-order mark
-is skipped):
+Two UTF-8 comma-delimited tables per study year, at :func:`table_paths` (a
+leading byte-order mark is skipped):
 
 * vaccination table: ``district_id, district_name`` plus the 14 coverage
   columns listed in :data:`VACCINE_COLUMNS` (percent of eligible children).
 * gdsc table: ``district_id`` plus the 9 columns in :data:`GDSC_COLUMNS`
   (eight numeric percentages/scores and the ordinal ``rurality`` category).
 
-All parsing is strict: missing columns, out-of-range values, duplicate
-districts, and locale-specific decimal separators are hard errors. Missing
-cells are never imputed. :func:`csv_text` is the one writer for every CSV
-artifact the package emits.
+Both go through one reader, :func:`_parse_table`. Parsing is strict: missing
+columns, empty or duplicate district ids and a table without rows are hard
+errors, and a numeric cell must be a plain decimal (no exponent or locale
+separator), finite and within its column's :data:`_BOUNDS`, so a decimal too
+long for a double is out of range. Missing cells are never imputed.
+:func:`csv_text` is the one writer for every CSV artifact the package emits.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import math
+import os
 import re
 from dataclasses import dataclass
 
@@ -65,11 +69,12 @@ GDSC_COLUMNS = (
 
 GDSC_NUMERIC_COLUMNS = tuple(c for c in GDSC_COLUMNS if c != "rurality")
 
-# Percent-valued GDSC columns; imd_avg_score is a score (>= 0, unbounded above)
-# and rurality is the ordinal category 1..6.
-GDSC_PERCENT_COLUMNS = tuple(c for c in GDSC_COLUMNS if c not in ("imd_avg_score", "rurality"))
-
 RURALITY_CATEGORIES = (1, 2, 3, 4, 5, 6)
+
+# (low, high) of each numeric column: rates and GDSC shares are percents,
+# imd_avg_score is a score unbounded above
+_BOUNDS = {c: (0.0, 100.0) for c in VACCINE_COLUMNS + GDSC_NUMERIC_COLUMNS}
+_BOUNDS["imd_avg_score"] = (0.0, math.inf)
 
 _DECIMAL_RE = re.compile(r"^[+-]?(\d+(\.\d*)?|\.\d+)$")
 _INT_RE = re.compile(r"^[+-]?\d+$")
@@ -123,29 +128,18 @@ class StandardizedMatrix:
     feature_names: tuple[str, ...]
 
 
-def _parse_decimal(raw, column: str, district_id: str) -> float:
-    if raw is None:  # short row: csv.DictReader fills missing cells with None
-        raise OutOfRange(column, raw, district_id)
-    text = raw.strip()
+def _parse_number(row: dict, column: str, district_id: str) -> float:
+    """``row[column]`` as a plain decimal, finite and within the column's bounds;
+    a malformed cell is reported as written, an out-of-range one as its value."""
+    raw = row[column]  # csv.DictReader gives a short row's missing cells as None
+    text = "" if raw is None else raw.strip()
     if not _DECIMAL_RE.match(text):
         raise OutOfRange(column, raw, district_id)
-    return float(text)
-
-
-def _parse_percent(raw: str, column: str, district_id: str) -> float:
-    value = _parse_decimal(raw, column, district_id)
-    if not 0.0 <= value <= 100.0:
+    value = float(text)
+    low, high = _BOUNDS[column]
+    if not (low <= value <= high and math.isfinite(value)):
         raise OutOfRange(column, value, district_id)
     return value
-
-
-def _open_reader(stream, required: tuple[str, ...]) -> csv.DictReader:
-    reader = csv.DictReader(stream)
-    header = reader.fieldnames or []
-    for column in required:
-        if column not in header:
-            raise MissingColumn(column)
-    return reader
 
 
 def csv_text(header, rows) -> str:
@@ -161,50 +155,55 @@ def csv_text(header, rows) -> str:
     return buffer.getvalue()
 
 
-def parse_vaccination_table(stream, year: int) -> dict[str, tuple[str, tuple[float, ...]]]:
-    """Parse one year's vaccination table into ``{id: (name, rates)}``, the 14
-    rates in VACCINE_COLUMNS order; header order is irrelevant."""
-    reader = _open_reader(stream, ("district_id", "district_name") + VACCINE_COLUMNS)
-    profiles: dict[str, tuple[str, tuple[float, ...]]] = {}
+def _parse_table(stream, year: int, what: str, columns: tuple[str, ...], parse_row) -> dict:
+    """``{id: parse_row(row, id)}`` over the rows of one table.
+
+    The header must hold ``district_id`` and ``columns``. Ids are stripped; an
+    empty or repeated id is an error, and so is a table without rows.
+    """
+    reader = csv.DictReader(stream)
+    header = reader.fieldnames or []
+    for column in ("district_id", *columns):
+        if column not in header:
+            raise MissingColumn(column)
+    parsed = {}
     for row in reader:
         district_id = (row["district_id"] or "").strip()
         if not district_id:
             raise OutOfRange("district_id", row["district_id"])
-        if district_id in profiles:
+        if district_id in parsed:
             raise DuplicateDistrict(district_id)
-        rates = tuple(_parse_percent(row[c], c, district_id) for c in VACCINE_COLUMNS)
-        profiles[district_id] = ((row["district_name"] or "").strip(), rates)
-    if not profiles:
-        raise EmptyTable(f"vaccination table for year {year} has no data rows")
-    return profiles
+        parsed[district_id] = parse_row(row, district_id)
+    if not parsed:
+        raise EmptyTable(f"{what} table for year {year} has no data rows")
+    return parsed
+
+
+def _vaccination_row(row: dict, district_id: str) -> tuple[str, tuple[float, ...]]:
+    return (row["district_name"] or "").strip(), tuple(_parse_number(row, c, district_id) for c in VACCINE_COLUMNS)
+
+
+def _gdsc_row(row: dict, district_id: str) -> tuple[tuple[float, ...], int]:
+    numeric = tuple(_parse_number(row, c, district_id) for c in GDSC_NUMERIC_COLUMNS)
+    rurality_raw = (row["rurality"] or "").strip()
+    if not _INT_RE.match(rurality_raw):
+        raise RuralityOutOfDomain(row["rurality"], district_id)
+    rurality = int(rurality_raw)
+    if rurality not in RURALITY_CATEGORIES:
+        raise RuralityOutOfDomain(rurality, district_id)
+    return numeric, rurality
+
+
+def parse_vaccination_table(stream, year: int) -> dict[str, tuple[str, tuple[float, ...]]]:
+    """Parse one year's vaccination table into ``{id: (name, rates)}``, the 14
+    rates in VACCINE_COLUMNS order; header order is irrelevant."""
+    return _parse_table(stream, year, "vaccination", ("district_name", *VACCINE_COLUMNS), _vaccination_row)
 
 
 def parse_gdsc_table(stream, year: int) -> dict[str, tuple[tuple[float, ...], int]]:
     """Parse one year's GDSC table into ``{id: (numeric, rurality)}``, the 8
     numeric features in GDSC_NUMERIC_COLUMNS order."""
-    reader = _open_reader(stream, ("district_id",) + GDSC_COLUMNS)
-    profiles: dict[str, tuple[tuple[float, ...], int]] = {}
-    for row in reader:
-        district_id = (row["district_id"] or "").strip()
-        if not district_id:
-            raise OutOfRange("district_id", row["district_id"])
-        if district_id in profiles:
-            raise DuplicateDistrict(district_id)
-        imd_avg_score = _parse_decimal(row["imd_avg_score"], "imd_avg_score", district_id)
-        if imd_avg_score < 0:
-            raise OutOfRange("imd_avg_score", imd_avg_score, district_id)
-        # GDSC_NUMERIC_COLUMNS is imd_avg_score followed by the percent columns
-        numeric = (imd_avg_score, *(_parse_percent(row[c], c, district_id) for c in GDSC_PERCENT_COLUMNS))
-        rurality_raw = (row["rurality"] or "").strip()
-        if not _INT_RE.match(rurality_raw):
-            raise RuralityOutOfDomain(row["rurality"], district_id)
-        rurality = int(rurality_raw)
-        if rurality not in RURALITY_CATEGORIES:
-            raise RuralityOutOfDomain(rurality, district_id)
-        profiles[district_id] = (numeric, rurality)
-    if not profiles:
-        raise EmptyTable(f"gdsc table for year {year} has no data rows")
-    return profiles
+    return _parse_table(stream, year, "gdsc", GDSC_COLUMNS, _gdsc_row)
 
 
 def join_year(
@@ -235,6 +234,11 @@ def join_year(
         vaccination_only=tuple(left_only),
         gdsc_only=tuple(right_only),
     )
+
+
+def table_paths(directory, year: int) -> tuple[str, str]:
+    """The paths of ``year``'s vaccination and GDSC tables in ``directory``."""
+    return os.path.join(directory, f"vaccination_{year}.csv"), os.path.join(directory, f"gdsc_{year}.csv")
 
 
 def load_year(vacc_path, gdsc_path, year: int, allow_partial: bool = False) -> YearDataset:

@@ -30,7 +30,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .dataset import GDSC_NUMERIC_COLUMNS, VACCINE_COLUMNS, YearDataset, csv_text, load_year, standardize
+from .dataset import GDSC_NUMERIC_COLUMNS, VACCINE_COLUMNS, YearDataset, csv_text, load_year, standardize, table_paths
 from .errors import ConfigError, DataError, GeometryKeyMismatch, KOutOfRange, VaxclustError
 from .evaluation import MetricRow, cross_validate, dataset_design
 from .gbdt import TrainConfig
@@ -101,12 +101,6 @@ class RunConfig:
         doc = asdict(self)
         doc.update(doc.pop("train"))
         return {key: list(value) if isinstance(value, tuple) else value for key, value in doc.items()}
-
-    def vaccination_path(self, year: int) -> str:
-        return os.path.join(self.input_dir, f"vaccination_{year}.csv")
-
-    def gdsc_path(self, year: int) -> str:
-        return os.path.join(self.input_dir, f"gdsc_{year}.csv")
 
     def geometry(self) -> dict | None:
         """Parsed GeoJSON at ``geometry_path``, or None when unset."""
@@ -227,12 +221,7 @@ def _versions() -> dict:
 
 def load_dataset(config: RunConfig, year: int) -> YearDataset:
     """One year's joined input tables from ``config.input_dir``."""
-    return load_year(
-        config.vaccination_path(year),
-        config.gdsc_path(year),
-        year,
-        allow_partial=config.allow_partial,
-    )
+    return load_year(*table_paths(config.input_dir, year), year, allow_partial=config.allow_partial)
 
 
 def cluster_year(dataset: YearDataset, config: RunConfig) -> tuple[Dendrogram, int]:

@@ -89,6 +89,9 @@ class GlobalImportance:
 # Larger chunks were no faster on the benchmark workloads and held more memory.
 _TERM_BUDGET = 1 << 14
 
+# brute_force_shapley enumerates 2^d feature subsets
+_MAX_BRUTE_FORCE_FEATURES = 20
+
 
 @functools.lru_cache(maxsize=None)
 def _gauss_legendre(u: int) -> tuple[np.ndarray, np.ndarray]:
@@ -410,7 +413,7 @@ def _conditional_expectation(arr: _TreeArrays, x: np.ndarray, subset_mask: int, 
     ) / w
 
 
-def brute_force_shapley(model: TreeEnsemble, x, feature_subset_limit: int = 20) -> Attribution:
+def brute_force_shapley(model: TreeEnsemble, x) -> Attribution:
     """Subset-enumeration Shapley values; oracle for :class:`TreeShapExplainer`.
 
     phi_j = sum over S not containing j of
@@ -418,7 +421,7 @@ def brute_force_shapley(model: TreeEnsemble, x, feature_subset_limit: int = 20) 
     with v(S) the cover-weighted conditional expectation of the margin.
     """
     d = model.n_features
-    if d > min(feature_subset_limit, 20):
+    if d > _MAX_BRUTE_FORCE_FEATURES:
         raise TooManyFeatures(f"{d} features exceeds enumeration limit")
     x = np.asarray(x, dtype=np.float64).ravel()
     if x.shape[0] != d:
@@ -448,15 +451,14 @@ def brute_force_shapley(model: TreeEnsemble, x, feature_subset_limit: int = 20) 
 
 def global_importance(model: TreeEnsemble, design: np.ndarray) -> GlobalImportance:
     """Mean |phi| over sample rows and output columns, per source feature."""
-    design = np.atleast_2d(np.asarray(design, dtype=np.float64))
-    if design.shape[0] == 0:
-        raise EmptySample("global importance needs at least one row")
     return importance_of(model, TreeShapExplainer(model).explain(design))
 
 
 def importance_of(model: TreeEnsemble, phi: np.ndarray) -> GlobalImportance:
     """:func:`global_importance` from the (row, output, column) phi that
     :meth:`TreeShapExplainer.explain` gave for the sample rows."""
+    if phi.shape[0] == 0:
+        raise EmptySample("global importance needs at least one row")
     totals = np.abs(phi).sum(axis=0)
     per_column = totals.mean(axis=0) / phi.shape[0]
 

@@ -16,6 +16,7 @@ district: 14 rates, 8 numeric GDSC features (GDSC column order), rurality.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -27,6 +28,7 @@ from .dataset import (
     VACCINE_COLUMNS,
     YearDataset,
     csv_text,
+    table_paths,
 )
 from .errors import SpecInvalid
 from .fixtures import TABLE2, table2_means
@@ -75,8 +77,8 @@ class SynthSpec:
                 raise SpecInvalid("cluster mean rates must lie in [0, 100]")
         if any(n < 2 for n in self.n_per_cluster):
             raise SpecInvalid("each cluster needs at least 2 districts")
-        if self.vacc_noise_sd < 0:
-            raise SpecInvalid("the noise standard deviation must be non-negative")
+        if not (self.vacc_noise_sd >= 0 and math.isfinite(self.vacc_noise_sd)):
+            raise SpecInvalid(f"the noise standard deviation must be finite and >= 0, got {self.vacc_noise_sd}")
 
 
 def default_spec(
@@ -162,12 +164,8 @@ def write_dataset_files(dataset: YearDataset, truth: np.ndarray, out_dir) -> dic
     """Write vaccination/gdsc tables in the ingestion format, plus truth labels,
     each through :func:`vaxclust.dataset.csv_text`."""
     os.makedirs(out_dir, exist_ok=True)
-    year = dataset.year
-    paths = {
-        "vaccination": os.path.join(out_dir, f"vaccination_{year}.csv"),
-        "gdsc": os.path.join(out_dir, f"gdsc_{year}.csv"),
-        "truth": os.path.join(out_dir, "truth_labels.csv"),
-    }
+    vaccination, gdsc = table_paths(out_dir, dataset.year)
+    paths = {"vaccination": vaccination, "gdsc": gdsc, "truth": os.path.join(out_dir, "truth_labels.csv")}
     # shortest positional decimal that round-trips; the ingestion grammar
     # rejects scientific notation
     fmt = lambda x: np.format_float_positional(x, unique=True, trim="0")

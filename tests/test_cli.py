@@ -194,6 +194,31 @@ def test_cluster_subcommand(tmp_path, synth_inputs):
         assert (out / name).read_bytes() == (run_out / name).read_bytes(), name
 
 
+@pytest.mark.parametrize("noise_sd", ["nan", "inf"])
+def test_synth_non_finite_noise_sd_is_spec_error(tmp_path, capsys, noise_sd):
+    assert main(["synth", "--noise-sd", noise_sd, "--out", str(tmp_path)]) == 3
+    assert capsys.readouterr().err == (
+        f"error: the noise standard deviation must be finite and >= 0, got {noise_sd}\n"
+    )
+    assert not list(tmp_path.iterdir())
+
+
+def test_run_score_beyond_a_double_is_ingestion_error(tmp_path, synth_inputs):
+    path = synth_inputs / "gdsc_2021.csv"
+    with open(path, newline="", encoding="utf-8") as f:
+        rows = list(csv.DictReader(f))
+    assert rows[4]["district_id"] == "S0004"
+    rows[4]["imd_avg_score"] = "9" * 400
+    path.write_text(csv_text(list(rows[0]), (row.values() for row in rows)), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["run", "--config", _write_config(tmp_path, synth_inputs, out, k_values=[2, 3])]) == 2
+    summary = json.loads((out / "run_summary.json").read_text())
+    message = "value inf out of range for column 'imd_avg_score' (district S0004)"
+    assert summary["cells_failed"] == [
+        {"year": 2021, "k": k, "stage": "ingestion", "error": "OutOfRange", "message": message} for k in (2, 3)
+    ]
+
+
 def test_train_explain_round_trip(tmp_path, synth_inputs):
     model_path = tmp_path / "model.json"
     code = main(["train", "--input-dir", str(synth_inputs), "--year", "2021",
@@ -275,6 +300,23 @@ def test_stage_commands_report_dropped_districts(tmp_path, synth_inputs, capsys,
     assert capsys.readouterr().err == (
         f"year 2021: partial join dropped 1 district(s) found in the vaccination table only: {dropped}\n"
     )
+
+
+@pytest.mark.parametrize("per_row", [[], ["--per-row"]], ids=["ranking", "per-row"])
+def test_explain_empty_year_is_error(tmp_path, synth_inputs, capsys, per_row):
+    model_path = tmp_path / "model.json"
+    assert main(["train", "--input-dir", str(synth_inputs), "--year", "2021",
+                 "--k", "2", "--model-out", str(model_path)]) == 0
+    path = synth_inputs / "gdsc_2021.csv"
+    head, *rows = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    path.write_text(head + "".join("X" + row for row in rows), encoding="utf-8")  # no id in common
+    capsys.readouterr()
+    out = tmp_path / "explain"
+    code = main(["explain", "--input-dir", str(synth_inputs), "--year", "2021", "--allow-partial",
+                 "--model", str(model_path), "--out", str(out), *per_row])
+    assert code == 3
+    assert capsys.readouterr().err.endswith("error: global importance needs at least one row\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import csv
+import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +12,7 @@ from conftest import assert_same_dataset, gdsc_csv, gdsc_row, vacc_csv
 from vaxclust import dataset as ds
 from vaxclust import synth
 from vaxclust.errors import (
+    DataError,
     DuplicateDistrict,
     EmptyTable,
     JoinMismatch,
@@ -63,12 +67,21 @@ def test_parse_vaccination_missing_column():
         ds.parse_vaccination_table(vacc_csv([], header=header), 2021)
 
 
-def test_parse_vaccination_duplicate_and_empty():
-    rows = [["E1", "A", *_rates()], ["E1", "B", *_rates()]]
+@pytest.mark.parametrize(
+    "make_csv, row, parse",
+    [
+        (vacc_csv, lambda i: [i, "A", *_rates()], ds.parse_vaccination_table),
+        (gdsc_csv, gdsc_row, ds.parse_gdsc_table),
+    ],
+    ids=["vaccination", "gdsc"],
+)
+def test_parse_rejects_blank_and_repeated_ids_and_no_rows(make_csv, row, parse):
     with pytest.raises(DuplicateDistrict):
-        ds.parse_vaccination_table(vacc_csv(rows), 2021)
+        parse(make_csv([row("E1"), row(" E1 ")]), 2021)
+    with pytest.raises(OutOfRange, match="district_id"):
+        parse(make_csv([row("E1"), row("  ")]), 2021)
     with pytest.raises(EmptyTable):
-        ds.parse_vaccination_table(vacc_csv([]), 2021)
+        parse(make_csv([]), 2021)
 
 
 def test_parse_rejects_locale_decimal_separator():
@@ -96,6 +109,138 @@ def test_parse_gdsc_percent_bounds():
     assert numeric[ds.GDSC_NUMERIC_COLUMNS.index("imd_avg_score")] == 104.5
     with pytest.raises(OutOfRange):
         ds.parse_gdsc_table(gdsc_csv([gdsc_row("E1", imd_avg_score=-1)]), 2021)
+
+
+def test_parse_gdsc_rejects_score_beyond_a_double():
+    # 400 nines parse as inf, which no bound admits (the parser took it once)
+    with pytest.raises(OutOfRange) as err:
+        ds.parse_gdsc_table(gdsc_csv([gdsc_row("S0004", imd_avg_score="9" * 400)]), 2021)
+    assert str(err.value) == "value inf out of range for column 'imd_avg_score' (district S0004)"
+
+
+# The two table parsers as they stood before both tables shared one reader,
+# kept as the oracles of test_parsers_match_two_reader_oracles.
+_ORACLE_DECIMAL_RE = re.compile(r"^[+-]?(\d+(\.\d*)?|\.\d+)$")
+_ORACLE_INT_RE = re.compile(r"^[+-]?\d+$")
+
+
+def _oracle_parse_decimal(raw, column, district_id):
+    if raw is None:
+        raise OutOfRange(column, raw, district_id)
+    text = raw.strip()
+    if not _ORACLE_DECIMAL_RE.match(text):
+        raise OutOfRange(column, raw, district_id)
+    return float(text)
+
+
+def _oracle_parse_percent(raw, column, district_id):
+    value = _oracle_parse_decimal(raw, column, district_id)
+    if not 0.0 <= value <= 100.0:
+        raise OutOfRange(column, value, district_id)
+    return value
+
+
+def _oracle_open_reader(stream, required):
+    reader = csv.DictReader(stream)
+    header = reader.fieldnames or []
+    for column in required:
+        if column not in header:
+            raise MissingColumn(column)
+    return reader
+
+
+def _oracle_parse_vaccination_table(stream, year):
+    reader = _oracle_open_reader(stream, ("district_id", "district_name") + ds.VACCINE_COLUMNS)
+    profiles = {}
+    for row in reader:
+        district_id = (row["district_id"] or "").strip()
+        if not district_id:
+            raise OutOfRange("district_id", row["district_id"])
+        if district_id in profiles:
+            raise DuplicateDistrict(district_id)
+        rates = tuple(_oracle_parse_percent(row[c], c, district_id) for c in ds.VACCINE_COLUMNS)
+        profiles[district_id] = ((row["district_name"] or "").strip(), rates)
+    if not profiles:
+        raise EmptyTable(f"vaccination table for year {year} has no data rows")
+    return profiles
+
+
+def _oracle_parse_gdsc_table(stream, year):
+    reader = _oracle_open_reader(stream, ("district_id",) + ds.GDSC_COLUMNS)
+    profiles = {}
+    for row in reader:
+        district_id = (row["district_id"] or "").strip()
+        if not district_id:
+            raise OutOfRange("district_id", row["district_id"])
+        if district_id in profiles:
+            raise DuplicateDistrict(district_id)
+        imd_avg_score = _oracle_parse_decimal(row["imd_avg_score"], "imd_avg_score", district_id)
+        if imd_avg_score < 0:
+            raise OutOfRange("imd_avg_score", imd_avg_score, district_id)
+        percent = [c for c in ds.GDSC_NUMERIC_COLUMNS if c != "imd_avg_score"]
+        numeric = (imd_avg_score, *(_oracle_parse_percent(row[c], c, district_id) for c in percent))
+        rurality_raw = (row["rurality"] or "").strip()
+        if not _ORACLE_INT_RE.match(rurality_raw):
+            raise RuralityOutOfDomain(row["rurality"], district_id)
+        rurality = int(rurality_raw)
+        if rurality not in ds.RURALITY_CATEGORIES:
+            raise RuralityOutOfDomain(rurality, district_id)
+        profiles[district_id] = (numeric, rurality)
+    if not profiles:
+        raise EmptyTable(f"gdsc table for year {year} has no data rows")
+    return profiles
+
+
+_CELLS = ("", " ", "abc", "1e3", "-1", "-0", "101", "100", "0", "100.0000001", "9" * 400, "nan", "inf",
+          " 5 ", "+.5", "1,5")
+
+
+def _battery(header, row):
+    """(label, table text) cases around one good ``row`` under ``header``."""
+    yield "good", ds.csv_text(header, [row])
+    for at, column in enumerate(header):
+        if column in ds.VACCINE_COLUMNS or column in ds.GDSC_NUMERIC_COLUMNS:
+            for cell in _CELLS:
+                yield f"{column}={cell[:12]!r}", ds.csv_text(header, [row[:at] + [cell] + row[at + 1 :]])
+            yield f"{column} short row", ds.csv_text(header, [row[:at]])
+        if column == "rurality":
+            for cell in ("0", "7", "2.5"):
+                yield f"rurality={cell}", ds.csv_text(header, [row[:at] + [cell] + row[at + 1 :]])
+        yield f"no {column} column", ds.csv_text(header[:at] + header[at + 1 :], [row[:at] + row[at + 1 :]])
+    yield "empty id", ds.csv_text(header, [row, [""] + row[1:]])
+    yield "duplicate id", ds.csv_text(header, [row, row])
+    yield "no rows", ds.csv_text(header, [])
+    yield "empty stream", ""
+
+
+def _outcome(parse, text):
+    """The parse result or the error's type and message, as comparable text."""
+    try:
+        return repr(parse(io.StringIO(text), 2021))
+    except DataError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@pytest.mark.parametrize(
+    "header, row, parse, oracle",
+    [
+        (["district_id", "district_name", *ds.VACCINE_COLUMNS], ["E1", "A", *map(str, _rates())],
+         ds.parse_vaccination_table, _oracle_parse_vaccination_table),
+        (["district_id", *ds.GDSC_COLUMNS], list(map(str, gdsc_row("E1"))),
+         ds.parse_gdsc_table, _oracle_parse_gdsc_table),
+    ],
+    ids=["vaccination", "gdsc"],
+)
+def test_parsers_match_two_reader_oracles(header, row, parse, oracle):
+    outcomes = {label: (_outcome(parse, text), _outcome(oracle, text)) for label, text in _battery(header, row)}
+    assert len(outcomes) > 150
+    differ = {label: pair for label, pair in outcomes.items() if pair[0] != pair[1]}
+    if "imd_avg_score" in header:
+        # the one difference: a score too long for a double is out of range, not inf
+        assert differ.pop("imd_avg_score='999999999999'")[0] == (
+            "OutOfRange: value inf out of range for column 'imd_avg_score' (district E1)"
+        )
+    assert differ == {}
 
 
 def _parsed_pair(ids_vacc, ids_gdsc):

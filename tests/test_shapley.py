@@ -371,9 +371,10 @@ def test_ranking_sorted_desc():
 
 
 def test_too_many_features():
-    model = _ensemble([_tree([], [0.0], [1])], base=[0.0], n_features=3)
+    # raised before any of the 2^21 subsets is enumerated
+    model = _ensemble([_tree([], [0.0], [1])], base=[0.0], n_features=21)
     with pytest.raises(TooManyFeatures):
-        shapley.brute_force_shapley(model, np.zeros(3), feature_subset_limit=2)
+        shapley.brute_force_shapley(model, np.zeros(21))
 
 
 def test_missing_cover_rejected():

@@ -178,6 +178,16 @@ def test_welch_t_basics():
         stats.welch_t([1.0], [1.0, 2.0])
 
 
+@pytest.mark.parametrize(
+    "a, b, t, p",
+    [([3.0, 3.0], [3.0, 3.0, 3.0], 0.0, 1.0), ([2.0, 2.0, 2.0], [1.0, 1.0], math.inf, 0.0)],
+    ids=["equal-constants", "different-constants"],
+)
+def test_welch_t_constant_samples(a, b, t, p):
+    result = stats.welch_t(a, b, "x")
+    assert (result.t_statistic, result.dof, result.p_two_sided) == (t, len(a) + len(b) - 2, p)
+
+
 def test_quartiles_odd_sample():
     assert stats.quartiles([1, 2, 3, 4, 5]) == (2.0, 3.0, 4.0)
 
