@@ -13,7 +13,8 @@ leakage a plain mean encoding would introduce. Inference uses the frozen
 full-training statistics.
 
 Split candidates are 32-bucket per-feature quantile borders, computed once
-per fit together with every row's bucket in every column. Each tree level
+per fit from one sort of the design, together with every row's bucket in
+every column. Each tree level
 scores every (feature, threshold) candidate from one gradient and one
 hessian histogram over (occupied leaf, feature, bucket), as in LightGBM's
 histogram method (Ke et al. 2017). The histogram has one row per leaf that
@@ -32,13 +33,24 @@ a run's work arrays do not grow with the number of trees. Each tree's
 arithmetic is the one it would do alone, so every model is bit for bit the
 one :func:`fit` gives on its fold's rows; :func:`fit` is the same loop over
 one training set.
+
+A model keeps its trees as one :class:`Forest` of arrays: split columns
+and thresholds per (tree, level), level counts and output indices per tree,
+and all trees' leaf values and covers back to back, so a deep model holds
+only the leaves its trees have. The grower writes each round's splits into
+(round, tree, level) arrays and each model gathers its round's leaf tables
+in one step; no per-tree object is built. Prediction finds every tree's
+leaf with one gather per level, then sums each output's trees with one
+``cumsum`` in model order, the additions of a tree-at-a-time loop.
+:class:`ObliviousTree` is the per-tree record of the model document and of
+the read-only ``TreeEnsemble.trees`` view.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -232,6 +244,8 @@ class OrderedTsEncoder:
 
 @dataclass(frozen=True)
 class ObliviousTree:
+    """One tree of a model, as the model document and per-tree readers see it."""
+
     splits: tuple[tuple[int, float], ...]
     leaf_values: np.ndarray  # (2**len(splits),)
     leaf_cover: np.ndarray  # training rows per leaf, same shape
@@ -252,12 +266,83 @@ class ObliviousTree:
 
 
 @dataclass(frozen=True)
+class Forest:
+    """The trees of one model as read-only arrays, in model order.
+
+    Tree t splits on column ``split_column[t, l]`` at ``split_threshold[t,
+    l]`` for each of its ``n_levels[t]`` levels; past them the column is 0
+    and the threshold +inf, which no value exceeds, so a row's leaf comes
+    from one gather per level over all trees. The tree adds to output
+    ``class_index[t]``, and its 2^n_levels[t] leaves are ``leaf_values``
+    and ``leaf_cover`` from ``leaf_offset[t]`` on: a deep model pays only
+    for the leaves its trees have.
+    """
+
+    split_column: np.ndarray  # (tree, level) int64
+    split_threshold: np.ndarray  # (tree, level) float64
+    n_levels: np.ndarray  # (tree,) int64
+    class_index: np.ndarray  # (tree,) int64
+    leaf_values: np.ndarray  # (leaf,) float64
+    leaf_cover: np.ndarray  # (leaf,) int64, training rows per leaf
+
+    def __post_init__(self):
+        for array in (self.split_column, self.split_threshold, self.n_levels, self.class_index,
+                      self.leaf_values, self.leaf_cover):
+            array.flags.writeable = False
+
+    def __len__(self) -> int:
+        return self.n_levels.size
+
+    @property
+    def leaf_offset(self) -> np.ndarray:
+        """(tree + 1,) the first leaf of each tree, then the leaf count."""
+        return np.concatenate([[0], np.cumsum(1 << self.n_levels)])
+
+    @classmethod
+    def of(cls, trees) -> "Forest":
+        """The forest of :class:`ObliviousTree` records, in their order."""
+        trees = tuple(trees)
+        n_levels = np.array([tree.n_levels for tree in trees], dtype=np.int64)
+        real = np.arange(n_levels.max(initial=0)) < n_levels[:, None]
+        columns = np.zeros(real.shape, dtype=np.int64)
+        thresholds = np.full(real.shape, np.inf)
+        columns[real] = [f for tree in trees for f, _ in tree.splits]
+        thresholds[real] = [x for tree in trees for _, x in tree.splits]
+        values = [np.asarray(tree.leaf_values, dtype=np.float64) for tree in trees]
+        cover = [np.asarray(tree.leaf_cover, dtype=np.int64) for tree in trees]
+        return cls(
+            split_column=columns,
+            split_threshold=thresholds,
+            n_levels=n_levels,
+            class_index=np.array([tree.class_index for tree in trees], dtype=np.int64),
+            leaf_values=np.concatenate([np.zeros(0), *values]),
+            leaf_cover=np.concatenate([np.zeros(0, dtype=np.int64), *cover]),
+        )
+
+    def trees(self) -> tuple[ObliviousTree, ...]:
+        """Per-tree views of the arrays, built on each call."""
+        offset = self.leaf_offset.tolist()
+        return tuple(
+            ObliviousTree(
+                splits=tuple(zip(columns[:levels], thresholds[:levels])),
+                leaf_values=self.leaf_values[offset[t] : offset[t + 1]],
+                leaf_cover=self.leaf_cover[offset[t] : offset[t + 1]],
+                class_index=c,
+            )
+            for t, (columns, thresholds, levels, c) in enumerate(zip(
+                self.split_column.tolist(), self.split_threshold.tolist(),
+                self.n_levels.tolist(), self.class_index.tolist(),
+            ))
+        )
+
+
+@dataclass(frozen=True)
 class TreeEnsemble:
     n_classes: int
     n_outputs: int  # 1 for binary (positive-class log-odds), k for multiclass
     base_score: np.ndarray  # (n_outputs,)
     learning_rate: float
-    trees: tuple[ObliviousTree, ...]
+    forest: Forest
     feature_names: tuple[str, ...]  # design-matrix columns
     feature_source: tuple[str, ...]  # source feature per column (TS columns collapse)
     n_numeric: int
@@ -268,6 +353,12 @@ class TreeEnsemble:
     @property
     def n_features(self) -> int:
         return len(self.feature_names)
+
+    @property
+    def trees(self) -> tuple[ObliviousTree, ...]:
+        """The forest tree by tree, built on each read, for per-tree readers
+        outside training, prediction and SHAP."""
+        return self.forest.trees()
 
     def encode_features(self, numeric: np.ndarray, categorical: np.ndarray | None = None) -> np.ndarray:
         numeric = np.atleast_2d(np.asarray(numeric, dtype=np.float64))
@@ -285,16 +376,46 @@ class TreeEnsemble:
         return np.hstack([numeric, self.ts_encoder.encode(categorical)])
 
 
+# Upper bound on the (row, tree) cells of one prediction chunk.
+_PREDICT_BUDGET = 1 << 14
+
+
 def margin_from_design(model: TreeEnsemble, design: np.ndarray) -> np.ndarray:
-    """(n, n_outputs) additive margins over an already-encoded design matrix."""
+    """(n, n_outputs) additive margins over an already-encoded design matrix.
+
+    Rows go in chunks of at most ``_PREDICT_BUDGET`` (row, tree) cells. A
+    chunk finds every tree's leaf with one gather per level, then each
+    output's margin is the last of a ``cumsum`` over its base score and its
+    trees' shrunk leaf values in model order: the numbers and the order of
+    adding one tree at a time.
+    """
     design = np.atleast_2d(np.asarray(design, dtype=np.float64))
     if design.shape[1] != model.n_features:
         raise FeatureArityMismatch(
             f"expected {model.n_features} design columns, got {design.shape[1]}"
         )
-    margins = np.tile(model.base_score, (design.shape[0], 1))
-    for tree in model.trees:
-        margins[:, tree.class_index] += model.learning_rate * tree.evaluate(design)
+    forest = model.forest
+    # a table row: each output's base score, then its trees in model order
+    order = np.argsort(forest.class_index, kind="stable")
+    counts = np.bincount(forest.class_index, minlength=model.n_outputs)
+    ends = np.cumsum(counts + 1)
+    starts = ends - counts - 1
+    at_tree = np.arange(order.size) + np.repeat(np.arange(1, model.n_outputs + 1), counts)
+    columns, thresholds = forest.split_column[order].T, forest.split_threshold[order].T
+    offset = forest.leaf_offset[order]
+    n_rows = design.shape[0]
+    margins = np.empty((n_rows, model.n_outputs))
+    step = max(1, _PREDICT_BUDGET // max(1, order.size))
+    for begin in range(0, n_rows, step):
+        rows = design[begin : begin + step]
+        leaf = np.tile(offset, (rows.shape[0], 1))
+        for level, (column, threshold) in enumerate(zip(columns, thresholds)):
+            leaf += (rows[:, column] > threshold).astype(np.int64) << level
+        table = np.empty((rows.shape[0], ends[-1]))
+        table[:, starts] = model.base_score
+        table[:, at_tree] = model.learning_rate * forest.leaf_values[leaf]
+        for c, (a, b) in enumerate(zip(starts.tolist(), ends.tolist())):
+            margins[begin : begin + step, c] = np.cumsum(table[:, a:b], axis=1)[:, -1]
     return margins
 
 
@@ -335,6 +456,24 @@ def predict_class(model: TreeEnsemble, numeric, categorical=None) -> np.ndarray:
 _QUANTILES = np.arange(1, N_QUANTILE_BUCKETS) / N_QUANTILE_BUCKETS
 
 
+def _quantile_borders(design: np.ndarray) -> np.ndarray:
+    """(quantile, column) ``np.quantile(design, _QUANTILES, axis=0,
+    method="linear")`` from one sort: numpy's position (n - 1) q, its floor
+    row a and the next row b, and its two-sided interpolation, a + (b - a) g
+    below g = 0.5 and b - (b - a) (1 - g) from there. The bits are numpy's,
+    but for the sign of a zero border in a column that holds both -0.0 and
+    +0.0, which numpy's own partition leaves to chance.
+    """
+    n_rows = design.shape[0]
+    ordered = np.sort(design, axis=0)
+    position = (n_rows - 1) * _QUANTILES
+    below = np.floor(position).astype(np.intp)
+    gamma = (position - below)[:, None]
+    a, b = ordered[below], ordered[np.minimum(below + 1, n_rows - 1)]
+    step = b - a
+    return np.where(gamma >= 0.5, b - step * (1 - gamma), a + step * gamma)
+
+
 def _split_table(design: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-row slots and per-column thresholds shared by every tree of a fit.
 
@@ -347,12 +486,15 @@ def _split_table(design: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     that holds them.
     """
     n_rows, n_cols = design.shape
+    # each column's distinct borders in order, as np.unique keeps them
+    borders = np.sort(_quantile_borders(design), axis=0).T
+    distinct = np.ones(borders.shape, dtype=bool)
+    distinct[:, 1:] = borders[:, 1:] != borders[:, :-1]
     thresholds = np.full((n_cols, N_QUANTILE_BUCKETS), np.inf)
+    column, _ = np.nonzero(distinct)
+    thresholds[column, np.cumsum(distinct, axis=1)[distinct] - 1] = borders[distinct]
     slots = np.empty((n_rows, n_cols), dtype=np.min_scalar_type(n_cols * N_QUANTILE_BUCKETS - 1))
-    borders = np.quantile(design, _QUANTILES, axis=0, method="linear")  # (quantile, column)
-    for j in range(n_cols):
-        candidates = np.unique(borders[:, j])
-        thresholds[j, : candidates.size] = candidates
+    for j, candidates in enumerate(thresholds):
         slots[:, j] = j * N_QUANTILE_BUCKETS + np.searchsorted(candidates, design[:, j], side="left")
     return slots, thresholds
 
@@ -481,7 +623,7 @@ class _Layout:
         )
 
 
-def _grow_trees(layout: _Layout, grad, hess, depth, l2):
+def _grow_trees(layout: _Layout, grad, hess, depth, l2, split_slot):
     """Symmetric trees grown together, each by greedy level-wise splits that
     maximize its total Newton gain, bit for bit as if it grew alone.
 
@@ -489,22 +631,26 @@ def _grow_trees(layout: _Layout, grad, hess, depth, l2):
     ``hess``, and its rows stay in place for the whole call: each level
     updates their leaves where they are. A level scores the trees still
     growing in runs, blocks of consecutive growing trees whose work arrays
-    stay under ``_HISTOGRAM_BUDGET`` cells (:func:`_best_splits`); a tree
-    whose best split gains no more than the minimum stops, and later levels
-    skip it. Newton scores are plain divides (:func:`_newton_score`).
-    Returns each tree's (splits, leaf values, leaf covers) and each row's
-    leaf value.
+    stay under ``_HISTOGRAM_BUDGET`` cells (:func:`_best_splits`), and moves
+    the rows of a run's growing trees to their new leaves in one pass; a
+    tree whose best split gains no more than the minimum stops, and later
+    levels skip it. Newton scores are plain divides (:func:`_newton_score`).
+    Writes the flat (column, bucket) slot of tree b's split at each level
+    to ``split_slot[b, level]``, which keeps -1 past its last split, and
+    returns the trees' leaf values and leaf covers, tree after tree as in a
+    :class:`Forest`, and each row's leaf value.
     """
     slots, thresholds, sizes = layout.slots, layout.thresholds, layout.sizes
     padded, lone, has_lone, tree_of_row = layout.padded, layout.lone, layout.has_lone, layout.tree_of_row
     n_trees, width = thresholds.shape
     n_cols = slots.shape[1]
-    splits: list[list[tuple[int, float]]] = [[] for _ in range(n_trees)]
     leaf_idx = np.zeros(grad.size, dtype=np.int64)
     g_rows, h_rows = np.repeat(grad, n_cols), np.repeat(hess, n_cols)
     starts = [0, *itertools.accumulate(sizes)]
     rows_most = max(sizes)
     growing = [True] * n_trees
+    chosen: list[list[int]] = []  # per level, each tree's slot or -1
+    row_cells = np.arange(grad.size) * n_cols  # each row's first cell of ``slots``
     for level in range(depth):
         n_leaves = 1 << level
         cost = max(min(rows_most, n_leaves) * width, rows_most * n_cols, n_leaves)
@@ -515,38 +661,40 @@ def _grow_trees(layout: _Layout, grad, hess, depth, l2):
                 runs[-1][1] = t + 1
             else:
                 runs.append([t, t + 1])
+        chosen.append([-1] * n_trees)
         for a, b in runs:
             r0, r1 = starts[a], starts[b]
             cells = slice(r0 * n_cols, r1 * n_cols)
+            tree = None if b - a == 1 else tree_of_row[r0:r1] - a
             best, ok = _best_splits(
                 slots[r0:r1], grad[r0:r1], hess[r0:r1], g_rows[cells], h_rows[cells],
-                leaf_idx[r0:r1] if b - a == 1 else ((tree_of_row[r0:r1] - a) << level) | leaf_idx[r0:r1],
+                leaf_idx[r0:r1] if tree is None else (tree << level) | leaf_idx[r0:r1],
                 n_leaves, padded[a:b], lone[a:b] if any(has_lone[a:b]) else None, l2,
             )
-            for t, slot, grows in zip(range(a, b), best, ok):
-                growing[t] = grows
-                if grows:
-                    j = slot // N_QUANTILE_BUCKETS
-                    splits[t].append((j, float(thresholds[t, slot])))
-                    rows = slice(starts[t], starts[t + 1])
-                    leaf_idx[rows] |= (slots[rows, j] > slot).astype(np.int64) << level
+            growing[a:b] = ok
+            chosen[level][a:b] = [slot if grows else -1 for slot, grows in zip(best, ok)]
+            if tree is None:
+                if ok[0]:
+                    right = slots[r0:r1, best[0] // N_QUANTILE_BUCKETS] > best[0]
+                    leaf_idx[r0:r1] |= right.astype(np.int64) << level
+                continue
+            # a stopped tree's rows stay put: no slot of a column exceeds its last
+            limit = np.array([slot if grows else slot | (N_QUANTILE_BUCKETS - 1) for slot, grows in zip(best, ok)])
+            limit = limit[tree]
+            right = slots.ravel()[row_cells[r0:r1] + limit // N_QUANTILE_BUCKETS] > limit
+            leaf_idx[r0:r1] |= right.astype(np.int64) << level
         if not any(growing):
             break
+    split_slot[:, : len(chosen)] = np.array(chosen).T
 
-    offsets = np.array([0, *itertools.accumulate(1 << len(tree_splits) for tree_splits in splits)])
+    offsets = np.concatenate([[0], np.cumsum(1 << np.count_nonzero(split_slot >= 0, axis=1))])
     key = offsets[tree_of_row] + leaf_idx
     g_leaf = np.bincount(key, weights=grad, minlength=offsets[-1])
     h_leaf = np.bincount(key, weights=hess, minlength=offsets[-1])
     cover = np.bincount(key, minlength=offsets[-1])
     denom = h_leaf + l2
     values = np.where(denom > 0, -np.divide(g_leaf, denom, out=np.zeros_like(denom), where=denom > 0), 0.0)
-    # each tree owns its tables: views into the round's raised the peak RSS
-    # of a 500-round k=6 cross-validation by about 4 MB
-    grown = [
-        (splits[b], values[offsets[b] : offsets[b + 1]].copy(), cover[offsets[b] : offsets[b + 1]].copy())
-        for b in range(n_trees)
-    ]
-    return grown, values[key]
+    return values, cover, values[key]
 
 
 def _prepare(numeric, categorical, labels, config, numeric_names, categorical_names):
@@ -606,7 +754,7 @@ def _prepare(numeric, categorical, labels, config, numeric_names, categorical_na
         n_outputs=n_outputs,
         base_score=base,
         learning_rate=config.learning_rate,
-        trees=(),
+        forest=Forest.of(()),
         feature_names=tuple(feature_names),
         feature_source=tuple(feature_source),
         n_numeric=numeric.shape[1],
@@ -624,7 +772,10 @@ def _boost(untrained) -> list[TreeEnsemble]:
     tree of every (class, model) in one :func:`_grow_trees` call, from the
     round-start probabilities. Sigmoid and softmax are row-wise, and each
     model's loss is the mean over its own rows, so every model is the one it
-    would be alone.
+    would be alone. The grower writes every round's split slots into one
+    (round, tree, level) array, each model takes its leaf tables from the
+    round in one gather, and the split columns and thresholds of every
+    :class:`Forest` come from the slots in one pass after the last round.
     """
     first = untrained[0][0]
     config, n_outputs, n_models = first.config, first.n_outputs, len(untrained)
@@ -637,6 +788,8 @@ def _boost(untrained) -> list[TreeEnsemble]:
         np.stack([t for _, t in tables] * n_outputs),
         sizes * n_outputs,
     )
+    n_trees = n_outputs * n_models
+    split_slot = np.full((config.n_trees, n_trees, config.depth), -1, dtype=np.int64)
 
     labels = np.concatenate([y for _, _, y in untrained])
     n = labels.size
@@ -648,17 +801,24 @@ def _boost(untrained) -> list[TreeEnsemble]:
         probabilities = _softmax
     margins = np.concatenate([np.tile(model.base_score, (y.size, 1)) for model, _, y in untrained])
     p = probabilities(margins)
-    trees: list[list[ObliviousTree]] = [[] for _ in range(n_models)]
+    leaves: list[list[tuple[np.ndarray, np.ndarray]]] = [[] for _ in range(n_models)]
     losses: list[list[float]] = [[] for _ in range(n_models)]
     lr = config.learning_rate
 
-    for _ in range(config.n_trees):
+    for r in range(config.n_trees):
         grad = (p - targets).T.ravel()
         hess = (p * (1.0 - p)).T.ravel()
-        grown, row_values = _grow_trees(layout, grad, hess, config.depth, config.l2_leaf_reg)
-        for b, (splits, values, cover) in enumerate(grown):
-            c, f = divmod(b, n_models)
-            trees[f].append(ObliviousTree(splits=tuple(splits), leaf_values=values, leaf_cover=cover, class_index=c))
+        values, cover, row_values = _grow_trees(
+            layout, grad, hess, config.depth, config.l2_leaf_reg, split_slot[r]
+        )
+        # each model owns its leaf tables: views into the round's would keep
+        # every model's leaves alive until the last model is built
+        counts = 1 << np.count_nonzero(split_slot[r] >= 0, axis=1)
+        starts = np.cumsum(counts) - counts
+        for f in range(n_models):
+            mine = counts[f::n_models]
+            at = np.repeat(starts[f::n_models] - (np.cumsum(mine) - mine), mine) + np.arange(mine.sum())
+            leaves[f].append((values[at], cover[at]))
         margins += lr * row_values.reshape(n_outputs, n).T
         p = probabilities(margins)
         if n_outputs == 1:
@@ -670,10 +830,26 @@ def _boost(untrained) -> list[TreeEnsemble]:
         for f in range(n_models):
             losses[f].append(float(-np.mean(terms[bounds[f] : bounds[f + 1]])))
 
-    return [
-        replace(model, trees=tuple(model_trees), training_loss=tuple(model_losses))
-        for (model, _, _), model_trees, model_losses in zip(untrained, trees, losses)
-    ]
+    split = split_slot >= 0
+    n_levels = split.sum(axis=2)
+    split_column = np.where(split, split_slot // N_QUANTILE_BUCKETS, 0)
+    split_threshold = np.where(split, layout.thresholds[np.arange(n_trees)[:, None], split_slot], np.inf)
+    models = []
+    for f, (model, _, _) in enumerate(untrained):
+        levels = n_levels[:, f::n_models].ravel()  # round by round, class by class
+        width = int(levels.max())
+        model_values, model_cover = zip(*leaves[f])
+        leaves[f] = []
+        forest = Forest(
+            split_column=split_column[:, f::n_models, :width].reshape(-1, width),
+            split_threshold=split_threshold[:, f::n_models, :width].reshape(-1, width),
+            n_levels=levels,
+            class_index=np.tile(np.arange(n_outputs), config.n_trees),
+            leaf_values=np.concatenate(model_values),
+            leaf_cover=np.concatenate(model_cover),
+        )
+        models.append(replace(model, forest=forest, training_loss=tuple(losses[f])))
+    return models
 
 
 def fit(
@@ -737,11 +913,15 @@ _DOCUMENT_FORMAT = {"format_version": 1, "model_type": "oblivious_gbdt"}
 
 def to_json(model: TreeEnsemble) -> str:
     """Self-describing JSON document of the dataclass fields, ``ts_encoder``
-    under ``encoder``; floats round-trip exactly via repr."""
-    doc = {**_DOCUMENT_FORMAT, **asdict(model)}
-    encoder = doc["encoder"] = doc.pop("ts_encoder")
-    if encoder is not None:  # string category keys sort as text: "10" < "9"
-        encoder["stats"] = [{str(c): entry for c, entry in fs.items()} for fs in encoder["stats"]]
+    under ``encoder`` and the forest as ``trees``, one :class:`ObliviousTree`
+    record each; floats round-trip exactly via repr."""
+    doc = {**_DOCUMENT_FORMAT, **{f.name: getattr(model, f.name) for f in fields(model) if f.name != "forest"}}
+    doc["trees"] = [asdict(tree) for tree in model.trees]
+    doc["config"] = asdict(model.config)
+    encoder = doc.pop("ts_encoder")
+    doc["encoder"] = None if encoder is None else {  # string category keys sort as text: "10" < "9"
+        **asdict(encoder), "stats": [{str(c): entry for c, entry in fs.items()} for fs in encoder.stats]
+    }
     return json.dumps(doc, sort_keys=True, indent=2, default=lambda a: a.tolist())
 
 
@@ -768,8 +948,9 @@ def from_json(text: str | bytes) -> TreeEnsemble:
         isinstance(doc, dict) and all(doc.get(k) == v for k, v in _DOCUMENT_FORMAT.items()),
         f"not a {_DOCUMENT_FORMAT} document",
     )
-    record = {("ts_encoder" if k == "encoder" else k): v for k, v in doc.items() if k not in _DOCUMENT_FORMAT}
-    check_fields(TreeEnsemble, record, DataError, "model", nested={"trees", "ts_encoder", "config"})
+    names = {"encoder": "ts_encoder", "trees": "forest"}
+    record = {names.get(k, k): v for k, v in doc.items() if k not in _DOCUMENT_FORMAT}
+    check_fields(TreeEnsemble, record, DataError, "model", nested={"forest", "ts_encoder", "config"})
     check_fields(TrainConfig, record["config"], DataError, "model config")
     try:
         config = TrainConfig(**record["config"])
@@ -804,8 +985,8 @@ def from_json(text: str | bytes) -> TreeEnsemble:
         record["n_numeric"] >= 0 and record["n_numeric"] + n_encoded == n_features,
         "n_numeric plus the encoded columns must equal the feature count",
     )
-    _require(isinstance(record["trees"], list), "trees must be a list")
-    for i, spec in enumerate(record["trees"]):
+    _require(isinstance(record["forest"], list), "trees must be a list")
+    for i, spec in enumerate(record["forest"]):
         check_fields(ObliviousTree, spec, DataError, f"model tree {i}")
         n_leaves = 2 ** len(spec["splits"])
         _require(0 <= spec["class_index"] < n_outputs, f"tree {i} class_index out of range")
@@ -820,21 +1001,21 @@ def from_json(text: str | bytes) -> TreeEnsemble:
         )
         _require(any(spec["leaf_cover"]), f"tree {i} leaf_cover must count some training rows")
 
-    trees = tuple(
+    forest = Forest.of(
         ObliviousTree(
             splits=tuple((f, float(t)) for f, t in spec["splits"]),
-            leaf_values=np.array(spec["leaf_values"], dtype=np.float64),
-            leaf_cover=np.array(spec["leaf_cover"], dtype=np.int64),
+            leaf_values=spec["leaf_values"],
+            leaf_cover=spec["leaf_cover"],
             class_index=spec["class_index"],
         )
-        for spec in record["trees"]
+        for spec in record["forest"]
     )
     return TreeEnsemble(
         n_classes=n_classes,
         n_outputs=n_outputs,
         base_score=np.array(record["base_score"], dtype=np.float64),
         learning_rate=record["learning_rate"],
-        trees=trees,
+        forest=forest,
         feature_names=tuple(record["feature_names"]),
         feature_source=tuple(record["feature_source"]),
         n_numeric=record["n_numeric"],

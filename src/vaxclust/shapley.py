@@ -26,18 +26,21 @@ Two independent routes to the same quantity:
   node are summed: the cost per decision pattern is
   O(leaves * u * ceil(u / 2)) at any depth, with no 2^u or 2^depth factor.
 
-  The explainer pays per model, not per tree. It builds one leaf-term table
-  for all trees at once, and ``explain`` reads every tree's decision
-  patterns in one pass, attributes each distinct (tree, pattern) pair once
-  and scatters the results onto the rows with one ``bincount``, as
-  GPUTreeShap batches all paths of an ensemble (Mitchell et al. 2022). The
-  terms are grouped by player count u rather than padded to the largest:
-  a padding player's factor (1 - t) + t is not exactly 1.0 in floating
-  point, and a larger u would change the node count, so padding would move
-  the bits of phi. Grouped, every term is computed with its own tree's u
-  and nodes, and every sum adds the same numbers in the same order as a
-  tree-at-a-time loop: a pair's terms in leaf order, a row's trees in
-  model order. The result does not depend on the batch or its chunking.
+  The explainer pays per model, not per tree. It reads the model's
+  :class:`~vaxclust.gbdt.Forest` arrays and builds the leaf terms of all
+  trees in a few passes over the flat leaf arrays. ``explain`` reads the
+  decision patterns of a block of trees for all rows at once, attributes
+  each distinct (tree, pattern) pair once and adds the results onto the
+  rows, as GPUTreeShap batches all paths of an ensemble (Mitchell et al.
+  2022). The terms are grouped by quadrature node count ceil(u / 2), so a
+  group holds the trees with 2m - 1 and 2m players. Where a chunk of pairs
+  mixes the two, the smaller trees get a last padding player whose factor
+  is set to exactly 1.0; (1 - t) + t would not be exactly 1.0 in floating
+  point. Multiplying by exactly 1.0 changes no product, and as the last
+  factor it changes no product's order, so padded terms keep their bits.
+  Every sum adds the same numbers in the same order as a tree-at-a-time
+  loop: a pair's terms in leaf order, a row's trees in model order. The
+  result does not depend on the batch, the blocks or the chunking.
 * :func:`brute_force_shapley` — the definition, verbatim: for every feature,
   the factorially-weighted average of marginal contributions over all
   feature subsets, with the same cover-based conditional expectation found by
@@ -102,235 +105,272 @@ def _gauss_legendre(u: int) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class _TermGroup:
-    """The leaf terms of every tree with ``u`` players, in rank order.
+    """The leaf terms of every tree whose player count u rounds up to
+    ``width`` (``width - 1`` or ``width`` players), in rank order.
 
-    The group's trees are those of ranks ``first_rank`` onward; the i-th
-    owns terms ``start[i]`` to ``start[i] + count[i]``, in leaf order, and
-    ``masks[i, s]`` holds the levels split on its player s as leaf-index
-    bits. Per term: its leaf index, its value with shrinkage folded in,
-    ``zero[:, s]`` (the product of the cover fractions of its path at the
-    levels of player s, 0 below an empty node) and ``empty``, the levels of
-    the players whose z is 0, on which a row must agree with the leaf for
-    the term to count.
+    All of them take ``width / 2`` quadrature nodes. The group's trees are
+    those of ranks ``first_rank`` onward; the i-th has ``players[i]``
+    players and owns terms ``start[i]`` to ``start[i] + count[i]``, in leaf
+    order, and ``masks[s, i]`` holds the levels split on its player s as
+    leaf-index bits (0 for a padding player). Per term: its leaf index, its
+    value with shrinkage folded in, ``zero[s]`` (the product of the cover
+    fractions of its path at the levels of player s, 0 below an empty node,
+    1.0 for a padding player) and ``empty``, the levels of the players whose
+    z is 0, on which a row must agree with the leaf for the term to count.
     """
 
-    u: int
+    width: int
     first_rank: int
+    players: np.ndarray
     start: np.ndarray
     count: np.ndarray
-    masks: np.ndarray  # (trees, u)
+    masks: np.ndarray  # (width, trees)
     leaf: np.ndarray
     value: np.ndarray
-    zero: np.ndarray  # (terms, u)
+    zero: np.ndarray  # (width, terms)
     empty: np.ndarray
 
     def phi(self, ranks, patterns, out) -> None:
-        """Write the flat (pair, player) attributions of (tree rank, decision
-        pattern) pairs of this group into ``out``.
+        """Write the (pair, player) attributions of (tree rank, decision
+        pattern) pairs of this group into the rows of ``out``; a tree with
+        ``width - 1`` players leaves its last slot without meaning.
 
         A pattern holds a row's per-level decisions (bit l set: went right at
         level l). Each (pair, player) slot sums its own terms in leaf order,
-        so a result depends neither on the batch nor on the chunking.
+        so a result depends neither on the batch nor on the chunking. The
+        pairs go in chunks of at most ``_TERM_BUDGET`` (node, term, player)
+        cells. A chunk with trees of both player counts pads the smaller
+        ones: the padding player's factor is exactly 1.0, and it comes last,
+        so every product of the other factors has the bits it has without
+        it.
         """
-        u = self.u
+        u = self.width
         nodes, weights = _gauss_legendre(u)
-        step = max(1, _TERM_BUDGET // max(1, int(self.count.max()) * u * nodes.size))
-        for begin in range(0, ranks.size, step):
-            tree = ranks[begin : begin + step] - self.first_rank
-            counts = self.count[tree]
+        cap = _TERM_BUDGET // (u * nodes.size)  # terms per chunk
+        trees = ranks - self.first_rank
+        sizes = self.count[trees]
+        tree_ends = np.cumsum(sizes)
+        begin = 0
+        while begin < trees.size:
+            end = max(begin + 1, int(np.searchsorted(tree_ends, tree_ends[begin] - sizes[begin] + cap, "right")))
+            tree, counts = trees[begin:end], sizes[begin:end]
             ends = np.cumsum(counts)
             pair = np.repeat(np.arange(tree.size), counts)
             term = np.arange(ends[-1]) + np.repeat(self.start[tree] - (ends - counts), counts)
-            disagree = patterns[begin : begin + step][pair] ^ self.leaf[term]
+            disagree = patterns[begin:end][pair] ^ self.leaf[term]
             hit = np.flatnonzero((disagree & self.empty[term]) == 0)
             pair, term, disagree = pair[hit], term[hit], disagree[hit]
-            one = ((disagree[:, None] & self.masks[tree[pair]]) == 0).astype(np.float64)
-            zero = self.zero[term]
-            # (quadrature node, term, player) factors z (1 - t) + o t; a
-            # player's integrand is the product of the other players' factors
-            factors = zero * (1.0 - nodes)[:, None, None]
-            factors += one * nodes[:, None, None]
-            others = np.ones_like(factors)  # the product of the factors before, then after
-            after = np.ones_like(factors)
-            np.cumprod(factors[:, :, :-1], axis=2, out=others[:, :, 1:])
-            np.cumprod(factors[:, :, :0:-1], axis=2, out=after[:, :, -2::-1])
+            players = self.players[tree]
+            v = int(players.max())  # the chunk's width: width - 1 if no tree has more players
+            # (player, term) agreements o and cover products z, and the
+            # (player, quadrature node, term) factors z (1 - t) + o t
+            one = ((disagree & self.masks[:v, tree[pair]]) == 0).astype(np.float64)
+            zero = self.zero[:v, term]
+            factors = zero[:, None, :] * (1.0 - nodes)[:, None]
+            factors += one[:, None, :] * nodes[:, None]
+            short = players < v
+            if short.any():
+                factors[-1][:, short[pair]] = 1.0
+            # a player's integrand is the product of the other players'
+            # factors: those before it, then those after it, each multiplied
+            # up in the order of a cumprod
+            others = np.empty_like(factors)
+            after = np.empty_like(factors)
+            others[0] = after[-1] = 1.0
+            for s in range(1, v):
+                np.multiply(others[s - 1], factors[s - 1], out=others[s])
+            for s in range(v - 2, -1, -1):
+                np.multiply(after[s + 1], factors[s + 1], out=after[s])
             others *= after
-            integral = weights[0] * others[0]
-            for w, product in zip(weights[1:], others[1:]):
-                integral += w * product
-            terms = (one - zero) * integral * self.value[term][:, None]
-            slots = (pair[:, None] * u + np.arange(u)).ravel()
-            out[begin * u : (begin + tree.size) * u] = np.bincount(
-                slots, weights=terms.ravel(), minlength=tree.size * u
-            )
+            integral = weights[0] * others[:, 0]
+            for k in range(1, nodes.size):
+                integral += weights[k] * others[:, k]
+            terms = (one - zero) * integral * self.value[term]
+            slots = (pair * v + np.arange(v)[:, None]).ravel()
+            out[begin:end, :v] = np.bincount(slots, weights=terms.ravel(), minlength=tree.size * v).reshape(-1, v)
+            begin = end
 
 
-def _runs(trees: np.ndarray, levels: int) -> list[np.ndarray]:
-    """``trees``, all with ``levels`` levels, in runs whose (tree, leaf,
-    depth) tables hold at most ``_TERM_BUDGET`` elements (one tree at least)."""
-    step = max(1, _TERM_BUDGET // ((1 << levels) * (levels + 1)))
-    return [trees[begin : begin + step] for begin in range(0, trees.size, step)]
+def _leaf_terms(forest, values, trees, n_terms, player, masks, width):
+    """(leaf, value, zero, empty) of the ``n_terms`` leaves with a nonzero
+    value of ``trees``, in (tree, leaf) order, built in passes of at most
+    ``_TERM_BUDGET`` (leaf, player) cells.
 
-
-def _leaf_tables(model: TreeEnsemble, trees: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(tree, leaf) tables of leaf values, shrinkage folded in, and covers for
-    trees of one level count."""
-    values = model.learning_rate * np.array([model.trees[i].leaf_values for i in trees], dtype=np.float64)
-    return values, np.array([model.trees[i].leaf_cover for i in trees], dtype=np.float64)
-
-
-def _valued_leaves(values, cover, player, masks):
-    """(leaf, value, zero, empty) of each leaf with a nonzero value, in (tree,
-    leaf) order, for trees with the same level count.
-
-    ``values`` and ``cover`` are (tree, leaf) tables, ``player`` the player
-    of each level and ``masks`` the levels of each player as leaf-index bits.
+    ``values`` are the forest's leaf values with shrinkage folded in,
+    ``player`` the player of each (tree, level) and ``masks`` the levels of
+    each player as leaf-index bits, padded with zeros to ``width`` players;
+    ``zero`` has ``width`` rows, 1.0 past a tree's players. The cover of
+    a leaf's depth-m node sums the integer covers of the leaves that share
+    its m low bits, which is exact in any order.
     """
-    n_trees, n_leaves = values.shape
-    levels = n_leaves.bit_length() - 1
-    # node covers depth by depth; the depth-m node whose level decisions are
-    # the m low bits of i sits at node_cover[:, 2^m - 1 + i]
-    covers = [cover]
-    for level in range(levels - 1, -1, -1):
-        covers.insert(0, covers[0][:, : 1 << level] + covers[0][:, 1 << level :])
-    node_cover = np.concatenate(covers, axis=1)
-    prefix = (1 << np.arange(levels + 1)) - 1
-    path = node_cover[:, prefix + (np.arange(n_leaves)[:, None] & prefix)]  # (tree, leaf, depth) covers
-    parent = path[:, :, :-1]
-    fraction = np.divide(path[:, :, 1:], parent, out=np.zeros(parent.shape), where=parent > 0)
-    # each player's z: 1.0 times the fractions of its levels, in level order
-    zero = np.ones((n_trees, n_leaves, masks.shape[1]))
-    for level in range(levels):
-        zero[np.arange(n_trees), :, player[:, level]] *= fraction[:, :, level]
-    empty = np.where(zero == 0.0, masks[:, None, :], 0).sum(axis=2)
-    tree, leaf = np.nonzero(values)
-    return leaf, values[tree, leaf], zero[tree, leaf], empty[tree, leaf]
+    offset = forest.leaf_offset
+    counts = 1 << forest.n_levels[trees]
+    ends = np.cumsum(counts)
+    terms = (np.empty(n_terms, np.int64), np.empty(n_terms), np.empty((width, n_terms)), np.empty(n_terms, np.int64))
+    filled = begin = 0
+    while begin < trees.size:
+        end = max(begin + 1, int(np.searchsorted(ends, ends[begin] - counts[begin] + _TERM_BUDGET // width, "right")))
+        block, sizes = trees[begin:end], counts[begin:end]
+        firsts = np.cumsum(sizes) - sizes
+        local = np.repeat(np.arange(block.size), sizes)  # each leaf's tree in the block
+        leaf = np.arange(firsts[-1] + sizes[-1]) - firsts[local]
+        at = offset[block][local] + leaf
+        cover = forest.leaf_cover[at].astype(np.float64)
+        keep = np.flatnonzero(values[at] != 0.0)
+        tree, node_key = local[keep], firsts[local]
+        levels = forest.n_levels[block][tree]
+        players = player[block][tree]
+        # each player's z: 1.0 times the cover fractions of its levels, in level order
+        zero = np.ones((width, keep.size))
+        node = np.bincount(local, weights=cover)[tree]  # the root's cover
+        for level in range(int(levels.max(initial=0))):
+            key = node_key + (leaf & ((2 << level) - 1))
+            child = np.bincount(key, weights=cover, minlength=leaf.size)[key[keep]]
+            fraction = np.divide(child, node, out=np.zeros(keep.size), where=node > 0)
+            zero[players[:, level], np.arange(keep.size)] *= np.where(level < levels, fraction, 1.0)
+            node = child
+        empty = np.where(zero == 0.0, masks[:width, block][:, tree], 0).sum(axis=0)
+        for column, part in zip(terms, (leaf[keep], values[at[keep]], zero, empty)):
+            column[..., filled : filled + keep.size] = part
+        filled += keep.size
+        begin = end
+    return terms
 
 
 class TreeShapExplainer:
-    """One leaf-term table for the whole model; attributions for any batch of rows.
+    """The leaf terms of the whole model; attributions for any batch of rows.
 
     A row enters a tree only through its per-level decisions. :meth:`explain`
-    reads them for every tree at once, attributes each distinct (tree,
-    pattern) pair once and scatters the results back onto the rows.
+    reads them for a block of trees at a time, attributes each distinct
+    (tree, pattern) pair once and adds the results onto the rows.
     """
 
     def __init__(self, model: TreeEnsemble):
         self.model = model
         self.n_features = model.n_features
-        trees = model.trees
-        if any(t.leaf_cover is None for t in trees):
-            raise MissingCover("tree has no populated leaf_cover")
-        n_trees = len(trees)
-        n_levels = np.array([t.n_levels for t in trees], dtype=np.int64)
-        depth = int(n_levels.max(initial=1))  # one padded level at least, for argmax
-        classes = np.array([t.class_index for t in trees], dtype=np.int64)
+        forest = model.forest
+        n_trees = len(forest)
+        n_levels, classes = forest.n_levels, forest.class_index
+        depth = max(1, forest.split_column.shape[1])  # one padded level at least, for argmax
 
-        # (tree, level) split columns, -1 and threshold +inf on unused levels
+        # (tree, level) split columns, -1 on unused levels
         real = np.arange(depth) < n_levels[:, None]
         columns = np.full((n_trees, depth), -1, dtype=np.int64)
-        thresholds = np.full((n_trees, depth), np.inf)
-        columns[real] = [f for t in trees for f, _ in t.splits]
-        thresholds[real] = [x for t in trees for _, x in t.splits]
+        columns[real] = forest.split_column[real[:, : forest.split_column.shape[1]]]
         # players: a tree's distinct columns, numbered by first appearance
         first = (columns[:, :, None] == columns[:, None, :]).argmax(axis=2)
         leads = (first == np.arange(depth)) & real
         player = np.take_along_axis(np.cumsum(leads, axis=1) - 1, first, axis=1)
         n_players = leads.sum(axis=1)
-        masks = np.zeros((n_trees, depth), dtype=np.int64)  # levels of each player as leaf-index bits
+        widths = (n_players + 1) // 2 * 2  # trees with ceil(u / 2) quadrature nodes share a width
+        width = int(widths.max(initial=0))
+        masks = np.zeros((max(depth, width), n_trees), dtype=np.int64)  # levels of each player as leaf-index bits
         for level in range(depth):
-            masks[np.arange(n_trees), player[:, level]] += real[:, level] << level
+            masks[player[:, level], np.arange(n_trees)] += real[:, level] << level
 
-        # each tree's expected value and count of valued leaves
-        expected = np.empty(n_trees)
-        valued = np.empty(n_trees, dtype=np.int64)
-        for levels in np.unique(n_levels).tolist():
-            members = np.flatnonzero(n_levels == levels)
-            for at in _runs(members, levels):
-                values, cover = _leaf_tables(model, at)
-                if np.any(cover.sum(axis=1) <= 0):
-                    raise MissingCover("tree has no populated leaf_cover")
-                expected[at] = [float(v @ c) / float(c.sum()) for v, c in zip(values, cover)]
-                valued[at] = np.count_nonzero(values, axis=1)
+        # each tree's expected value, from its own dot product as numpy sums it
+        values = model.learning_rate * forest.leaf_values
+        firsts = forest.leaf_offset[:-1]
+        covered = np.add.reduceat(forest.leaf_cover, firsts)  # integer sums, exact in any order
+        if np.any(covered <= 0):
+            raise MissingCover("tree has no populated leaf_cover")
+        bounds = forest.leaf_offset.tolist()
+        expected = [
+            float(values[a:b] @ forest.leaf_cover[a:b].astype(np.float64)) / float(total)
+            for a, b, total in zip(bounds, bounds[1:], covered.tolist())
+        ]
         self.base = np.bincount(
             np.concatenate([np.arange(model.n_outputs), classes]),
             weights=np.concatenate([np.asarray(model.base_score, dtype=np.float64), expected]),
             minlength=model.n_outputs,
         )
 
-        # trees with players, ranked by (player count, level count, tree)
-        order = np.lexsort((n_levels, n_players))
-        order = order[n_players[order] > 0]
+        # trees with players, ranked by (player count, tree); one term group per width
+        ranked = np.flatnonzero(n_players > 0)  # in model order
+        order = ranked[np.argsort(n_players[ranked], kind="stable")]
+        valued = np.add.reduceat(values != 0.0, firsts, dtype=np.int64)[order]
+        leaf, value, zero, empty = _leaf_terms(forest, values, order, int(valued.sum()), player, masks, width)
+        term_ends = np.cumsum(valued)
         self._groups = []
-        for u in np.unique(n_players[order]).tolist():
-            ranks = np.flatnonzero(n_players[order] == u)
-            counts = valued[order[ranks]]
-            group = _TermGroup(
-                u=u,
-                first_rank=int(ranks[0]),
+        for group_width in np.unique(widths[order]).tolist():
+            a, b = np.searchsorted(widths[order], [group_width, group_width + 1]).tolist()
+            terms = slice(term_ends[a] - valued[a], term_ends[b - 1])
+            counts = valued[a:b]
+            self._groups.append(_TermGroup(
+                width=group_width,
+                first_rank=a,
+                players=n_players[order[a:b]],
                 start=np.cumsum(counts) - counts,
                 count=counts,
-                masks=masks[order[ranks], :u],
-                leaf=np.empty(counts.sum(), dtype=np.int64),
-                value=np.empty(counts.sum()),
-                zero=np.empty((counts.sum(), u)),
-                empty=np.empty(counts.sum(), dtype=np.int64),
-            )
-            filled = 0
-            for levels in np.unique(n_levels[order[ranks]]).tolist():
-                block = order[ranks[n_levels[order[ranks]] == levels]]
-                for at in _runs(block, levels):
-                    terms = _valued_leaves(*_leaf_tables(model, at), player[at], masks[at, :u])
-                    end = filled + terms[0].size
-                    for column, part in zip((group.leaf, group.value, group.zero, group.empty), terms):
-                        column[filled:end] = part
-                    filled = end
-            self._groups.append(group)
+                masks=masks[:group_width, order[a:b]],
+                leaf=leaf[terms],
+                value=value[terms],
+                zero=zero[:group_width, terms],
+                empty=empty[terms],
+            ))
 
         self._depth = depth
-        self._columns = np.maximum(columns[order], 0).T.copy()  # (level, rank); unused levels read column 0
-        self._thresholds = thresholds[order].T.copy()
-        self._rank_keys = np.arange(order.size) << depth
-        self._rank_players = n_players[order]
-        # the scatter table: every player of every tree, in tree order
+        self._width = width
+        # per tree with players, in model order: its rank, its (level, tree)
+        # splits and the end of its players in the scatter table
         rank_of = np.zeros(n_trees, dtype=np.int64)
         rank_of[order] = np.arange(order.size)
+        self._rank = rank_of[ranked]
+        self._columns = forest.split_column[ranked].T.copy()
+        self._thresholds = forest.split_threshold[ranked].T.copy()
+        self._players = n_players[ranked]
+        self._player_ends = np.cumsum(self._players)
+        # the scatter table: every player of every tree, in tree order
         tree_of, level_of = np.nonzero(leads)
-        self._player_rank = rank_of[tree_of]
+        self._player_tree = (np.cumsum(n_players > 0) - 1)[tree_of]  # its tree's place among ``ranked``
         self._player_index = np.cumsum(leads, axis=1)[leads] - 1
         self._player_slot = classes[tree_of] * self.n_features + columns[tree_of, level_of]
 
     def explain(self, design) -> np.ndarray:
-        """(n_rows, n_outputs, n_features) margin-space phi for an encoded design."""
+        """(n_rows, n_outputs, n_features) margin-space phi for an encoded design.
+
+        The trees go in blocks, in model order, and the rows in chunks, so
+        that a block's (row, tree player) scatter entries for a chunk stay
+        within ``_TERM_BUDGET``; a chunk holds every row unless a single
+        tree's entries for all of them would not fit. A block reads its
+        trees' decision patterns for the chunk, attributes each distinct
+        (tree, pattern) pair once and adds the results onto the rows with
+        ``np.add.at``, which adds in order: a slot sums its trees in model
+        order, across blocks as within one.
+        """
         design = np.atleast_2d(np.asarray(design, dtype=np.float64))
         if design.shape[1] != self.n_features:
             raise FeatureArityMismatch(f"expected {self.n_features} features, got {design.shape[1]}")
         n_rows = design.shape[0]
         width = self.model.n_outputs * self.n_features
         phi = np.zeros((n_rows, width))
-        if n_rows and self._groups:
-            patterns = np.broadcast_to(self._rank_keys, (n_rows, self._rank_keys.size)).copy()
-            for level, (column, threshold) in enumerate(zip(self._columns, self._thresholds)):
-                patterns |= (design[:, column] > threshold).astype(np.int64) << level
-            pairs, inverse = np.unique(patterns.ravel(), return_inverse=True)
-            inverse = inverse.reshape(patterns.shape)
-            ranks = pairs >> self._depth
-            low = pairs & ((1 << self._depth) - 1)
-            players = self._rank_players[ranks]
-            offset = np.cumsum(players) - players  # each pair's first (pair, player) slot
-            pair_phi = np.empty(offset[-1] + players[-1])
-            bounds = np.searchsorted(ranks, [g.first_rank for g in self._groups[1:]]).tolist()
-            for group, a, b in zip(self._groups, [0, *bounds], [*bounds, ranks.size]):
-                out = pair_phi[offset[a] : offset[a] + (b - a) * group.u]
-                group.phi(ranks[a:b], low[a:b], out)
-            # scatter onto (row, output, column), trees in order within a slot
-            step = max(1, _TERM_BUDGET // self._player_rank.size)
-            for begin in range(0, n_rows, step):
-                at = offset[inverse[begin : begin + step, self._player_rank]] + self._player_index
-                slots = (np.arange(at.shape[0])[:, None] * width + self._player_slot).ravel()
-                phi[begin : begin + step] = np.bincount(
-                    slots, weights=pair_phi[at.ravel()], minlength=at.shape[0] * width
-                ).reshape(-1, width)
+        if not self._groups:
+            return phi.reshape(n_rows, self.model.n_outputs, self.n_features)
+        ends, players = self._player_ends, self._players
+        first_ranks = [g.first_rank for g in self._groups[1:]]
+        step = max(1, _TERM_BUDGET // int(players.max()))  # rows per chunk
+        for begin in range(0, n_rows, step):
+            rows = design[begin : begin + step]
+            cap = _TERM_BUDGET // rows.shape[0]  # scatter entries per block
+            first = 0
+            while first < ends.size:
+                last = max(first + 1, int(np.searchsorted(ends, ends[first] - players[first] + cap, "right")))
+                trees = slice(first, last)
+                patterns = np.tile(self._rank[trees] << self._depth, (rows.shape[0], 1))
+                for level, (column, threshold) in enumerate(zip(self._columns[:, trees], self._thresholds[:, trees])):
+                    patterns |= (rows[:, column] > threshold).astype(np.int64) << level
+                pairs, inverse = np.unique(patterns.ravel(), return_inverse=True)
+                ranks = pairs >> self._depth
+                low = pairs & ((1 << self._depth) - 1)
+                pair_phi = np.empty((pairs.size, self._width))
+                bounds = np.searchsorted(ranks, first_ranks).tolist()
+                for group, a, b in zip(self._groups, [0, *bounds], [*bounds, ranks.size]):
+                    group.phi(ranks[a:b], low[a:b], pair_phi[a:b, : group.width])
+                entries = slice(ends[first] - players[first], ends[last - 1])
+                at = inverse.reshape(patterns.shape)[:, self._player_tree[entries] - first]
+                slots = np.arange(begin, begin + rows.shape[0])[:, None] * width + self._player_slot[entries]
+                np.add.at(phi.reshape(-1), slots.ravel(), pair_phi[at, self._player_index[entries]].ravel())
+                first = last
         return phi.reshape(n_rows, self.model.n_outputs, self.n_features)
 
     def attribute(self, x) -> Attribution:

@@ -152,9 +152,10 @@ def welch_t(sample_a, sample_b, feature_name: str = "") -> WelchResult:
         raise EmptySample("welch_t needs at least 2 values per sample")
     va = a.var(ddof=1) / a.size
     vb = b.var(ddof=1) / b.size
-    if va + vb == 0:
-        equal = float(a.mean()) == float(b.mean())
-        return WelchResult(feature_name, 0.0 if equal else math.inf, float(a.size + b.size - 2), 1.0 if equal else 0.0)
+    if va + vb == 0:  # two constant samples: t is 0 or infinite, with the sign of the mean difference
+        difference = float(a.mean()) - float(b.mean())
+        t = math.copysign(math.inf, difference) if difference else 0.0
+        return WelchResult(feature_name, t, float(a.size + b.size - 2), 0.0 if difference else 1.0)
     t = (a.mean() - b.mean()) / math.sqrt(va + vb)
     dof = (va + vb) ** 2 / (va**2 / (a.size - 1) + vb**2 / (b.size - 1))
     p = 2.0 * float(stdtr(dof, -abs(t)))

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from vaxclust.dataset import GDSC_COLUMNS, VACCINE_COLUMNS, YearDataset
-from vaxclust.gbdt import ObliviousTree, TrainConfig, TreeEnsemble
+from vaxclust.gbdt import Forest, ObliviousTree, TrainConfig, TreeEnsemble
 
 
 def vacc_csv(rows, header=None):
@@ -88,7 +88,7 @@ def random_oblivious_model(rng, n_features, n_classes, max_trees=12, max_depth=4
         n_outputs=n_outputs,
         base_score=rng.normal(size=n_outputs),
         learning_rate=float(rng.uniform(0.05, 1.0)),
-        trees=tuple(trees),
+        forest=Forest.of(trees),
         feature_names=tuple(f"f{j}" for j in range(n_features)),
         feature_source=tuple(f"f{j}" for j in range(n_features)),
         n_numeric=n_features,

@@ -8,10 +8,11 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
+from conftest import random_oblivious_model
 from vaxclust import gbdt
 from vaxclust.errors import DataError, DegenerateLabels, FeatureArityMismatch, NonFiniteFeature
 from vaxclust.evaluation import stratified_folds
-from vaxclust.gbdt import ObliviousTree, TrainConfig, TreeEnsemble, encode_ordered_ts
+from vaxclust.gbdt import Forest, ObliviousTree, TrainConfig, TreeEnsemble, encode_ordered_ts
 from vaxclust.rng import Rng, derive_seed
 
 
@@ -114,7 +115,7 @@ def _manual_ensemble(trees, base, lr=0.5, n_features=2, n_classes=2):
         n_outputs=n_outputs,
         base_score=np.asarray(base, dtype=np.float64),
         learning_rate=lr,
-        trees=tuple(trees),
+        forest=Forest.of(trees),
         feature_names=tuple(f"f{j}" for j in range(n_features)),
         feature_source=tuple(f"f{j}" for j in range(n_features)),
         n_numeric=n_features,
@@ -147,6 +148,47 @@ def test_margin_equals_sum_of_tree_evaluations(rng):
     for tree in model.trees:
         manual += model.learning_rate * tree.evaluate(X)
     assert np.abs(margins - manual).max() < 1e-12
+
+
+def _per_tree_margin(model, design):
+    """The per-tree loop ``margin_from_design`` replaced, kept as the reference."""
+    margins = np.tile(model.base_score, (design.shape[0], 1))
+    for tree in model.trees:
+        margins[:, tree.class_index] += model.learning_rate * tree.evaluate(design)
+    return margins
+
+
+def test_margin_matches_per_tree_loop_bit_for_bit(rng, monkeypatch):
+    # random models of any tree count, their trees also in shuffled class
+    # order, and trained k=2/3/6 models; then chunks of one row
+    cases = []
+    for trial in range(30):
+        k = (2, 3, 6)[trial % 3]
+        model = random_oblivious_model(rng, n_features=4, n_classes=k, max_trees=20, max_depth=7)
+        trees = model.trees
+        shuffled = replace(model, forest=Forest.of(trees[i] for i in rng.permutation(len(trees))))
+        cases += [(model, rng.normal(size=(25, 4))), (shuffled, rng.normal(size=(25, 4)))]
+    X = rng.normal(size=(60, 4))
+    for k in (2, 3, 6):
+        cases.append((gbdt.fit(X, None, np.arange(60) % k, TrainConfig(n_trees=7, depth=4, seed=k)), X))
+    assert len({len(m.forest) % m.n_outputs for m, _ in cases}) > 1
+    for model, design in cases:
+        assert gbdt.margin_from_design(model, design).tobytes() == _per_tree_margin(model, design).tobytes()
+    monkeypatch.setattr(gbdt, "_PREDICT_BUDGET", 1)
+    for model, design in cases[::7]:
+        assert gbdt.margin_from_design(model, design).tobytes() == _per_tree_margin(model, design).tobytes()
+
+
+def test_forest_round_trips_its_trees_read_only(rng):
+    model = random_oblivious_model(rng, n_features=3, n_classes=3, max_trees=12, max_depth=5)
+    forest = model.forest
+    again = Forest.of(model.trees)
+    for name in ("split_column", "split_threshold", "n_levels", "class_index", "leaf_values", "leaf_cover"):
+        assert np.array_equal(getattr(again, name), getattr(forest, name)), name
+        assert not getattr(forest, name).flags.writeable, name
+    assert forest.leaf_offset[-1] == forest.leaf_values.size == sum(1 << t.n_levels for t in model.trees)
+    with pytest.raises(ValueError):
+        model.trees[0].leaf_values[0] = 1.0
 
 
 def test_predict_proba_zero_margin_is_half():
@@ -476,6 +518,18 @@ def test_split_table_matches_searchsorted(rng):
         assert buckets.tolist() == np.searchsorted(cand, X[:, j], side="left").tolist()
 
 
+def test_quantile_borders_match_numpy_bit_for_bit():
+    # normal, tied, constant, evenly spaced and wide columns at every n from 4 to 400
+    rng = np.random.default_rng(32)
+    for n in range(4, 401):
+        X = np.column_stack([
+            rng.normal(size=n), rng.integers(0, 5, size=n) * 0.25, np.full(n, 1.5),
+            rng.permutation(n) * 1e-3, rng.exponential(size=n) * 1e4,
+        ])
+        want = np.quantile(X, gbdt._QUANTILES, axis=0, method="linear")
+        assert gbdt._quantile_borders(X).tobytes() == want.tobytes(), n
+
+
 def _per_tree_grow(slots, thresholds, grad, hess, depth, l2):
     """The grower before trees grew in batches, kept as the reference: one
     tree per call, one histogram pass per level over its occupied leaves."""
@@ -557,7 +611,7 @@ def _oracle_fit(X, cats, y, cfg, grow=_per_tree_grow):
             losses.append(float(-np.mean(targets[:, 0] * np.log(q) + (1.0 - targets[:, 0]) * np.log(1.0 - q))))
         else:
             losses.append(float(-np.mean(np.log(np.clip(p[np.arange(n), labels], 1e-15, None)))))
-    return replace(model, trees=tuple(trees), training_loss=tuple(losses))
+    return replace(model, forest=Forest.of(trees), training_loss=tuple(losses))
 
 
 def test_grower_matches_per_column_oracle():

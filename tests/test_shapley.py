@@ -1,12 +1,15 @@
 from __future__ import annotations
 
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from conftest import random_oblivious_model
 from vaxclust import gbdt, shapley
 from vaxclust.errors import EmptySample, MissingCover, TooManyFeatures
-from vaxclust.gbdt import ObliviousTree, TrainConfig, TreeEnsemble
+from vaxclust.gbdt import Forest, ObliviousTree, TrainConfig, TreeEnsemble
 
 
 class _OracleTerms:
@@ -114,7 +117,7 @@ def _ensemble(trees, base, lr=1.0, n_features=3, n_classes=2):
         n_outputs=n_outputs,
         base_score=np.asarray(base, dtype=np.float64),
         learning_rate=lr,
-        trees=tuple(trees),
+        forest=Forest.of(trees),
         feature_names=tuple(f"f{j}" for j in range(n_features)),
         feature_source=tuple(f"f{j}" for j in range(n_features)),
         n_numeric=n_features,
@@ -328,6 +331,57 @@ def test_batch_phi_equals_attribute_bit_for_bit(rng, monkeypatch):
             # one (tree, pattern) pair per term chunk, one row per scatter chunk
             patch.setattr(shapley, "_TERM_BUDGET", 1)
             assert np.array_equal(shapley.TreeShapExplainer(model).explain(rows), batch)
+
+
+def test_node_count_group_pads_bit_for_bit(rng):
+    # three and four players take two quadrature nodes each, so these trees
+    # share one term group, and its chunks pad the three-player trees
+    three = [(0, 0.1), (1, -0.2), (2, 0.3)]
+    four = [(3, 0.2), (0, 0.0), (1, 0.5), (2, -0.5)]
+    trees = [
+        _tree(splits, rng.normal(size=1 << len(splits)), rng.integers(1, 9, size=1 << len(splits)), c)
+        for splits, c in ((three, 0), (four, 1), (three[::-1], 2), (four[::-1], 0))
+    ]
+    model = _ensemble(trees, base=[0.1, -0.2, 0.3], lr=0.3, n_features=4, n_classes=3)
+    explainer = shapley.TreeShapExplainer(model)
+    assert [(g.width, g.players.tolist()) for g in explainer._groups] == [(4, [3, 3, 4, 4])]
+    _assert_oracle_bits(model, rng.normal(size=(25, 4)))
+
+
+def _large_fold_model(rng, n_trees, depth, n_features, n_classes, n_train):
+    """A random model shaped like a trained fold model: every tree at full
+    depth, covers from ``n_train`` training rows."""
+    X = rng.normal(size=(n_train, n_features))
+    columns = rng.integers(0, n_features, size=(n_trees, depth))
+    thresholds = rng.normal(size=(n_trees, depth)) * 0.5
+    leaf = ((X[:, columns] > thresholds) << np.arange(depth)).sum(axis=2) + (np.arange(n_trees) << depth)
+    forest = Forest(
+        split_column=columns,
+        split_threshold=thresholds,
+        n_levels=np.full(n_trees, depth),
+        class_index=np.arange(n_trees) % n_classes,
+        leaf_values=rng.normal(size=n_trees << depth),
+        leaf_cover=np.bincount(leaf.ravel(), minlength=n_trees << depth),
+    )
+    return replace(_ensemble([], base=np.zeros(n_classes), lr=0.1, n_features=n_features, n_classes=n_classes),
+                   forest=forest)
+
+
+def test_explain_memory_stays_small_on_a_large_model(rng):
+    # 2,500 depth-6 trees of a k=6 model explaining 30 rows: one np.unique
+    # over all (row, tree) patterns and every pair's phi at once peaked at 5.8 MB
+    model = _large_fold_model(rng, n_trees=2500, depth=6, n_features=14, n_classes=6, n_train=120)
+    explainer = shapley.TreeShapExplainer(model)
+    rows = rng.normal(size=(30, 14))
+    tracemalloc.start()
+    try:
+        phi = explainer.explain(rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3e6
+    margins = gbdt.margin_from_design(model, rows)
+    assert np.abs(phi.sum(axis=2) + explainer.base - margins).max() < 1e-9
 
 
 def test_global_importance_constant_model():

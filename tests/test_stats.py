@@ -188,6 +188,12 @@ def test_welch_t_constant_samples(a, b, t, p):
     assert (result.t_statistic, result.dof, result.p_two_sided) == (t, len(a) + len(b) - 2, p)
 
 
+def test_welch_t_constant_samples_keep_the_sign_of_t():
+    # the non-constant branch gives (mean a - mean b) / se, negative here
+    assert stats.welch_t([1, 1, 1], [2, 2]).t_statistic == -math.inf
+    assert stats.welch_t([1.0, 1.0, 1.1], [2.0, 2.0]).t_statistic < 0
+
+
 def test_quartiles_odd_sample():
     assert stats.quartiles([1, 2, 3, 4, 5]) == (2.0, 3.0, 4.0)
 
