@@ -26,7 +26,7 @@ from .errors import (
     LengthMismatch,
     TooFewRows,
 )
-from .gbdt import TrainConfig, TreeEnsemble, fit_folds, predict_class
+from .gbdt import TrainConfig, TreeEnsemble, fit_folds, predict_class, prepare_folds
 from .gbdt import fit  # noqa: F401  perfbench/spans.py wraps evaluation.fit by name
 from .hcluster import ClusterAssignment
 from .rng import Rng
@@ -150,30 +150,53 @@ def dataset_design(dataset: YearDataset) -> tuple[np.ndarray, np.ndarray, list[s
     return dataset.gdsc, dataset.rurality.reshape(-1, 1), list(GDSC_NUMERIC_COLUMNS), ["rurality"]
 
 
+def prepare_cv(
+    dataset: YearDataset,
+    assignment: ClusterAssignment,
+    config: TrainConfig,
+    k_folds: int = 5,
+    seed: int = 0,
+) -> list:
+    """The fold models of :func:`cross_validate` before any tree grows, for
+    :func:`gbdt.fit_cells` to boost with other cells'. Raises what
+    :func:`cross_validate` raises before its fit."""
+    labels = np.asarray(assignment.labels, dtype=np.int64)
+    numeric, categorical, numeric_names, cat_names = dataset_design(dataset)
+    return prepare_folds(
+        numeric, categorical, labels, stratified_folds(labels, k_folds, seed), config,
+        numeric_names=numeric_names, categorical_names=cat_names,
+    )
+
+
 def cross_validate(
     dataset: YearDataset,
     assignment: ClusterAssignment,
     config: TrainConfig,
     k_folds: int = 5,
     seed: int = 0,
+    models: list[TreeEnsemble] | None = None,
 ) -> CvResult:
     """Stratified k-fold CV of the GDSC -> cluster classifier.
 
     Each fold's model is fit on the remaining folds only (the target-statistic
     encoder included, so held-out rows never leak their labels), then scored
-    on the held-out rows; :func:`gbdt.fit_folds` boosts the folds' models
-    together. A fold whose test rows miss a class is a warning; its metrics
-    cover the classes present. A fold whose training rows miss a class (a
-    cluster too small to leave members in every training split) raises
-    :class:`DegenerateLabels` before any model is fit.
+    on the held-out rows. ``models`` are the fold models when
+    :func:`gbdt.fit_cells` boosted them with other cells' from
+    :func:`prepare_cv` with the same arguments; without them,
+    :func:`gbdt.fit_folds` boosts this cell's alone, through the same loop
+    and to the same bits. A fold whose test rows miss a class is a warning;
+    its metrics cover the classes present. A fold whose training rows miss a
+    class (a cluster too small to leave members in every training split)
+    raises :class:`DegenerateLabels` before any model is fit.
     """
     labels = np.asarray(assignment.labels, dtype=np.int64)
     numeric, categorical, numeric_names, cat_names = dataset_design(dataset)
     folds = stratified_folds(labels, k_folds, seed)
-    models = fit_folds(
-        numeric, categorical, labels, folds, config,
-        numeric_names=numeric_names, categorical_names=cat_names,
-    )
+    if models is None:
+        models = fit_folds(
+            numeric, categorical, labels, folds, config,
+            numeric_names=numeric_names, categorical_names=cat_names,
+        )
 
     k = assignment.k
     rows: list[MetricRow] = []

@@ -12,9 +12,12 @@ The chain from dataset to cluster assignment is written once:
 :func:`assign_clusters` (cut, coverage labels). ``run_pipeline`` and the
 single-stage CLI subcommands share both.
 
-Cells are independent units of work, run one after another in sorted
-(year, k) order: each is cut, analysed and written before the next starts,
-and a failure is recorded while the remaining cells still run. Every
+Cells run k by k in one thread. For each k, every year's cell is cut and
+its fold models prepared (:func:`evaluation.prepare_cv`); then
+:func:`gbdt.fit_cells` boosts the years' fold models together, in batches
+whose leaf slots stay under a bound, and each cell is analysed and written
+with its own models, which are bit for bit those it would get alone. A
+failure is recorded for its cell while the remaining cells still run. Every
 stochastic step seeds from (seed, year, k, fold), so a rerun with the same
 config and seed produces a byte-identical artifact tree.
 """
@@ -32,8 +35,8 @@ import scipy
 from . import __version__
 from .dataset import GDSC_NUMERIC_COLUMNS, VACCINE_COLUMNS, YearDataset, csv_text, load_year, standardize, table_paths
 from .errors import ConfigError, DataError, GeometryKeyMismatch, KOutOfRange, VaxclustError
-from .evaluation import MetricRow, cross_validate, dataset_design
-from .gbdt import TrainConfig
+from .evaluation import MetricRow, cross_validate, dataset_design, prepare_cv
+from .gbdt import TrainConfig, TreeEnsemble, fit_cells
 from .hcluster import (
     LINKAGES,
     ClusterAssignment,
@@ -58,7 +61,7 @@ METRIC_DISPLAY = (
     ("F1 score", "macro_f1"),
 )
 
-_IGNORED_KEYS = {"threads"}  # accepted and ignored: cells run one after another
+_IGNORED_KEYS = {"threads"}  # accepted and ignored: every cell runs in the one calling thread
 
 
 @dataclass(frozen=True)
@@ -244,19 +247,30 @@ def assign_clusters(dataset: YearDataset, dendro: Dendrogram, k: int) -> Cluster
     return label_by_coverage(cut_at_k(dendro, k), dataset, k)
 
 
+def _cell_training(config: RunConfig, year: int, k: int) -> tuple[TrainConfig, int]:
+    """A cell's training config and its CV seed, both from (seed, year, k)."""
+    cell_seed = derive_seed(config.seed, year, k)
+    return replace(config.train, seed=cell_seed), cell_seed
+
+
 def analyze_cell(
     dataset: YearDataset,
     assignment: ClusterAssignment,
     suggested: int,
     config: RunConfig,
+    models: list[TreeEnsemble] | None = None,
 ) -> RunReport:
-    """Everything downstream of the cut for one (year, k) cell."""
+    """Everything downstream of the cut for one (year, k) cell.
+
+    ``models`` are the cell's fold models when :func:`run_pipeline` fitted
+    them with other cells'; without them, the cell is fitted alone, to the
+    same bits.
+    """
     year, k = dataset.year, assignment.k
-    cell_seed = derive_seed(config.seed, year, k)
     means = cluster_mean_table(assignment, dataset)
 
-    train_config = replace(config.train, seed=cell_seed)
-    cv = cross_validate(dataset, assignment, train_config, k_folds=config.k_folds, seed=cell_seed)
+    train_config, cell_seed = _cell_training(config, year, k)
+    cv = cross_validate(dataset, assignment, train_config, k_folds=config.k_folds, seed=cell_seed, models=models)
 
     numeric, categorical, _, _ = dataset_design(dataset)
     fold_importances = []
@@ -331,15 +345,18 @@ def emit_choropleth(assignment: ClusterAssignment, dataset: YearDataset, geometr
     ``geometry`` is a parsed GeoJSON FeatureCollection whose features carry
     the district id in properties.district_id (or the feature ``id``).
     """
+    # each row summed on its own, as one row's mean() sums it: C order keeps
+    # numpy's pairwise sum along the row
+    means = np.ascontiguousarray(dataset.rates).mean(axis=1).tolist()
     properties = [
         {
             "district_id": district_id,
             "district_name": name,
             "cluster_index": int(label),
             "cluster_name": assignment.name_of(int(label)),
-            "mean_overall_coverage": float(rates.mean()),
+            "mean_overall_coverage": mean,
         }
-        for district_id, name, label, rates in zip(dataset.ids, dataset.names, assignment.labels, dataset.rates)
+        for district_id, name, label, mean in zip(dataset.ids, dataset.names, assignment.labels, means)
     ]
     if geometry is None:
         return properties
@@ -468,6 +485,19 @@ def _failure(year: int, k: int, stage: str, exc: Exception) -> dict:
     return {"year": year, "k": k, "stage": stage, "error": type(exc).__name__, "message": str(exc)}
 
 
+def _finish_cell(dataset, assignment, suggested, config: RunConfig, geometry, models) -> RunReport | dict:
+    """Analyse and write one cell with its fitted fold models: its report, or
+    its failure record."""
+    stage = "analysis"
+    try:
+        report = analyze_cell(dataset, assignment, suggested, config, models=models)
+        stage = "write"
+        write_cell_artifacts(report, assignment, dataset, config, geometry)
+    except VaxclustError as exc:
+        return _failure(dataset.year, assignment.k, stage, exc)
+    return report
+
+
 @dataclass
 class PipelineResult:
     reports: dict
@@ -500,18 +530,25 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
     data_error = bool(errors)
 
     results: dict = {}
-    for year, k in sorted({(year, k) for year in clustered for k in config.k_values}):
-        dataset, dendro, suggested = clustered[year]
-        stage = "analysis"
-        try:
-            assignment = assign_clusters(dataset, dendro, k)
-            report = analyze_cell(dataset, assignment, suggested, config)
-            stage = "write"
-            write_cell_artifacts(report, assignment, dataset, config, geometry)
-        except VaxclustError as exc:
-            errors[(year, k)] = _failure(year, k, stage, exc)
-        else:
-            results[(year, k)] = report
+    for k in sorted(config.k_values):
+        cells = []
+        for year in sorted(clustered):
+            dataset, dendro, suggested = clustered[year]
+            train_config, cell_seed = _cell_training(config, year, k)
+            try:
+                assignment = assign_clusters(dataset, dendro, k)
+                untrained = prepare_cv(dataset, assignment, train_config, k_folds=config.k_folds, seed=cell_seed)
+                cells.append((dataset, assignment, suggested, untrained))
+            except VaxclustError as exc:
+                errors[(year, k)] = _failure(year, k, "analysis", exc)
+        fitted = fit_cells([untrained for *_, untrained in cells])
+        for dataset, assignment, suggested, _ in cells:
+            # the models go straight into the call, so no name holds them
+            # while the next batch boosts
+            outcome = _finish_cell(dataset, assignment, suggested, config, geometry, next(fitted))
+            (results if isinstance(outcome, RunReport) else errors)[(dataset.year, k)] = outcome
+    results = dict(sorted(results.items()))
+    errors = dict(sorted(errors.items()))
 
     write_text(
         os.path.join(config.out_dir, "metrics.csv"),

@@ -7,6 +7,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import vaxclust
 from vaxclust import shapley
@@ -352,6 +354,107 @@ def test_explain_inconsistent_model_is_data_error(tmp_path, synth_inputs, capsys
                  "--model", str(model_path), "--out", str(tmp_path / "explain")])
     assert code == 2
     assert capsys.readouterr().err.startswith("data error: model")
+
+
+def _largest_cover_leaf(doc, tree=0):
+    covers = doc["trees"][tree]["leaf_cover"]
+    return doc["trees"][tree], covers.index(max(covers))
+
+
+def _huge_leaves(doc):
+    for t in (0, 3):
+        tree, leaf = _largest_cover_leaf(doc, t)
+        tree["leaf_values"][leaf] = 1e308
+
+
+def _heavy_leaf(doc):  # 0.1 * 1e299 * 2**50 passes the largest double
+    tree, leaf = _largest_cover_leaf(doc)
+    tree["leaf_values"][leaf], tree["leaf_cover"][leaf] = 1e299, 2**50
+
+
+def _wrapping_covers(doc):  # five covers of 2**62 + 1 sum past 2**63
+    tree = doc["trees"][0]
+    tree["leaf_cover"] = [2**62 + 1] * 5 + [1] * (len(tree["leaf_cover"]) - 5)
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (_huge_leaves, "keep every margin within 1e+300"),
+        (_heavy_leaf, "keep every cover-weighted leaf sum within 1e+300"),
+        (_wrapping_covers, "leaf_cover must sum below 9007199254740992"),
+    ],
+    ids=["leaf-values-1e308", "cover-weighted-leaf", "covers-past-int64"],
+)
+def test_explain_model_past_the_magnitude_bound_is_data_error(tmp_path, synth_inputs, capsys, corrupt, message):
+    # before the bound: an overflow RuntimeWarning in SHAP, or (covers) a
+    # wrapped int64 cover total and exit 0
+    config = _write_config(tmp_path, synth_inputs, tmp_path / "explain", n_trees=5, depth=6, seed=7)
+    model_path = tmp_path / "model.json"
+    assert main(["train", "--config", config, "--year", "2021", "--k", "3", "--model-out", str(model_path)]) == 0
+    doc = json.loads(model_path.read_text())
+    corrupt(doc)
+    model_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    code = main(["explain", "--config", config, "--year", "2021", "--model", str(model_path), "--per-row"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: model document") and message in err
+
+
+def _json_paths(value, prefix=()):
+    """Every path below the root of a JSON document, containers included."""
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, child in items:
+        yield (*prefix, key)
+        yield from _json_paths(child, (*prefix, key))
+
+
+_JSON_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(2**70), 2**70),
+    st.sampled_from([0, 1, -1, 2**53, 2**62, 2**63 - 1, 1e300, 1e308, -1e308, 5e-324, -0.0]),
+    st.floats(),
+    st.text(max_size=3),
+    st.lists(st.integers(-3, 3), max_size=4),
+    st.lists(st.floats(-1e308, 1e308), max_size=4),
+    st.just({}),
+)
+
+
+def test_mutated_model_files_end_explain_in_an_exit_code(tmp_path, synth_inputs):
+    """A valid k=3 model file changed at 1 to 3 places ends ``explain
+    --per-row`` in exit 0-3, with no exception and no RuntimeWarning (an
+    error under pytest's filter)."""
+    config = _write_config(tmp_path, synth_inputs, tmp_path / "explain", n_trees=4, seed=7)
+    model_path = tmp_path / "model.json"
+    assert main(["train", "--config", config, "--year", "2021", "--k", "3", "--model-out", str(model_path)]) == 0
+    valid = model_path.read_text()
+    paths = sorted(_json_paths(json.loads(valid)), key=repr)
+    mutated_path = tmp_path / "mutated.json"
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(changes=st.lists(st.tuples(st.sampled_from(paths), _JSON_VALUES), min_size=1, max_size=3))
+    def check(changes):
+        doc = json.loads(valid)
+        for path, value in changes:
+            parent = doc
+            for key in path[:-1]:
+                parent = parent[key] if isinstance(parent, (dict, list)) and _holds(parent, key) else None
+            if isinstance(parent, (dict, list)) and _holds(parent, path[-1]):
+                parent[path[-1]] = value
+        mutated_path.write_text(json.dumps(doc))
+        code = main(["explain", "--config", config, "--year", "2021", "--model", str(mutated_path), "--per-row"])
+        assert code in (0, 1, 2, 3)
+
+    check()
+
+
+def _holds(container, key) -> bool:
+    if isinstance(container, dict):
+        return key in container
+    return isinstance(key, int) and 0 <= key < len(container)
 
 
 def test_stats_subcommand(tmp_path, synth_inputs):

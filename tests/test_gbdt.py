@@ -888,6 +888,12 @@ def _set(path, value):
         # "²" passes str.isdigit but not int()
         pytest.param(_corrupted(_set(["encoder", "stats"], [{"²": [1, [0.5] * 3]}])), id="encoder-stats-key"),
         pytest.param(_corrupted(lambda d: d["encoder"]["priors"].pop()), id="encoder-priors"),
+        # the divisor count + prior_weight of a category's encoding would be 0
+        pytest.param(_corrupted(lambda d: next(iter(d["encoder"]["stats"][0].values())).__setitem__(0, -1)),
+                     id="encoder-count-negative"),
+        pytest.param(_corrupted(_set(["encoder", "prior_weight"], 0.0)), id="encoder-prior-weight"),
+        pytest.param(_corrupted(lambda d: next(iter(d["encoder"]["stats"][0].values())).__setitem__(0, 10**400)),
+                     id="encoder-count-beyond-a-double"),
         pytest.param(_corrupted(lambda d: d["trees"][0]["leaf_values"].append(0.0)), id="leaf-values-len"),
         pytest.param(_corrupted(lambda d: d["trees"][0]["leaf_cover"].pop()), id="leaf-cover-len"),
         pytest.param(_corrupted(_set(["trees", 0, "leaf_cover", 0], -1)), id="leaf-cover-negative"),

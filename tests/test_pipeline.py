@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 
 from conftest import tree_digest
 from test_hcluster import quick_dataset
+from vaxclust import gbdt, synth
 from vaxclust import pipeline as pl
-from vaxclust import synth
 from vaxclust.cli import main
 from vaxclust.dataset import VACCINE_COLUMNS, YearDataset
 from vaxclust.errors import ConfigError, GeometryKeyMismatch
@@ -291,10 +291,18 @@ def test_singleton_cluster_is_a_recorded_cell_failure(tmp_path):
     assert [cell["k"] for cell in _summary(config)["cells_failed"]] == [2, 6]
 
 
+def _report_alone(config, year: int, k: int) -> pl.RunReport:
+    """The (year, k) cell's report with its fold models fitted on their own."""
+    dataset = pl.load_dataset(config, year)
+    dendro, suggested = pl.cluster_year(dataset, config)
+    return pl.analyze_cell(dataset, pl.assign_clusters(dataset, dendro, k), suggested, config)
+
+
 def test_singleton_top_cluster_fails_in_cross_validation(tmp_path):
     # The lone district is the highest-coverage class (k-1), so the fold that
-    # holds it out has no training row of that class.
-    config = small_config(tmp_path, k_values=[3], n_trees=5)
+    # holds it out has no training row of that class. The 2022 cell of the
+    # same k is fitted without it, to the bits it gets alone.
+    config = small_config(tmp_path, years=(2021, 2022), k_values=[3], n_trees=5)
     _set_first_district_rates(config, "100.0")
     result = pl.run_pipeline(config)
     assert result.exit_code == 3
@@ -302,6 +310,39 @@ def test_singleton_top_cluster_fails_in_cross_validation(tmp_path):
     assert (failure["stage"], failure["error"]) == ("analysis", "DegenerateLabels")
     assert "training split lacks class(es) [2]" in failure["message"]
     assert _summary(config)["cells_failed"] == [failure]
+    assert list(result.reports) == [(2022, 3)]
+    # to_json holds every field, and a NaN equals itself there
+    assert result.reports[(2022, 3)].to_json() == _report_alone(config, 2022, 3).to_json()
+
+
+def test_batched_cells_equal_cells_fitted_alone(tmp_path, monkeypatch):
+    config = small_config(tmp_path, years=(2021, 2022, 2023), k_values=[2, 3], n_trees=5)
+    boosted = []
+    boost = gbdt._boost
+
+    def counted(untrained):
+        boosted.append(len(untrained))
+        return boost(untrained)
+
+    monkeypatch.setattr(gbdt, "_boost", counted)
+    result = pl.run_pipeline(config)
+    assert result.exit_code == 0
+    assert boosted == [12, 12]  # each k: 3 years x 4 fold models in one loop
+    assert list(result.reports) == [(year, k) for year in (2021, 2022, 2023) for k in (2, 3)]
+    batched = tree_digest(config.out_dir)
+    for (year, k), report in result.reports.items():
+        boosted.clear()
+        assert _report_alone(config, year, k).to_json() == report.to_json()
+        assert boosted == [4]
+
+    # a k=2 cell has 4 x 5 x 1 x 2^3 = 160 leaf slots and a k=3 cell 480: at a
+    # bound of 480 the k=2 cells still boost together, each k=3 cell alone
+    monkeypatch.setattr(gbdt, "_BATCH_BUDGET", 480)
+    boosted.clear()
+    shutil.rmtree(config.out_dir)
+    assert pl.run_pipeline(config).exit_code == 0
+    assert boosted == [12, 4, 4, 4]
+    assert tree_digest(config.out_dir) == batched
 
 
 def test_geometry_mismatch_is_a_recorded_write_failure(tmp_path):
