@@ -26,7 +26,7 @@ from .errors import (
     LengthMismatch,
     TooFewRows,
 )
-from .gbdt import TrainConfig, TreeEnsemble, fit_folds, predict_class, prepare_folds
+from .gbdt import TrainConfig, TreeEnsemble, fit_cells, predict_class, prepare_folds
 from .gbdt import fit  # noqa: F401  perfbench/spans.py wraps evaluation.fit by name
 from .hcluster import ClusterAssignment
 from .rng import Rng
@@ -158,7 +158,7 @@ def prepare_cv(
     seed: int = 0,
 ) -> list:
     """The fold models of :func:`cross_validate` before any tree grows, for
-    :func:`gbdt.fit_cells` to boost with other cells'. Raises what
+    :func:`gbdt.fit_cells` to boost alone or with other cells'. Raises what
     :func:`cross_validate` raises before its fit."""
     labels = np.asarray(assignment.labels, dtype=np.int64)
     numeric, categorical, numeric_names, cat_names = dataset_design(dataset)
@@ -180,23 +180,20 @@ def cross_validate(
 
     Each fold's model is fit on the remaining folds only (the target-statistic
     encoder included, so held-out rows never leak their labels), then scored
-    on the held-out rows. ``models`` are the fold models when
-    :func:`gbdt.fit_cells` boosted them with other cells' from
-    :func:`prepare_cv` with the same arguments; without them,
-    :func:`gbdt.fit_folds` boosts this cell's alone, through the same loop
-    and to the same bits. A fold whose test rows miss a class is a warning;
-    its metrics cover the classes present. A fold whose training rows miss a
-    class (a cluster too small to leave members in every training split)
-    raises :class:`DegenerateLabels` before any model is fit.
+    on the held-out rows. The fold models come from :func:`prepare_cv` with
+    the same arguments and :func:`gbdt.fit_cells`: ``models`` are the ones
+    it boosted with other cells', and without them it boosts this cell's
+    alone, through the same loop and to the same bits. A fold whose test
+    rows miss a class is a warning; its metrics cover the classes present.
+    A fold whose training rows miss a class (a cluster too small to leave
+    members in every training split) raises :class:`DegenerateLabels`
+    before any model is fit.
     """
-    labels = np.asarray(assignment.labels, dtype=np.int64)
-    numeric, categorical, numeric_names, cat_names = dataset_design(dataset)
-    folds = stratified_folds(labels, k_folds, seed)
     if models is None:
-        models = fit_folds(
-            numeric, categorical, labels, folds, config,
-            numeric_names=numeric_names, categorical_names=cat_names,
-        )
+        models = next(fit_cells([prepare_cv(dataset, assignment, config, k_folds, seed)]))
+    labels = np.asarray(assignment.labels, dtype=np.int64)
+    numeric, categorical, _, _ = dataset_design(dataset)
+    folds = stratified_folds(labels, k_folds, seed)
 
     k = assignment.k
     rows: list[MetricRow] = []

@@ -27,13 +27,13 @@ The models of several training sets boost together in one loop,
 every (class, model) in one grower call, whose histograms carry (tree,
 occupied leaf) keys. A cell is one (year, k) cut's cross-validation, whose
 fold models :func:`prepare_folds` prepares; :func:`fit_cells` boosts the
-fold models of several cells that share a config and a class count, such
-as every study year's cell of one k, in one loop, in batches whose leaf
-slots stay under ``_BATCH_BUDGET``, and :func:`fit_folds` is its one-cell
-case. Every tree's rows stay in place for the whole round. A level scores
-the trees still growing in runs, blocks of consecutive growing trees whose
-work arrays stay under ``_HISTOGRAM_BUDGET`` cells, and skips the trees
-that stopped, so a run's work arrays do not grow with the number of trees.
+fold models of one cell, or of several cells that share a config and a
+class count, such as every study year's cell of one k, in one loop, in
+batches whose leaf slots stay under ``_BATCH_BUDGET``. Every tree's rows
+stay in place for the whole round. A level scores the trees still growing
+in runs, blocks of consecutive growing trees whose work arrays stay under
+``_HISTOGRAM_BUDGET`` cells, and skips the trees that stopped, so a run's
+work arrays do not grow with the number of trees.
 Each tree's arithmetic is the one it would do alone, so every model is bit
 for bit the one :func:`fit` gives on its own rows, whichever cells and folds
 it boosted with; :func:`fit` is the same loop over one training set.
@@ -86,8 +86,8 @@ class TrainConfig:
     loss: str = "auto"
 
     def validate(self) -> None:
-        if self.n_trees < 1:
-            raise ValueError("n_trees must be >= 1")
+        if not 1 <= self.n_trees <= 10_000:  # 20x the default; the grower's tables scale with it
+            raise ValueError("n_trees must be in 1..10000")
         if not 1 <= self.depth <= 16:
             raise ValueError("depth must be in 1..16")
         if not 0.0 < self.learning_rate <= 1.0:
@@ -595,59 +595,31 @@ def _best_splits(slots, g, h, g_rows, h_rows, tree_leaf, n_leaves, padded, lone,
     return best, [bool(gains[t, slot] > _MIN_SPLIT_GAIN) for t, slot in enumerate(best)]
 
 
-@dataclass(frozen=True)
-class _Layout:
-    """The trees of a boosting round and their split tables, the same every
-    round: tree b owns ``sizes[b]`` consecutive rows of ``slots`` and row b of
-    ``thresholds`` (from :func:`_split_table`, flattened to (column, bucket)
-    slots). ``padded`` marks slots with no candidate, ``lone`` the columns
-    with one, ``has_lone`` the trees with such a column."""
-
-    slots: np.ndarray
-    thresholds: np.ndarray
-    sizes: list[int]
-    padded: np.ndarray
-    lone: np.ndarray
-    has_lone: list[bool]
-    tree_of_row: np.ndarray
-
-    @classmethod
-    def of(cls, slots: np.ndarray, thresholds: np.ndarray, sizes: list[int]) -> "_Layout":
-        n_trees, n_cols, _ = thresholds.shape
-        padded = np.isinf(thresholds)
-        lone = padded.sum(axis=2) == N_QUANTILE_BUCKETS - 1
-        return cls(
-            slots=slots,
-            thresholds=thresholds.reshape(n_trees, n_cols * N_QUANTILE_BUCKETS),
-            sizes=sizes,
-            padded=padded.reshape(n_trees, n_cols * N_QUANTILE_BUCKETS),
-            lone=lone,
-            has_lone=lone.any(axis=1).tolist(),
-            tree_of_row=np.repeat(np.arange(n_trees), sizes),
-        )
-
-
-def _grow_trees(layout: _Layout, grad, hess, depth, l2, split_slot):
+def _grow_trees(slots, thresholds, sizes, grad, hess, depth, l2, split_slot):
     """Symmetric trees grown together, each by greedy level-wise splits that
     maximize its total Newton gain, bit for bit as if it grew alone.
 
-    Tree b owns ``layout.sizes[b]`` consecutive rows of ``grad`` and
-    ``hess``, and its rows stay in place for the whole call: each level
-    updates their leaves where they are. A level scores the trees still
-    growing in runs, blocks of consecutive growing trees whose work arrays
-    stay under ``_HISTOGRAM_BUDGET`` cells (:func:`_best_splits`), and moves
-    the rows of a run's growing trees to their new leaves in one pass; a
-    tree whose best split gains no more than the minimum stops, and later
+    Tree b owns ``sizes[b]`` consecutive rows of ``slots``, ``grad`` and
+    ``hess``, and row b of ``thresholds``: its split table from
+    :func:`_split_table`, flattened to (column, bucket) slots, whose +inf
+    slots hold no candidate. A tree's rows stay in place for the whole call:
+    each level updates their leaves where they are. A level scores the trees
+    still growing in runs, blocks of consecutive growing trees whose work
+    arrays stay under ``_HISTOGRAM_BUDGET`` cells (:func:`_best_splits`), and
+    moves the rows of a run's growing trees to their new leaves in one pass;
+    a tree whose best split gains no more than the minimum stops, and later
     levels skip it. Newton scores are plain divides (:func:`_newton_score`).
     Writes the flat (column, bucket) slot of tree b's split at each level
     to ``split_slot[b, level]``, which keeps -1 past its last split, and
     returns the trees' leaf values and leaf covers, tree after tree as in a
     :class:`Forest`, and each row's leaf value.
     """
-    slots, thresholds, sizes = layout.slots, layout.thresholds, layout.sizes
-    padded, lone, has_lone, tree_of_row = layout.padded, layout.lone, layout.has_lone, layout.tree_of_row
     n_trees, width = thresholds.shape
     n_cols = slots.shape[1]
+    padded = np.isinf(thresholds)  # slots with no candidate
+    lone = padded.reshape(n_trees, n_cols, N_QUANTILE_BUCKETS).sum(axis=2) == N_QUANTILE_BUCKETS - 1
+    has_lone = lone.any(axis=1).tolist()  # trees with a one-candidate column
+    tree_of_row = np.repeat(np.arange(n_trees), sizes)
     leaf_idx = np.zeros(grad.size, dtype=np.int64)
     g_rows, h_rows = np.repeat(grad, n_cols), np.repeat(hess, n_cols)
     starts = [0, *itertools.accumulate(sizes)]
@@ -787,11 +759,8 @@ def _boost(untrained) -> list[TreeEnsemble]:
     bounds = [0, *itertools.accumulate(sizes)]
     tables = [_split_table(design) for _, design, _ in untrained]
     # round tree b is class b // n_models of model b % n_models, on that model's rows
-    layout = _Layout.of(
-        np.concatenate([s for s, _ in tables] * n_outputs),
-        np.stack([t for _, t in tables] * n_outputs),
-        sizes * n_outputs,
-    )
+    slots = np.concatenate([s for s, _ in tables] * n_outputs)
+    thresholds = np.stack([t.ravel() for _, t in tables] * n_outputs)
     n_trees = n_outputs * n_models
     split_slot = np.full((config.n_trees, n_trees, config.depth), -1, dtype=np.int64)
 
@@ -813,7 +782,7 @@ def _boost(untrained) -> list[TreeEnsemble]:
         grad = (p - targets).T.ravel()
         hess = (p * (1.0 - p)).T.ravel()
         values, cover, row_values = _grow_trees(
-            layout, grad, hess, config.depth, config.l2_leaf_reg, split_slot[r]
+            slots, thresholds, sizes * n_outputs, grad, hess, config.depth, config.l2_leaf_reg, split_slot[r]
         )
         # each model owns its leaf tables: views into the round's would keep
         # every model's leaves alive until the last model is built
@@ -837,7 +806,7 @@ def _boost(untrained) -> list[TreeEnsemble]:
     split = split_slot >= 0
     n_levels = split.sum(axis=2)
     split_column = np.where(split, split_slot // N_QUANTILE_BUCKETS, 0)
-    split_threshold = np.where(split, layout.thresholds[np.arange(n_trees)[:, None], split_slot], np.inf)
+    split_threshold = np.where(split, thresholds[np.arange(n_trees)[:, None], split_slot], np.inf)
     models = []
     for f, (model, _, _) in enumerate(untrained):
         levels = n_levels[:, f::n_models].ravel()  # round by round, class by class
@@ -953,23 +922,6 @@ def fit_cells(cells):
             del models[: len(cell)]
 
 
-def fit_folds(
-    numeric: np.ndarray,
-    categorical: np.ndarray | None,
-    labels: np.ndarray,
-    folds: np.ndarray,
-    config: TrainConfig,
-    numeric_names=None,
-    categorical_names=None,
-) -> list[TreeEnsemble]:
-    """One model per fold, all boosted together: the one-cell case of
-    :func:`fit_cells` over :func:`prepare_folds`. Model f is :func:`fit` on
-    the rows whose fold is not f, with seed ``config.seed ^ f``.
-    """
-    cell = prepare_folds(numeric, categorical, labels, folds, config, numeric_names, categorical_names)
-    return next(fit_cells([cell]))
-
-
 _DOCUMENT_FORMAT = {"format_version": 1, "model_type": "oblivious_gbdt"}
 
 
@@ -1038,7 +990,7 @@ def from_json(text: str | bytes) -> TreeEnsemble:
     """
     try:
         doc = json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, UnicodeDecodeError, deep nesting
         raise DataError(f"model file is not JSON: {exc}") from exc
     _require(
         isinstance(doc, dict) and all(doc.get(k) == v for k, v in _DOCUMENT_FORMAT.items()),

@@ -119,7 +119,7 @@ def _read_json_object(path, what: str) -> dict:
             value = json.load(f)
     except OSError as exc:
         raise ConfigError(f"cannot read {what} file: {exc}") from exc
-    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, UnicodeDecodeError, deep nesting
         raise ConfigError(f"{what} file is not valid JSON: {exc}") from exc
     if not isinstance(value, dict):
         raise ConfigError(f"{what} file must hold a JSON object")
@@ -206,7 +206,7 @@ class RunReport:
         :class:`MetricRow` field. Anything else is a DataError."""
         try:
             doc = json.loads(text)
-        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        except (ValueError, RecursionError) as exc:  # JSONDecodeError, UnicodeDecodeError, deep nesting
             raise DataError(f"report file is not JSON: {exc}") from exc
         check_fields(cls, doc, DataError, "report")
         check_fields(MetricRow, doc["metrics"].get("mean"), DataError, "report metrics mean")

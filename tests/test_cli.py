@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import vaxclust
 from vaxclust import shapley
 from vaxclust.cli import main
-from vaxclust.dataset import csv_text, load_year
+from vaxclust.dataset import csv_text, load_year, table_paths
 from vaxclust.evaluation import dataset_design
 from vaxclust.gbdt import from_json as model_from_json
 
@@ -117,12 +117,21 @@ def test_unreadable_input_table_is_recorded_data_error(tmp_path, synth_inputs, s
                      *stage[1:], "--out", str(tmp_path / "stage")]) == 2
 
 
+# deeper than the JSON decoder's recursion limit: a RecursionError, not a ValueError
+_DEEPLY_NESTED = b"[" * 100_000
+
+
 def test_undecodable_config_is_config_error(tmp_path):
     path = tmp_path / "config.json"
     path.write_bytes(b'{"years": [2021], "input_dir": "in\xff", "out_dir": "out"}')
     proc = _cli_process("run", "--config", str(path))
     assert proc.returncode == 1
     assert proc.stderr.startswith("config error: config file is not valid JSON")
+    assert "Traceback" not in proc.stderr
+    path.write_bytes(_DEEPLY_NESTED)
+    proc = _cli_process("run", "--config", str(path))
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("config error: config file is not valid JSON: maximum recursion depth")
     assert "Traceback" not in proc.stderr
 
 
@@ -140,6 +149,14 @@ def test_run_missing_geometry_is_config_error(tmp_path, synth_inputs, capsys):
     config = _write_config(tmp_path, synth_inputs, out, geometry_path=str(tmp_path / "absent.geojson"))
     assert main(["run", "--config", config]) == 1
     assert "geometry" in capsys.readouterr().err
+    assert not out.exists()
+    geometry = tmp_path / "deep.geojson"
+    geometry.write_bytes(_DEEPLY_NESTED)
+    config = _write_config(tmp_path, synth_inputs, out, geometry_path=str(geometry))
+    assert main(["run", "--config", config]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: geometry file is not valid JSON: maximum recursion depth")
+    assert "Traceback" not in err
     assert not out.exists()
 
 
@@ -322,8 +339,8 @@ def test_explain_empty_year_is_error(tmp_path, synth_inputs, capsys, per_row):
 
 
 @pytest.mark.parametrize(
-    "content", [b'{"model_type": "oblivious_gbdt"}', b"not json", b"\x89PNG\r\n\x1a\n"],
-    ids=["missing-keys", "not-json", "binary"],
+    "content", [b'{"model_type": "oblivious_gbdt"}', b"not json", b"\x89PNG\r\n\x1a\n", _DEEPLY_NESTED],
+    ids=["missing-keys", "not-json", "binary", "deep-nesting"],
 )
 def test_explain_corrupt_model_is_data_error(tmp_path, synth_inputs, capsys, content):
     model_path = tmp_path / "model.json"
@@ -331,7 +348,8 @@ def test_explain_corrupt_model_is_data_error(tmp_path, synth_inputs, capsys, con
     code = main(["explain", "--input-dir", str(synth_inputs), "--year", "2021",
                  "--model", str(model_path), "--out", str(tmp_path / "explain")])
     assert code == 2
-    assert capsys.readouterr().err.startswith("data error: model")
+    err = capsys.readouterr().err
+    assert err.startswith("data error: model") and "Traceback" not in err
 
 
 @pytest.mark.parametrize(
@@ -435,26 +453,83 @@ def test_mutated_model_files_end_explain_in_an_exit_code(tmp_path, synth_inputs)
     mutated_path = tmp_path / "mutated.json"
 
     @settings(derandomize=True, max_examples=150, deadline=None)
-    @given(changes=st.lists(st.tuples(st.sampled_from(paths), _JSON_VALUES), min_size=1, max_size=3))
+    @given(changes=_changes(paths))
     def check(changes):
-        doc = json.loads(valid)
-        for path, value in changes:
-            parent = doc
-            for key in path[:-1]:
-                parent = parent[key] if isinstance(parent, (dict, list)) and _holds(parent, key) else None
-            if isinstance(parent, (dict, list)) and _holds(parent, path[-1]):
-                parent[path[-1]] = value
-        mutated_path.write_text(json.dumps(doc))
+        mutated_path.write_text(_mutated(valid, changes))
         code = main(["explain", "--config", config, "--year", "2021", "--model", str(mutated_path), "--per-row"])
         assert code in (0, 1, 2, 3)
 
     check()
 
 
+def _changes(paths):
+    """1 to 3 (path, new value) pairs."""
+    return st.lists(st.tuples(st.sampled_from(paths), _JSON_VALUES), min_size=1, max_size=3)
+
+
+def _mutated(text, changes) -> str:
+    """The JSON document ``text`` with each change's value at its path, where
+    that path is still there after the changes before it."""
+    doc = json.loads(text)
+    for path, value in changes:
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key] if isinstance(parent, (dict, list)) and _holds(parent, key) else None
+        if isinstance(parent, (dict, list)) and _holds(parent, path[-1]):
+            parent[path[-1]] = value
+    return json.dumps(doc)
+
+
 def _holds(container, key) -> bool:
     if isinstance(container, dict):
         return key in container
     return isinstance(key, int) and 0 <= key < len(container)
+
+
+def test_mutated_report_files_end_report_in_an_exit_code(tmp_path, synth_inputs):
+    """A valid report file changed at 1 to 3 places ends ``report`` in exit
+    0-3, with no exception and no RuntimeWarning."""
+    out = tmp_path / "out"
+    assert main(["run", "--config", _write_config(tmp_path, synth_inputs, out, n_trees=4, seed=7)]) == 0
+    valid = (out / "report_2021_k2.json").read_text()
+    paths = sorted(_json_paths(json.loads(valid)), key=repr)
+    runs = tmp_path / "runs"
+    runs.mkdir()
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(changes=_changes(paths))
+    def check(changes):
+        (runs / "report_2021_k2.json").write_text(_mutated(valid, changes))
+        assert main(["report", "--runs", str(runs), "--out", str(tmp_path / "metrics.csv")]) in (0, 1, 2, 3)
+
+    check()
+
+
+def test_mutated_geometry_files_end_run_in_an_exit_code(tmp_path, synth_inputs):
+    """A valid geometry file changed at 1 to 3 places ends ``run`` in exit
+    0-3, with no exception and no RuntimeWarning, and ``run_summary.json``
+    written whenever the run got past its config."""
+    ids = load_year(*table_paths(synth_inputs, 2021), 2021).ids
+    valid = json.dumps({"type": "FeatureCollection", "features": [
+        {"type": "Feature", "properties": {"district_id": district_id},
+         "geometry": {"type": "Point", "coordinates": [float(i), -float(i)]}}
+        for i, district_id in enumerate(ids)
+    ]})
+    paths = sorted(_json_paths(json.loads(valid)), key=repr)
+    geometry = tmp_path / "geometry.json"
+    out = tmp_path / "out"
+    config = _write_config(tmp_path, synth_inputs, out, n_trees=2, depth=2, geometry_path=str(geometry))
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(changes=_changes(paths))
+    def check(changes):
+        geometry.write_text(_mutated(valid, changes))
+        (out / "run_summary.json").unlink(missing_ok=True)
+        code = main(["run", "--config", config])
+        assert code in (0, 1, 2, 3)
+        assert code == 1 or (out / "run_summary.json").exists()
+
+    check()
 
 
 def test_stats_subcommand(tmp_path, synth_inputs):
@@ -484,8 +559,9 @@ def test_report_subcommand(tmp_path, synth_inputs):
         lambda text: b'{"year": "\xc3\x28"}',
         lambda text: b'{"year": 2021}',
         lambda text: json.dumps({**json.loads(text), "metrics": {}}).encode(),
+        lambda text: _DEEPLY_NESTED,
     ],
-    ids=["not-json", "not-utf8", "year-only", "metrics-empty"],
+    ids=["not-json", "not-utf8", "year-only", "metrics-empty", "deep-nesting"],
 )
 def test_report_corrupt_file_is_data_error(tmp_path, synth_inputs, capsys, corrupt):
     out = tmp_path / "out"

@@ -654,17 +654,22 @@ def _fold_battery():
         yield X, None, y, stratified_folds(y, n_folds, seed=i), cfg
 
 
+def _fit_folds(X, cats, y, folds, cfg):
+    """One cell's fold models, boosted together by ``fit_cells``."""
+    return next(gbdt.fit_cells([gbdt.prepare_folds(X, cats, y, folds, cfg)]))
+
+
 def _fold_args(X, cats, y, folds, cfg):
-    """Per fold, the ``fit`` arguments of the model ``fit_folds`` trains for it."""
+    """Per fold, the ``fit`` arguments of the model ``_fit_folds`` trains for it."""
     for f in range(int(folds.max()) + 1):
         train = folds != f
         yield X[train], None if cats is None else cats[train], y[train], replace(cfg, seed=cfg.seed ^ f)
 
 
 def _fold_fits(battery):
-    """Per fit: ``fit_folds``'s models, ``fit``'s on each fold and the oracle's, as model files."""
+    """Per fit: ``_fit_folds``'s models, ``fit``'s on each fold and the oracle's, as model files."""
     for X, cats, y, folds, cfg in battery:
-        batched = [gbdt.to_json(m) for m in gbdt.fit_folds(X, cats, y, folds, cfg)]
+        batched = [gbdt.to_json(m) for m in _fit_folds(X, cats, y, folds, cfg)]
         single, oracle = [], []
         for args in _fold_args(X, cats, y, folds, cfg):
             single.append(gbdt.to_json(gbdt.fit(*args)))
@@ -724,7 +729,7 @@ def test_stopped_trees_cost_nothing_and_split_runs(monkeypatch):
         for budget in budgets:
             monkeypatch.setattr(gbdt, "_HISTOGRAM_BUDGET", budget)
             rounds.clear()
-            models = gbdt.fit_folds(X, cats, y, folds, cfg)
+            models = _fit_folds(X, cats, y, folds, cfg)
             assert [gbdt.to_json(m) for m in models] == oracle, (budget, cfg)
             n_outputs = models[0].n_outputs
             tree_rows = [args[2].size for args in fold_args] * n_outputs
@@ -746,7 +751,7 @@ def test_fit_folds_rejects_fold_missing_a_class():
     y = np.array([0, 1, 0, 1, 0, 1, 0, 1, 2, 2])
     folds = np.array([0, 0, 1, 1, 0, 0, 1, 1, 1, 1])  # fold 1 holds every class-2 row
     with pytest.raises(DegenerateLabels, match=r"fold 1 training split lacks class\(es\) \[2\]"):
-        gbdt.fit_folds(X, None, y, folds, TrainConfig(n_trees=2, depth=2))
+        _fit_folds(X, None, y, folds, TrainConfig(n_trees=2, depth=2))
 
 
 def test_fit_folds_memory_stays_small():
@@ -759,7 +764,7 @@ def test_fit_folds_memory_stays_small():
     folds = stratified_folds(y, 5, seed=6)
     tracemalloc.start()
     try:
-        models = gbdt.fit_folds(X, cats, y, folds, TrainConfig(n_trees=3, depth=6, seed=1))
+        models = _fit_folds(X, cats, y, folds, TrainConfig(n_trees=3, depth=6, seed=1))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -96,6 +96,13 @@ def test_config_validation_errors():
         pl.config_from_mapping(
             {"years": [2021], "input_dir": "a", "out_dir": "b", "n_trees": 0}
         )
+    # past the cap, boosting would first allocate a (round, tree, level) table
+    # of 218 TiB and end in a MemoryError traceback
+    with pytest.raises(ConfigError, match=r"n_trees must be in 1\.\.10000"):
+        pl.config_from_mapping(
+            {"years": [2021], "input_dir": "a", "out_dir": "b", "n_trees": 10**12}
+        )
+    assert pl.config_from_mapping({"years": [2021], "input_dir": "a", "out_dir": "b", "n_trees": 10_000})
     with pytest.raises(ConfigError):
         pl.config_from_mapping(
             {"years": [2021], "input_dir": "a", "out_dir": "b", "k_values": [2, 3], "loss": "binary_logistic"}
