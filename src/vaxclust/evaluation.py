@@ -156,14 +156,15 @@ def prepare_cv(
     config: TrainConfig,
     k_folds: int = 5,
     seed: int = 0,
-) -> list:
-    """The fold models of :func:`cross_validate` before any tree grows, for
-    :func:`gbdt.fit_cells` to boost alone or with other cells'. Raises what
-    :func:`cross_validate` raises before its fit."""
+) -> tuple[np.ndarray, list]:
+    """Each row's fold and the fold models of :func:`cross_validate` before
+    any tree grows, for :func:`gbdt.fit_cells` to boost alone or with other
+    cells'. Raises what :func:`cross_validate` raises before its fit."""
     labels = np.asarray(assignment.labels, dtype=np.int64)
     numeric, categorical, numeric_names, cat_names = dataset_design(dataset)
-    return prepare_folds(
-        numeric, categorical, labels, stratified_folds(labels, k_folds, seed), config,
+    folds = stratified_folds(labels, k_folds, seed)
+    return folds, prepare_folds(
+        numeric, categorical, labels, folds, config,
         numeric_names=numeric_names, categorical_names=cat_names,
     )
 
@@ -174,26 +175,28 @@ def cross_validate(
     config: TrainConfig,
     k_folds: int = 5,
     seed: int = 0,
-    models: list[TreeEnsemble] | None = None,
+    fitted: tuple[np.ndarray, list[TreeEnsemble]] | None = None,
 ) -> CvResult:
     """Stratified k-fold CV of the GDSC -> cluster classifier.
 
     Each fold's model is fit on the remaining folds only (the target-statistic
     encoder included, so held-out rows never leak their labels), then scored
-    on the held-out rows. The fold models come from :func:`prepare_cv` with
-    the same arguments and :func:`gbdt.fit_cells`: ``models`` are the ones
-    it boosted with other cells', and without them it boosts this cell's
-    alone, through the same loop and to the same bits. A fold whose test
+    on the held-out rows. The folds and fold models come from
+    :func:`prepare_cv` with the same arguments and :func:`gbdt.fit_cells`:
+    ``fitted`` holds the folds it drew and the models it boosted with other
+    cells', and without them this cell's are drawn and boosted alone,
+    through the same loop and to the same bits. A fold whose test
     rows miss a class is a warning; its metrics cover the classes present.
     A fold whose training rows miss a class (a cluster too small to leave
     members in every training split) raises :class:`DegenerateLabels`
     before any model is fit.
     """
-    if models is None:
-        models = next(fit_cells([prepare_cv(dataset, assignment, config, k_folds, seed)]))
+    if fitted is None:
+        folds, untrained = prepare_cv(dataset, assignment, config, k_folds, seed)
+        fitted = folds, next(fit_cells([untrained]))
+    folds, models = fitted
     labels = np.asarray(assignment.labels, dtype=np.int64)
     numeric, categorical, _, _ = dataset_design(dataset)
-    folds = stratified_folds(labels, k_folds, seed)
 
     k = assignment.k
     rows: list[MetricRow] = []

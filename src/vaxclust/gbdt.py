@@ -814,8 +814,8 @@ def _boost(untrained) -> list[TreeEnsemble]:
         model_values, model_cover = zip(*leaves[f])
         leaves[f] = []
         forest = Forest(
-            split_column=split_column[:, f::n_models, :width].reshape(-1, width),
-            split_threshold=split_threshold[:, f::n_models, :width].reshape(-1, width),
+            split_column=split_column[:, f::n_models, :width].reshape(levels.size, width),
+            split_threshold=split_threshold[:, f::n_models, :width].reshape(levels.size, width),
             n_levels=levels,
             class_index=np.tile(np.arange(n_outputs), config.n_trees),
             leaf_values=np.concatenate(model_values),

@@ -12,8 +12,8 @@ The chain from dataset to cluster assignment is written once:
 :func:`assign_clusters` (cut, coverage labels). ``run_pipeline`` and the
 single-stage CLI subcommands share both.
 
-Cells run k by k in one thread. For each k, every year's cell is cut and
-its fold models prepared (:func:`evaluation.prepare_cv`); then
+Cells run k by k in one thread. For each k, every year's cell is cut, its
+folds drawn and its fold models prepared (:func:`evaluation.prepare_cv`); then
 :func:`gbdt.fit_cells` boosts the years' fold models together, in batches
 whose leaf slots stay under a bound, and each cell is analysed and written
 with its own models, which are bit for bit those it would get alone. A
@@ -258,19 +258,19 @@ def analyze_cell(
     assignment: ClusterAssignment,
     suggested: int,
     config: RunConfig,
-    models: list[TreeEnsemble] | None = None,
+    fitted: tuple[np.ndarray, list[TreeEnsemble]] | None = None,
 ) -> RunReport:
     """Everything downstream of the cut for one (year, k) cell.
 
-    ``models`` are the cell's fold models when :func:`run_pipeline` fitted
-    them with other cells'; without them, the cell is fitted alone, to the
-    same bits.
+    ``fitted`` holds the cell's folds and fold models when
+    :func:`run_pipeline` fitted them with other cells'; without it, the
+    cell is fitted alone, to the same bits.
     """
     year, k = dataset.year, assignment.k
     means = cluster_mean_table(assignment, dataset)
 
     train_config, cell_seed = _cell_training(config, year, k)
-    cv = cross_validate(dataset, assignment, train_config, k_folds=config.k_folds, seed=cell_seed, models=models)
+    cv = cross_validate(dataset, assignment, train_config, k_folds=config.k_folds, seed=cell_seed, fitted=fitted)
 
     numeric, categorical, _, _ = dataset_design(dataset)
     fold_importances = []
@@ -485,12 +485,12 @@ def _failure(year: int, k: int, stage: str, exc: Exception) -> dict:
     return {"year": year, "k": k, "stage": stage, "error": type(exc).__name__, "message": str(exc)}
 
 
-def _finish_cell(dataset, assignment, suggested, config: RunConfig, geometry, models) -> RunReport | dict:
-    """Analyse and write one cell with its fitted fold models: its report, or
-    its failure record."""
+def _finish_cell(dataset, assignment, suggested, config: RunConfig, geometry, fitted) -> RunReport | dict:
+    """Analyse and write one cell with its folds and fitted fold models: its
+    report, or its failure record."""
     stage = "analysis"
     try:
-        report = analyze_cell(dataset, assignment, suggested, config, models=models)
+        report = analyze_cell(dataset, assignment, suggested, config, fitted=fitted)
         stage = "write"
         write_cell_artifacts(report, assignment, dataset, config, geometry)
     except VaxclustError as exc:
@@ -537,15 +537,15 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
             train_config, cell_seed = _cell_training(config, year, k)
             try:
                 assignment = assign_clusters(dataset, dendro, k)
-                untrained = prepare_cv(dataset, assignment, train_config, k_folds=config.k_folds, seed=cell_seed)
-                cells.append((dataset, assignment, suggested, untrained))
+                folds, untrained = prepare_cv(dataset, assignment, train_config, k_folds=config.k_folds, seed=cell_seed)
+                cells.append((dataset, assignment, suggested, folds, untrained))
             except VaxclustError as exc:
                 errors[(year, k)] = _failure(year, k, "analysis", exc)
-        fitted = fit_cells([untrained for *_, untrained in cells])
-        for dataset, assignment, suggested, _ in cells:
+        boosted = fit_cells([untrained for *_, untrained in cells])
+        for dataset, assignment, suggested, folds, _ in cells:
             # the models go straight into the call, so no name holds them
             # while the next batch boosts
-            outcome = _finish_cell(dataset, assignment, suggested, config, geometry, next(fitted))
+            outcome = _finish_cell(dataset, assignment, suggested, config, geometry, (folds, next(boosted)))
             (results if isinstance(outcome, RunReport) else errors)[(dataset.year, k)] = outcome
     results = dict(sorted(results.items()))
     errors = dict(sorted(errors.items()))

@@ -27,20 +27,21 @@ Two independent routes to the same quantity:
   O(leaves * u * ceil(u / 2)) at any depth, with no 2^u or 2^depth factor.
 
   The explainer pays per model, not per tree. It reads the model's
-  :class:`~vaxclust.gbdt.Forest` arrays and builds the leaf terms of all
-  trees in a few passes over the flat leaf arrays. ``explain`` reads the
-  decision patterns of a block of trees for all rows at once, attributes
-  each distinct (tree, pattern) pair once and adds the results onto the
-  rows, as GPUTreeShap batches all paths of an ensemble (Mitchell et al.
-  2022). The terms are grouped by quadrature node count ceil(u / 2), so a
-  group holds the trees with 2m - 1 and 2m players. Where a chunk of pairs
-  mixes the two, the smaller trees get a last padding player whose factor
-  is set to exactly 1.0; (1 - t) + t would not be exactly 1.0 in floating
-  point. Multiplying by exactly 1.0 changes no product, and as the last
-  factor it changes no product's order, so padded terms keep their bits.
-  Every sum adds the same numbers in the same order as a tree-at-a-time
-  loop: a pair's terms in leaf order, a row's trees in model order. The
-  result does not depend on the batch, the blocks or the chunking.
+  :class:`~vaxclust.gbdt.Forest` arrays and builds one term table for all
+  trees in a few passes over the flat leaf arrays, the trees ranked by
+  player count. ``explain`` reads the decision patterns of a block of trees
+  for all rows at once, attributes each distinct (tree, pattern) pair once
+  and adds the results onto the rows, as GPUTreeShap batches all paths of
+  an ensemble (Mitchell et al. 2022). The pairs are attributed in chunks of
+  one quadrature node count ceil(u / 2), so a chunk may hold trees with
+  2m - 1 and 2m players. Where it mixes the two, the smaller trees get a
+  last padding player whose factor is set to exactly 1.0; (1 - t) + t would
+  not be exactly 1.0 in floating point. Multiplying by exactly 1.0 changes
+  no product, and as the last factor it changes no product's order, so
+  padded terms keep their bits. Every sum adds the same numbers in the same
+  order as a tree-at-a-time loop: a pair's terms in leaf order, a row's
+  trees in model order. The result does not depend on the batch, the blocks
+  or the chunking.
 * :func:`brute_force_shapley` — the definition, verbatim: for every feature,
   the factorially-weighted average of marginal contributions over all
   feature subsets, with the same cover-based conditional expectation found by
@@ -103,94 +104,6 @@ def _gauss_legendre(u: int) -> tuple[np.ndarray, np.ndarray]:
     return (nodes + 1.0) / 2.0, weights / 2.0
 
 
-@dataclass(frozen=True)
-class _TermGroup:
-    """The leaf terms of every tree whose player count u rounds up to
-    ``width`` (``width - 1`` or ``width`` players), in rank order.
-
-    All of them take ``width / 2`` quadrature nodes. The group's trees are
-    those of ranks ``first_rank`` onward; the i-th has ``players[i]``
-    players and owns terms ``start[i]`` to ``start[i] + count[i]``, in leaf
-    order, and ``masks[s, i]`` holds the levels split on its player s as
-    leaf-index bits (0 for a padding player). Per term: its leaf index, its
-    value with shrinkage folded in, ``zero[s]`` (the product of the cover
-    fractions of its path at the levels of player s, 0 below an empty node,
-    1.0 for a padding player) and ``empty``, the levels of the players whose
-    z is 0, on which a row must agree with the leaf for the term to count.
-    """
-
-    width: int
-    first_rank: int
-    players: np.ndarray
-    start: np.ndarray
-    count: np.ndarray
-    masks: np.ndarray  # (width, trees)
-    leaf: np.ndarray
-    value: np.ndarray
-    zero: np.ndarray  # (width, terms)
-    empty: np.ndarray
-
-    def phi(self, ranks, patterns, out) -> None:
-        """Write the (pair, player) attributions of (tree rank, decision
-        pattern) pairs of this group into the rows of ``out``; a tree with
-        ``width - 1`` players leaves its last slot without meaning.
-
-        A pattern holds a row's per-level decisions (bit l set: went right at
-        level l). Each (pair, player) slot sums its own terms in leaf order,
-        so a result depends neither on the batch nor on the chunking. The
-        pairs go in chunks of at most ``_TERM_BUDGET`` (node, term, player)
-        cells. A chunk with trees of both player counts pads the smaller
-        ones: the padding player's factor is exactly 1.0, and it comes last,
-        so every product of the other factors has the bits it has without
-        it.
-        """
-        u = self.width
-        nodes, weights = _gauss_legendre(u)
-        cap = _TERM_BUDGET // (u * nodes.size)  # terms per chunk
-        trees = ranks - self.first_rank
-        sizes = self.count[trees]
-        tree_ends = np.cumsum(sizes)
-        begin = 0
-        while begin < trees.size:
-            end = max(begin + 1, int(np.searchsorted(tree_ends, tree_ends[begin] - sizes[begin] + cap, "right")))
-            tree, counts = trees[begin:end], sizes[begin:end]
-            ends = np.cumsum(counts)
-            pair = np.repeat(np.arange(tree.size), counts)
-            term = np.arange(ends[-1]) + np.repeat(self.start[tree] - (ends - counts), counts)
-            disagree = patterns[begin:end][pair] ^ self.leaf[term]
-            hit = np.flatnonzero((disagree & self.empty[term]) == 0)
-            pair, term, disagree = pair[hit], term[hit], disagree[hit]
-            players = self.players[tree]
-            v = int(players.max())  # the chunk's width: width - 1 if no tree has more players
-            # (player, term) agreements o and cover products z, and the
-            # (player, quadrature node, term) factors z (1 - t) + o t
-            one = ((disagree & self.masks[:v, tree[pair]]) == 0).astype(np.float64)
-            zero = self.zero[:v, term]
-            factors = zero[:, None, :] * (1.0 - nodes)[:, None]
-            factors += one[:, None, :] * nodes[:, None]
-            short = players < v
-            if short.any():
-                factors[-1][:, short[pair]] = 1.0
-            # a player's integrand is the product of the other players'
-            # factors: those before it, then those after it, each multiplied
-            # up in the order of a cumprod
-            others = np.empty_like(factors)
-            after = np.empty_like(factors)
-            others[0] = after[-1] = 1.0
-            for s in range(1, v):
-                np.multiply(others[s - 1], factors[s - 1], out=others[s])
-            for s in range(v - 2, -1, -1):
-                np.multiply(after[s + 1], factors[s + 1], out=after[s])
-            others *= after
-            integral = weights[0] * others[:, 0]
-            for k in range(1, nodes.size):
-                integral += weights[k] * others[:, k]
-            terms = (one - zero) * integral * self.value[term]
-            slots = (pair * v + np.arange(v)[:, None]).ravel()
-            out[begin:end, :v] = np.bincount(slots, weights=terms.ravel(), minlength=tree.size * v).reshape(-1, v)
-            begin = end
-
-
 def _leaf_terms(forest, values, trees, n_terms, player, masks, width):
     """(leaf, value, zero, empty) of the ``n_terms`` leaves with a nonzero
     value of ``trees``, in (tree, leaf) order, built in passes of at most
@@ -238,7 +151,8 @@ def _leaf_terms(forest, values, trees, n_terms, player, masks, width):
 
 
 class TreeShapExplainer:
-    """The leaf terms of the whole model; attributions for any batch of rows.
+    """One leaf-term table for the whole model; attributions for any batch
+    of rows.
 
     A row enters a tree only through its per-level decisions. :meth:`explain`
     reads them for a block of trees at a time, attributes each distinct
@@ -285,29 +199,24 @@ class TreeShapExplainer:
             minlength=model.n_outputs,
         )
 
-        # trees with players, ranked by (player count, tree); one term group per width
+        # trees with players, ranked by (player count, tree), and the term
+        # table of their valued leaves in rank order, leaf order within a
+        # tree: per term its leaf index, its value with shrinkage folded in,
+        # z per player (1.0 for a padding player) and the levels of the
+        # players whose z is 0, on which a row must agree with the leaf
         ranked = np.flatnonzero(n_players > 0)  # in model order
         order = ranked[np.argsort(n_players[ranked], kind="stable")]
         valued = np.add.reduceat(values != 0.0, firsts, dtype=np.int64)[order]
-        leaf, value, zero, empty = _leaf_terms(forest, values, order, int(valued.sum()), player, masks, width)
-        term_ends = np.cumsum(valued)
-        self._groups = []
-        for group_width in np.unique(widths[order]).tolist():
-            a, b = np.searchsorted(widths[order], [group_width, group_width + 1]).tolist()
-            terms = slice(term_ends[a] - valued[a], term_ends[b - 1])
-            counts = valued[a:b]
-            self._groups.append(_TermGroup(
-                width=group_width,
-                first_rank=a,
-                players=n_players[order[a:b]],
-                start=np.cumsum(counts) - counts,
-                count=counts,
-                masks=masks[:group_width, order[a:b]],
-                leaf=leaf[terms],
-                value=value[terms],
-                zero=zero[:group_width, terms],
-                empty=empty[terms],
-            ))
+        self._leaf, self._value, self._zero, self._empty = _leaf_terms(
+            forest, values, order, int(valued.sum()), player, masks, width
+        )
+        # per rank: player count, width, first term, term count and the
+        # levels of each player as leaf-index bits (0 for a padding player)
+        self._players = n_players[order]
+        self._widths = widths[order]
+        self._starts = np.cumsum(valued) - valued
+        self._counts = valued
+        self._masks = masks[:width, order]
 
         self._depth = depth
         self._width = width
@@ -318,13 +227,77 @@ class TreeShapExplainer:
         self._rank = rank_of[ranked]
         self._columns = forest.split_column[ranked].T.copy()
         self._thresholds = forest.split_threshold[ranked].T.copy()
-        self._players = n_players[ranked]
-        self._player_ends = np.cumsum(self._players)
+        self._player_ends = np.cumsum(n_players[ranked])
         # the scatter table: every player of every tree, in tree order
         tree_of, level_of = np.nonzero(leads)
         self._player_tree = (np.cumsum(n_players > 0) - 1)[tree_of]  # its tree's place among ``ranked``
         self._player_index = np.cumsum(leads, axis=1)[leads] - 1
         self._player_slot = classes[tree_of] * self.n_features + columns[tree_of, level_of]
+
+    def _phi(self, ranks, patterns, out) -> None:
+        """Write the (pair, player) attributions of (tree rank, decision
+        pattern) pairs, sorted by rank, into the rows of ``out``; a tree
+        with fewer players than its chunk's width leaves the slots past
+        them without meaning.
+
+        A pattern holds a row's per-level decisions (bit l set: went right at
+        level l). Each (pair, player) slot sums its own terms in leaf order,
+        so a result depends neither on the batch nor on the chunking. The
+        pairs go in chunks of one node-count width, 2m for the trees with
+        2m - 1 or 2m players, all of which take m quadrature nodes; a chunk
+        ends where the width of the pairs changes (ranks run in player-count
+        order, so each width is one run) or at ``_TERM_BUDGET`` (node, term,
+        player) cells. A chunk with trees of both player counts pads the
+        smaller ones: the padding player's factor is exactly 1.0, and it
+        comes last, so every product of the other factors has the bits it
+        has without it.
+        """
+        widths = self._widths[ranks]
+        sizes = self._counts[ranks]
+        tree_ends = np.cumsum(sizes)
+        begin = 0
+        while begin < ranks.size:
+            u = int(widths[begin])
+            nodes, weights = _gauss_legendre(u)
+            cap = _TERM_BUDGET // (u * nodes.size)  # terms per chunk
+            end = max(begin + 1, int(np.searchsorted(tree_ends, tree_ends[begin] - sizes[begin] + cap, "right")))
+            end = min(end, int(np.searchsorted(widths, u, "right")))
+            tree, counts = ranks[begin:end], sizes[begin:end]
+            ends = np.cumsum(counts)
+            pair = np.repeat(np.arange(tree.size), counts)
+            term = np.arange(ends[-1]) + np.repeat(self._starts[tree] - (ends - counts), counts)
+            disagree = patterns[begin:end][pair] ^ self._leaf[term]
+            hit = np.flatnonzero((disagree & self._empty[term]) == 0)
+            pair, term, disagree = pair[hit], term[hit], disagree[hit]
+            players = self._players[tree]
+            v = int(players.max())  # the chunk's width: u - 1 if no tree has more players
+            # (player, term) agreements o and cover products z, and the
+            # (player, quadrature node, term) factors z (1 - t) + o t
+            one = ((disagree & self._masks[:v, tree[pair]]) == 0).astype(np.float64)
+            zero = self._zero[:v, term]
+            factors = zero[:, None, :] * (1.0 - nodes)[:, None]
+            factors += one[:, None, :] * nodes[:, None]
+            short = players < v
+            if short.any():
+                factors[-1][:, short[pair]] = 1.0
+            # a player's integrand is the product of the other players'
+            # factors: those before it, then those after it, each multiplied
+            # up in the order of a cumprod
+            others = np.empty_like(factors)
+            after = np.empty_like(factors)
+            others[0] = after[-1] = 1.0
+            for s in range(1, v):
+                np.multiply(others[s - 1], factors[s - 1], out=others[s])
+            for s in range(v - 2, -1, -1):
+                np.multiply(after[s + 1], factors[s + 1], out=after[s])
+            others *= after
+            integral = weights[0] * others[:, 0]
+            for k in range(1, nodes.size):
+                integral += weights[k] * others[:, k]
+            terms = (one - zero) * integral * self._value[term]
+            slots = (pair * v + np.arange(v)[:, None]).ravel()
+            out[begin:end, :v] = np.bincount(slots, weights=terms.ravel(), minlength=tree.size * v).reshape(-1, v)
+            begin = end
 
     def explain(self, design) -> np.ndarray:
         """(n_rows, n_outputs, n_features) margin-space phi for an encoded design.
@@ -334,9 +307,11 @@ class TreeShapExplainer:
         within ``_TERM_BUDGET``; a chunk holds every row unless a single
         tree's entries for all of them would not fit. A block reads its
         trees' decision patterns for the chunk, attributes each distinct
-        (tree, pattern) pair once and adds the results onto the rows with
-        ``np.add.at``, which adds in order: a slot sums its trees in model
-        order, across blocks as within one.
+        (tree, pattern) pair once in one :meth:`_phi` call over the one term
+        table (the pairs come out of ``np.unique`` sorted by rank, so its
+        node-count chunks need no routing) and adds the results onto the
+        rows with ``np.add.at``, which adds in order: a slot sums its trees
+        in model order, across blocks as within one.
         """
         design = np.atleast_2d(np.asarray(design, dtype=np.float64))
         if design.shape[1] != self.n_features:
@@ -344,11 +319,8 @@ class TreeShapExplainer:
         n_rows = design.shape[0]
         width = self.model.n_outputs * self.n_features
         phi = np.zeros((n_rows, width))
-        if not self._groups:
-            return phi.reshape(n_rows, self.model.n_outputs, self.n_features)
-        ends, players = self._player_ends, self._players
-        first_ranks = [g.first_rank for g in self._groups[1:]]
-        step = max(1, _TERM_BUDGET // int(players.max()))  # rows per chunk
+        ends, players = self._player_ends, self._players[self._rank]
+        step = max(1, _TERM_BUDGET // int(players.max(initial=1)))  # rows per chunk
         for begin in range(0, n_rows, step):
             rows = design[begin : begin + step]
             cap = _TERM_BUDGET // rows.shape[0]  # scatter entries per block
@@ -360,12 +332,8 @@ class TreeShapExplainer:
                 for level, (column, threshold) in enumerate(zip(self._columns[:, trees], self._thresholds[:, trees])):
                     patterns |= (rows[:, column] > threshold).astype(np.int64) << level
                 pairs, inverse = np.unique(patterns.ravel(), return_inverse=True)
-                ranks = pairs >> self._depth
-                low = pairs & ((1 << self._depth) - 1)
                 pair_phi = np.empty((pairs.size, self._width))
-                bounds = np.searchsorted(ranks, first_ranks).tolist()
-                for group, a, b in zip(self._groups, [0, *bounds], [*bounds, ranks.size]):
-                    group.phi(ranks[a:b], low[a:b], pair_phi[a:b, : group.width])
+                self._phi(pairs >> self._depth, pairs & ((1 << self._depth) - 1), pair_phi)
                 entries = slice(ends[first] - players[first], ends[last - 1])
                 at = inverse.reshape(patterns.shape)[:, self._player_tree[entries] - first]
                 slots = np.arange(begin, begin + rows.shape[0])[:, None] * width + self._player_slot[entries]

@@ -58,6 +58,17 @@ def test_run_subcommand(tmp_path, synth_inputs, capsys):
     assert "1 cell(s) ok" in capsys.readouterr().out
 
 
+def test_run_and_train_with_single_leaf_trees(tmp_path, synth_inputs):
+    # so large an L2 penalty makes every split gain too small: no tree splits
+    out = tmp_path / "out"
+    config = _write_config(tmp_path, synth_inputs, out, l2_leaf_reg=1e20)
+    assert main(["run", "--config", config]) == 0
+    assert json.loads((out / "run_summary.json").read_text())["cells_failed"] == []
+    model_path = tmp_path / "model.json"
+    assert main(["train", "--config", config, "--year", "2021", "--k", "2", "--model-out", str(model_path)]) == 0
+    assert not model_from_json(model_path.read_text()).forest.n_levels.any()
+
+
 def test_run_without_config_is_config_error(capsys):
     assert main(["run"]) == 1
     assert "config error" in capsys.readouterr().err

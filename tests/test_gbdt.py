@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import random_oblivious_model
-from vaxclust import gbdt
+from vaxclust import gbdt, shapley
 from vaxclust.errors import DataError, DegenerateLabels, FeatureArityMismatch, NonFiniteFeature
 from vaxclust.evaluation import stratified_folds
 from vaxclust.gbdt import Forest, ObliviousTree, TrainConfig, TreeEnsemble, encode_ordered_ts
@@ -127,6 +127,21 @@ def _manual_ensemble(trees, base, lr=0.5, n_features=2, n_classes=2):
 def test_predict_margin_empty_ensemble_is_base():
     model = _manual_ensemble([], base=[0.7])
     assert gbdt.predict_margin(model, np.array([[1.0, 2.0]]))[0, 0] == 0.7
+
+
+@pytest.mark.parametrize("n_classes", [2, 3])
+def test_fit_without_any_split_predicts_base_margins(n_classes):
+    # constant features leave every tree a single leaf: a forest of 0 levels
+    X = np.ones((20, 3))
+    model = gbdt.fit(X, None, np.arange(20) % n_classes, TrainConfig(n_trees=3))
+    assert model.forest.split_column.shape == (3 * model.n_outputs, 0)
+    assert not model.forest.n_levels.any()
+    margins = gbdt.predict_margin(model, X)
+    assert np.allclose(margins, model.base_score, rtol=0, atol=1e-12)
+    text = gbdt.to_json(model)
+    assert gbdt.to_json(gbdt.from_json(text)) == text
+    assert np.array_equal(gbdt.predict_margin(gbdt.from_json(text), X), margins)
+    assert not shapley.TreeShapExplainer(model).explain(X).any()
 
 
 def test_predict_margin_single_tree_hand_evaluation():

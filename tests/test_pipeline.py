@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from conftest import tree_digest
 from test_hcluster import quick_dataset
-from vaxclust import gbdt, synth
+from vaxclust import evaluation, gbdt, synth
 from vaxclust import pipeline as pl
 from vaxclust.cli import main
 from vaxclust.dataset import VACCINE_COLUMNS, YearDataset
@@ -350,6 +350,28 @@ def test_batched_cells_equal_cells_fitted_alone(tmp_path, monkeypatch):
     assert pl.run_pipeline(config).exit_code == 0
     assert boosted == [12, 4, 4, 4]
     assert tree_digest(config.out_dir) == batched
+
+
+def test_each_cell_draws_its_folds_once(tmp_path, monkeypatch):
+    config = small_config(tmp_path, years=(2021, 2022), k_values=[2, 3], n_trees=3)
+    seeds = []
+    draw = evaluation.stratified_folds
+
+    def counted(labels, k_folds, seed):
+        seeds.append(seed)
+        return draw(labels, k_folds, seed)
+
+    monkeypatch.setattr(evaluation, "stratified_folds", counted)
+    result = pl.run_pipeline(config)
+    assert result.exit_code == 0
+    assert len(seeds) == len(set(seeds)) == len(result.reports) == 4  # one draw per cell
+    dataset = pl.load_dataset(config, 2021)
+    dendro, _ = pl.cluster_year(dataset, config)
+    seeds.clear()
+    assignment = pl.assign_clusters(dataset, dendro, 2)
+    cv = evaluation.cross_validate(dataset, assignment, config.train, k_folds=config.k_folds, seed=5)
+    assert seeds == [5]
+    assert len(cv.models) == config.k_folds
 
 
 def test_geometry_mismatch_is_a_recorded_write_failure(tmp_path):

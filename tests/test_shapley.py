@@ -335,7 +335,7 @@ def test_batch_phi_equals_attribute_bit_for_bit(rng, monkeypatch):
 
 def test_node_count_group_pads_bit_for_bit(rng):
     # three and four players take two quadrature nodes each, so these trees
-    # share one term group, and its chunks pad the three-player trees
+    # share one node-count width, and its chunks pad the three-player trees
     three = [(0, 0.1), (1, -0.2), (2, 0.3)]
     four = [(3, 0.2), (0, 0.0), (1, 0.5), (2, -0.5)]
     trees = [
@@ -344,7 +344,8 @@ def test_node_count_group_pads_bit_for_bit(rng):
     ]
     model = _ensemble(trees, base=[0.1, -0.2, 0.3], lr=0.3, n_features=4, n_classes=3)
     explainer = shapley.TreeShapExplainer(model)
-    assert [(g.width, g.players.tolist()) for g in explainer._groups] == [(4, [3, 3, 4, 4])]
+    assert explainer._widths.tolist() == [4, 4, 4, 4]
+    assert explainer._players.tolist() == [3, 3, 4, 4]
     _assert_oracle_bits(model, rng.normal(size=(25, 4)))
 
 
