@@ -96,8 +96,8 @@ class TrainConfig:
             raise ValueError("l2_leaf_reg must be >= 0")
         if self.ts_prior_weight <= 0.0:
             raise ValueError("ts_prior_weight must be > 0")
-        if self.n_permutations < 1:
-            raise ValueError("n_permutations must be >= 1")
+        if not 1 <= self.n_permutations <= 100:  # each fold model first draws this many shuffles
+            raise ValueError("n_permutations must be in 1..100")
         if self.loss not in LOSSES:
             raise ValueError(f"loss must be one of {LOSSES}")
 
@@ -275,11 +275,12 @@ class Forest:
 
     Tree t splits on column ``split_column[t, l]`` at ``split_threshold[t,
     l]`` for each of its ``n_levels[t]`` levels; past them the column is 0
-    and the threshold +inf, which no value exceeds, so a row's leaf comes
-    from one gather per level over all trees. The tree adds to output
-    ``class_index[t]``, and its 2^n_levels[t] leaves are ``leaf_values``
-    and ``leaf_cover`` from ``leaf_offset[t]`` on: a deep model pays only
-    for the leaves its trees have.
+    and the threshold +inf, which no value exceeds, so :meth:`leaves`, the
+    one leaf lookup of prediction and SHAP, finds the leaves of any set of
+    trees with one gather per level. The tree adds to output
+    ``class_index[t]``, and its 2^n_levels[t] leaves are ``leaf_values`` and
+    ``leaf_cover`` from ``leaf_offset[t]`` on: a deep model pays only for the
+    leaves its trees have.
     """
 
     split_column: np.ndarray  # (tree, level) int64
@@ -301,6 +302,15 @@ class Forest:
     def leaf_offset(self) -> np.ndarray:
         """(tree + 1,) the first leaf of each tree, then the leaf count."""
         return np.concatenate([[0], np.cumsum(1 << self.n_levels)])
+
+    def leaves(self, rows: np.ndarray, trees=slice(None)) -> np.ndarray:
+        """(row, tree) leaf index of each design row in ``trees`` (a slice or
+        an index array): bit l is set where the row went right at level l."""
+        columns, thresholds = self.split_column[trees], self.split_threshold[trees]
+        leaf = np.zeros((rows.shape[0], columns.shape[0]), dtype=np.int64)
+        for level in range(int(self.n_levels[trees].max(initial=0))):
+            leaf |= (rows[:, columns[:, level]] > thresholds[:, level]).astype(np.int64) << level
+        return leaf
 
     @classmethod
     def of(cls, trees) -> "Forest":
@@ -388,10 +398,10 @@ def margin_from_design(model: TreeEnsemble, design: np.ndarray) -> np.ndarray:
     """(n, n_outputs) additive margins over an already-encoded design matrix.
 
     Rows go in chunks of at most ``_PREDICT_BUDGET`` (row, tree) cells. A
-    chunk finds every tree's leaf with one gather per level, then each
-    output's margin is the last of a ``cumsum`` over its base score and its
-    trees' shrunk leaf values in model order: the numbers and the order of
-    adding one tree at a time.
+    chunk reads every tree's shrunk leaf value through :meth:`Forest.leaves`;
+    each output's margin is then the last of a ``cumsum`` over its base score
+    and its trees' values in model order: the numbers and the order of adding
+    one tree at a time.
     """
     design = np.atleast_2d(np.asarray(design, dtype=np.float64))
     if design.shape[1] != model.n_features:
@@ -399,27 +409,16 @@ def margin_from_design(model: TreeEnsemble, design: np.ndarray) -> np.ndarray:
             f"expected {model.n_features} design columns, got {design.shape[1]}"
         )
     forest = model.forest
-    # a table row: each output's base score, then its trees in model order
-    order = np.argsort(forest.class_index, kind="stable")
-    counts = np.bincount(forest.class_index, minlength=model.n_outputs)
-    ends = np.cumsum(counts + 1)
-    starts = ends - counts - 1
-    at_tree = np.arange(order.size) + np.repeat(np.arange(1, model.n_outputs + 1), counts)
-    columns, thresholds = forest.split_column[order].T, forest.split_threshold[order].T
-    offset = forest.leaf_offset[order]
+    offset = forest.leaf_offset[:-1]
     n_rows = design.shape[0]
     margins = np.empty((n_rows, model.n_outputs))
-    step = max(1, _PREDICT_BUDGET // max(1, order.size))
+    step = max(1, _PREDICT_BUDGET // max(1, len(forest)))
     for begin in range(0, n_rows, step):
         rows = design[begin : begin + step]
-        leaf = np.tile(offset, (rows.shape[0], 1))
-        for level, (column, threshold) in enumerate(zip(columns, thresholds)):
-            leaf += (rows[:, column] > threshold).astype(np.int64) << level
-        table = np.empty((rows.shape[0], ends[-1]))
-        table[:, starts] = model.base_score
-        table[:, at_tree] = model.learning_rate * forest.leaf_values[leaf]
-        for c, (a, b) in enumerate(zip(starts.tolist(), ends.tolist())):
-            margins[begin : begin + step, c] = np.cumsum(table[:, a:b], axis=1)[:, -1]
+        values = model.learning_rate * forest.leaf_values[offset + forest.leaves(rows)]
+        for c, base in enumerate(model.base_score.tolist()):
+            table = np.column_stack([np.full(rows.shape[0], base), values[:, forest.class_index == c]])
+            margins[begin : begin + step, c] = np.cumsum(table, axis=1)[:, -1]
     return margins
 
 

@@ -51,7 +51,7 @@ from .hcluster import (
 )
 from .rng import derive_seed
 from .schema import JSON_TYPES, check_fields
-from .shapley import fold_average, global_importance
+from .shapley import fold_average, global_importance, rank_order
 from .stats import BoxStats, box_stats, mann_whitney_u, rurality_cross_tab, welch_t
 
 METRIC_DISPLAY = (
@@ -433,8 +433,7 @@ def write_cell_artifacts(report: RunReport, assignment, dataset, config: RunConf
     ))
 
     importance = report.importance
-    order = sorted(range(len(importance["feature_names"])), key=lambda j: (-importance["values"][j], j))
-    rank_of = {j: r + 1 for r, j in enumerate(order)}
+    rank_of = {j: r + 1 for r, j in enumerate(rank_order(importance["values"]))}
     write(f"shap_importance_{tag}.csv", csv_text(
         ["feature_name", "mean_abs_shap", "rank"] + [f"fold_{i}" for i in range(len(importance["per_fold"]))],
         (

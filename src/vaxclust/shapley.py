@@ -20,28 +20,31 @@ Two independent routes to the same quantity:
 
   The integrand is a polynomial of degree < u, which Gauss-Legendre
   quadrature with ceil(u / 2) nodes integrates exactly (the quadrature form
-  of Linear TreeSHAP, Bifet et al. 2022). A leaf's term vanishes unless its
-  value is nonzero and the row agrees with it at the levels of every player
-  whose z is 0, so only valued leaves and the row's own path below an empty
-  node are summed: the cost per decision pattern is
-  O(leaves * u * ceil(u / 2)) at any depth, with no 2^u or 2^depth factor.
+  of Linear TreeSHAP, Bifet et al. 2022). Only leaves with a nonzero value
+  are summed: the cost per decision pattern is O(leaves * u * ceil(u / 2))
+  at any depth, with no 2^u or 2^depth factor. Where the row disagrees with
+  a leaf at a player whose z is 0, that player's factor is exactly +0.0, so
+  every term of the leaf is ±0.0, and adding ±0.0 to a sum begun at +0.0
+  changes no bit. A fitted model has no such term: a leaf without training
+  rows gets the value ±0.0, so every z on a valued leaf's path is > 0.
 
   The explainer pays per model, not per tree. It reads the model's
   :class:`~vaxclust.gbdt.Forest` arrays and builds one term table for all
   trees in a few passes over the flat leaf arrays, the trees ranked by
   player count. ``explain`` reads the decision patterns of a block of trees
-  for all rows at once, attributes each distinct (tree, pattern) pair once
-  and adds the results onto the rows, as GPUTreeShap batches all paths of
-  an ensemble (Mitchell et al. 2022). The pairs are attributed in chunks of
-  one quadrature node count ceil(u / 2), so a chunk may hold trees with
-  2m - 1 and 2m players. Where it mixes the two, the smaller trees get a
-  last padding player whose factor is set to exactly 1.0; (1 - t) + t would
-  not be exactly 1.0 in floating point. Multiplying by exactly 1.0 changes
-  no product, and as the last factor it changes no product's order, so
-  padded terms keep their bits. Every sum adds the same numbers in the same
-  order as a tree-at-a-time loop: a pair's terms in leaf order, a row's
-  trees in model order. The result does not depend on the batch, the blocks
-  or the chunking.
+  for all rows at once through :meth:`~vaxclust.gbdt.Forest.leaves`,
+  attributes each distinct (tree, pattern) pair once and adds the results
+  onto the rows, as GPUTreeShap batches all paths of an ensemble (Mitchell
+  et al. 2022). The pairs are attributed in chunks of one quadrature node
+  count ceil(u / 2), so a chunk may hold trees with 2m - 1 and 2m players.
+  Where it mixes the two, the smaller trees get a last padding player whose
+  factor is set to exactly 1.0; (1 - t) + t would not be exactly 1.0 in
+  floating point. Multiplying by exactly 1.0 changes no product, and as the
+  last factor it changes no product's order, so padded terms keep their
+  bits. Every sum adds the same numbers in the same order as a
+  tree-at-a-time loop: a pair's terms in leaf order, a row's trees in model
+  order. The result does not depend on the batch, the blocks or the
+  chunking.
 * :func:`brute_force_shapley` — the definition, verbatim: for every feature,
   the factorially-weighted average of marginal contributions over all
   feature subsets, with the same cover-based conditional expectation found by
@@ -84,8 +87,12 @@ class GlobalImportance:
     values: np.ndarray  # (n_source_features,)
 
     def ranking(self) -> list[tuple[str, float]]:
-        order = sorted(range(len(self.values)), key=lambda j: (-self.values[j], j))
-        return [(self.feature_names[j], float(self.values[j])) for j in order]
+        return [(self.feature_names[j], float(self.values[j])) for j in rank_order(self.values)]
+
+
+def rank_order(values) -> list[int]:
+    """Indices by descending value, ties by index: every importance table's rank order."""
+    return sorted(range(len(values)), key=lambda j: (-values[j], j))
 
 
 # Upper bound on the elements of one work array: the (node, term, player)
@@ -104,22 +111,21 @@ def _gauss_legendre(u: int) -> tuple[np.ndarray, np.ndarray]:
     return (nodes + 1.0) / 2.0, weights / 2.0
 
 
-def _leaf_terms(forest, values, trees, n_terms, player, masks, width):
-    """(leaf, value, zero, empty) of the ``n_terms`` leaves with a nonzero
-    value of ``trees``, in (tree, leaf) order, built in passes of at most
-    ``_TERM_BUDGET`` (leaf, player) cells.
+def _leaf_terms(forest, values, trees, n_terms, player, width):
+    """(leaf, value, zero) of the ``n_terms`` leaves with a nonzero value of
+    ``trees``, in (tree, leaf) order, built in passes of at most
+    ``_TERM_BUDGET`` (leaf, player) cells: per term its leaf index, its value
+    (``values`` are the forest's leaf values with shrinkage folded in) and
+    its z per player, ``width`` rows of them, 1.0 past a tree's players.
 
-    ``values`` are the forest's leaf values with shrinkage folded in,
-    ``player`` the player of each (tree, level) and ``masks`` the levels of
-    each player as leaf-index bits, padded with zeros to ``width`` players;
-    ``zero`` has ``width`` rows, 1.0 past a tree's players. The cover of
-    a leaf's depth-m node sums the integer covers of the leaves that share
-    its m low bits, which is exact in any order.
+    ``player`` is the player of each (tree, level). The cover of a leaf's
+    depth-m node sums the integer covers of the leaves that share its m low
+    bits, which is exact in any order.
     """
     offset = forest.leaf_offset
     counts = 1 << forest.n_levels[trees]
     ends = np.cumsum(counts)
-    terms = (np.empty(n_terms, np.int64), np.empty(n_terms), np.empty((width, n_terms)), np.empty(n_terms, np.int64))
+    terms = (np.empty(n_terms, np.int64), np.empty(n_terms), np.empty((width, n_terms)))
     filled = begin = 0
     while begin < trees.size:
         end = max(begin + 1, int(np.searchsorted(ends, ends[begin] - counts[begin] + _TERM_BUDGET // width, "right")))
@@ -142,8 +148,7 @@ def _leaf_terms(forest, values, trees, n_terms, player, masks, width):
             fraction = np.divide(child, node, out=np.zeros(keep.size), where=node > 0)
             zero[players[:, level], np.arange(keep.size)] *= np.where(level < levels, fraction, 1.0)
             node = child
-        empty = np.where(zero == 0.0, masks[:width, block][:, tree], 0).sum(axis=0)
-        for column, part in zip(terms, (leaf[keep], values[at[keep]], zero, empty)):
+        for column, part in zip(terms, (leaf[keep], values[at[keep]], zero)):
             column[..., filled : filled + keep.size] = part
         filled += keep.size
         begin = end
@@ -201,15 +206,12 @@ class TreeShapExplainer:
 
         # trees with players, ranked by (player count, tree), and the term
         # table of their valued leaves in rank order, leaf order within a
-        # tree: per term its leaf index, its value with shrinkage folded in,
-        # z per player (1.0 for a padding player) and the levels of the
-        # players whose z is 0, on which a row must agree with the leaf
+        # tree: per term its leaf index, its value with shrinkage folded in
+        # and z per player (1.0 for a padding player)
         ranked = np.flatnonzero(n_players > 0)  # in model order
         order = ranked[np.argsort(n_players[ranked], kind="stable")]
         valued = np.add.reduceat(values != 0.0, firsts, dtype=np.int64)[order]
-        self._leaf, self._value, self._zero, self._empty = _leaf_terms(
-            forest, values, order, int(valued.sum()), player, masks, width
-        )
+        self._leaf, self._value, self._zero = _leaf_terms(forest, values, order, int(valued.sum()), player, width)
         # per rank: player count, width, first term, term count and the
         # levels of each player as leaf-index bits (0 for a padding player)
         self._players = n_players[order]
@@ -220,13 +222,12 @@ class TreeShapExplainer:
 
         self._depth = depth
         self._width = width
-        # per tree with players, in model order: its rank, its (level, tree)
-        # splits and the end of its players in the scatter table
+        # per tree with players, in model order: its index in the forest,
+        # its rank and the end of its players in the scatter table
         rank_of = np.zeros(n_trees, dtype=np.int64)
         rank_of[order] = np.arange(order.size)
+        self._ranked = ranked
         self._rank = rank_of[ranked]
-        self._columns = forest.split_column[ranked].T.copy()
-        self._thresholds = forest.split_threshold[ranked].T.copy()
         self._player_ends = np.cumsum(n_players[ranked])
         # the scatter table: every player of every tree, in tree order
         tree_of, level_of = np.nonzero(leads)
@@ -267,8 +268,6 @@ class TreeShapExplainer:
             pair = np.repeat(np.arange(tree.size), counts)
             term = np.arange(ends[-1]) + np.repeat(self._starts[tree] - (ends - counts), counts)
             disagree = patterns[begin:end][pair] ^ self._leaf[term]
-            hit = np.flatnonzero((disagree & self._empty[term]) == 0)
-            pair, term, disagree = pair[hit], term[hit], disagree[hit]
             players = self._players[tree]
             v = int(players.max())  # the chunk's width: u - 1 if no tree has more players
             # (player, term) agreements o and cover products z, and the
@@ -306,7 +305,8 @@ class TreeShapExplainer:
         that a block's (row, tree player) scatter entries for a chunk stay
         within ``_TERM_BUDGET``; a chunk holds every row unless a single
         tree's entries for all of them would not fit. A block reads its
-        trees' decision patterns for the chunk, attributes each distinct
+        trees' decision patterns for the chunk through
+        :meth:`~vaxclust.gbdt.Forest.leaves`, attributes each distinct
         (tree, pattern) pair once in one :meth:`_phi` call over the one term
         table (the pairs come out of ``np.unique`` sorted by rank, so its
         node-count chunks need no routing) and adds the results onto the
@@ -328,9 +328,7 @@ class TreeShapExplainer:
             while first < ends.size:
                 last = max(first + 1, int(np.searchsorted(ends, ends[first] - players[first] + cap, "right")))
                 trees = slice(first, last)
-                patterns = np.tile(self._rank[trees] << self._depth, (rows.shape[0], 1))
-                for level, (column, threshold) in enumerate(zip(self._columns[:, trees], self._thresholds[:, trees])):
-                    patterns |= (rows[:, column] > threshold).astype(np.int64) << level
+                patterns = self.model.forest.leaves(rows, self._ranked[trees]) | (self._rank[trees] << self._depth)
                 pairs, inverse = np.unique(patterns.ravel(), return_inverse=True)
                 pair_phi = np.empty((pairs.size, self._width))
                 self._phi(pairs >> self._depth, pairs & ((1 << self._depth) - 1), pair_phi)

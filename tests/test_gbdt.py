@@ -194,6 +194,25 @@ def test_margin_matches_per_tree_loop_bit_for_bit(rng, monkeypatch):
         assert gbdt.margin_from_design(model, design).tobytes() == _per_tree_margin(model, design).tobytes()
 
 
+def test_forest_leaves_match_each_trees_leaf_indices(rng):
+    # zero-level trees among them; all trees, a slice and an index array
+    zero_level = 0
+    for trial in range(20):
+        model = random_oblivious_model(rng, n_features=4, n_classes=(2, 3, 6)[trial % 3], max_trees=15, max_depth=6)
+        trees = model.trees
+        zero_level += sum(t.n_levels == 0 for t in trees)
+        design = rng.normal(size=(int(rng.integers(1, 20)), 4))
+        split = [t.splits[0][1] for t in trees if t.splits]
+        design[0] = split[0] if split else 0.0  # every column on a threshold, which goes left
+        every = np.column_stack([t.leaf_indices(design) for t in trees])
+        leaves = model.forest.leaves(design)
+        assert leaves.dtype == np.int64 and np.array_equal(leaves, every)
+        subset = np.sort(rng.choice(len(trees), size=int(rng.integers(0, len(trees) + 1)), replace=False))
+        assert np.array_equal(model.forest.leaves(design, subset), every[:, subset])
+        assert np.array_equal(model.forest.leaves(design, slice(1, None)), every[:, 1:])
+    assert zero_level
+
+
 def test_forest_round_trips_its_trees_read_only(rng):
     model = random_oblivious_model(rng, n_features=3, n_classes=3, max_trees=12, max_depth=5)
     forest = model.forest
@@ -920,6 +939,7 @@ def _set(path, value):
         pytest.param(_corrupted(_set(["trees", 0, "leaf_cover", 0], 2**63)), id="leaf-cover-int64"),
         pytest.param(_corrupted(lambda d: d["trees"][0].update(leaf_cover=[0] * len(d["trees"][0]["leaf_cover"]))), id="leaf-cover-empty"),
         pytest.param(_corrupted(_set(["learning_rate"], -5.0)), id="learning-rate-vs-config"),
+        pytest.param(_corrupted(_set(["config", "n_permutations"], 10**9)), id="n-permutations-range"),
         pytest.param(_corrupted(_set(["trees", 0, "splits", 0, 0], 6)), id="split-column-range"),
         pytest.param(_corrupted(_set(["trees", 0, "class_index"], 3)), id="class-index-range"),
         pytest.param(_corrupted(_set(["n_outputs"], 1)), id="outputs-vs-classes"),

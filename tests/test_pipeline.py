@@ -103,6 +103,13 @@ def test_config_validation_errors():
             {"years": [2021], "input_dir": "a", "out_dir": "b", "n_trees": 10**12}
         )
     assert pl.config_from_mapping({"years": [2021], "input_dir": "a", "out_dir": "b", "n_trees": 10_000})
+    # past the cap, every fold model would first draw 10^9 pure-Python
+    # shuffles for its target statistics, and `run` would hang
+    with pytest.raises(ConfigError, match=r"n_permutations must be in 1\.\.100"):
+        pl.config_from_mapping(
+            {"years": [2021], "input_dir": "a", "out_dir": "b", "n_permutations": 10**9}
+        )
+    assert pl.config_from_mapping({"years": [2021], "input_dir": "a", "out_dir": "b", "n_permutations": 100})
     with pytest.raises(ConfigError):
         pl.config_from_mapping(
             {"years": [2021], "input_dir": "a", "out_dir": "b", "k_values": [2, 3], "loss": "binary_logistic"}
