@@ -30,10 +30,13 @@ fold models :func:`prepare_folds` prepares; :func:`fit_cells` boosts the
 fold models of one cell, or of several cells that share a config and a
 class count, such as every study year's cell of one k, in one loop, in
 batches whose leaf slots stay under ``_BATCH_BUDGET``. Every tree's rows
-stay in place for the whole round. A level scores the trees still growing
-in runs, blocks of consecutive growing trees whose work arrays stay under
-``_HISTOGRAM_BUDGET`` cells, and skips the trees that stopped, so a run's
-work arrays do not grow with the number of trees.
+stay in place for the whole round. Each level does its bookkeeping once for
+every tree of the round: (tree, leaf) keys, leaf sums, scores before the
+split, occupied-leaf ranks, one ``argmax`` over a shared gains table and one
+move of every row to its new leaf. Only the dense histograms are scored in
+runs, blocks of consecutive growing trees whose work arrays stay under
+``_HISTOGRAM_BUDGET`` cells, so they do not grow with the number of trees;
+a tree that stopped is in no run.
 Each tree's arithmetic is the one it would do alone, so every model is bit
 for bit the one :func:`fit` gives on its own rows, whichever cells and folds
 it boosted with; :func:`fit` is the same loop over one training set.
@@ -514,53 +517,47 @@ def _newton_score(squares: np.ndarray, denominators: np.ndarray) -> np.ndarray:
     return squares
 
 
-# Upper bound on the cells of one grower run: its (leaf, column, bucket)
-# histogram, its (row, column) keys and its dense leaf table. A level scores
-# its growing trees in runs of consecutive trees under it, so batching the
-# trees of every fold and class does not grow the work arrays with their number:
-# unbounded, one 30-tree depth-6 round of a k=6 cell peaked at 12.8 MB. On
-# 150-district cells, 2^14 fitted 40 rounds about 7% faster but held 0.5 MB
-# more peak RSS; 2^12 and 2^16 were slower than both.
-_HISTOGRAM_BUDGET = 1 << 13
+# Upper bound on the cells of one grower run: its (occupied leaf, column,
+# bucket) histograms and score tables, its (row, column) keys and its (tree,
+# leaf) tables. A level scores its growing trees in runs of consecutive trees
+# under it, so batching the trees of every fold and class does not grow the
+# work arrays with their number: unbounded, one 30-tree depth-6 round of a
+# k=6 cell peaked at 12.8 MB. Swept with each level's bookkeeping done once
+# (fit_cells over one call's cells, 40 alternations, median time over the
+# grower that repeated it per run): 2^13, 2^14 and 2^15 took 0.81, 0.78 and
+# 0.85 of it on paper-year, 0.85, 0.83 and 0.83 on small-areas, and 0.81,
+# 0.81 and 0.94 on a 40-round paper-year.
+_HISTOGRAM_BUDGET = 1 << 14
 
 
-def _best_splits(slots, g, h, g_rows, h_rows, tree_leaf, n_leaves, padded, lone, l2):
-    """Each tree's best flat (column, bucket) slot at one level, and whether
-    it gains more than the minimum.
+def _run_gains(slots, g_rows, h_rows, rank, g_occ, h_occ, base, leaf, bounds, n_leaves, lone, l2, out):
+    """Write the gain of every flat (column, bucket) slot of one run's trees
+    at one level to ``out``, their rows of the level's gains table.
 
-    The rows belong to ``padded.shape[0]`` trees in order, ``tree_leaf`` is
-    a row's tree times ``n_leaves`` plus its leaf, and ``g_rows`` and
-    ``h_rows`` repeat ``g`` and ``h`` in the (row, column) order of
-    ``slots``. One g and one h ``bincount`` over (tree, occupied leaf,
-    column, bucket) make the histograms, and a ``cumsum`` along the bucket
-    axis gives the left sums of every candidate at once. Only leaves that
-    hold rows get histogram rows, as an empty leaf adds nothing to a gain; a
-    row's histogram row is its (tree, leaf)'s rank among the occupied ones.
-    A tree's gains sum its own leaves in leaf order, as when it grows alone:
-    a reshape when every tree has as many occupied leaves, else a
+    The run's rows belong to ``out.shape[0]`` consecutive trees, ``rank`` is
+    a row's rank among the run's occupied (tree, leaf) pairs, and ``g_rows``
+    and ``h_rows`` repeat the rows' g and h in the (row, column) order of
+    ``slots``. Per occupied pair, ``leaf`` is its tree's index in the run
+    times ``n_leaves`` plus its leaf, and ``g_occ`` and ``h_occ`` its g and h
+    sums: tree i's are those from ``bounds[i] - bounds[0]`` up to
+    ``bounds[i + 1] - bounds[0]``. ``base`` is each tree's score before the
+    split. One g and one h ``bincount`` over (occupied pair, column, bucket)
+    make the histograms, and a ``cumsum`` along the bucket axis gives the
+    left sums of every candidate at once; an empty leaf adds nothing to a
+    gain. A tree's gains sum its own leaves in leaf order, as when it grows
+    alone: a reshape when every tree has as many occupied leaves, else a
     zero-padded (tree, leaf, column, bucket) table, since scores are >= +0.0
     and adding +0.0 changes none. ``lone`` marks each tree's one-candidate
-    columns, or is None when there are none. Ties go to the lowest column,
-    then the lowest threshold.
+    columns, or is None when there are none.
     """
-    n_trees, width = padded.shape
+    n_trees, width = out.shape
     n_cols = slots.shape[1]
-    cells = n_trees * n_leaves
-    g_leaf = np.bincount(tree_leaf, weights=g, minlength=cells)
-    h_leaf = np.bincount(tree_leaf, weights=h, minlength=cells)
-    base = _newton_score(g_leaf * g_leaf, h_leaf + l2).reshape(n_trees, n_leaves).sum(axis=1)
-
-    filled = np.bincount(tree_leaf, minlength=cells) > 0
-    occupied = np.flatnonzero(filled)
-    ranks = np.cumsum(filled)
-    row_leaf = (ranks - 1)[tree_leaf]
-    keys = (row_leaf[:, None] * width + slots).ravel()
-    size = occupied.size * width
-    shape = (occupied.size, n_cols, N_QUANTILE_BUCKETS)
-    gl = np.cumsum(np.bincount(keys, weights=g_rows, minlength=size).reshape(shape), axis=2)
-    hl = np.cumsum(np.bincount(keys, weights=h_rows, minlength=size).reshape(shape), axis=2)
-    gr = g_leaf[occupied, None, None] - gl
-    hr = h_leaf[occupied, None, None] - hl
+    keys = (rank[:, None] * width + slots).ravel()
+    shape = (leaf.size, n_cols, N_QUANTILE_BUCKETS)
+    gl = np.bincount(keys, weights=g_rows, minlength=leaf.size * width).reshape(shape).cumsum(axis=2)
+    hl = np.bincount(keys, weights=h_rows, minlength=leaf.size * width).reshape(shape).cumsum(axis=2)
+    gr = g_occ[:, None, None] - gl
+    hr = h_occ[:, None, None] - hl
     hl += l2
     hr += l2
     gl *= gl
@@ -568,16 +565,14 @@ def _best_splits(slots, g, h, g_rows, h_rows, tree_leaf, n_leaves, padded, lone,
     score = _newton_score(gl, hl)
     score += _newton_score(gr, hr)
 
-    ends = ranks[n_leaves - 1 :: n_leaves].tolist()  # occupied leaves up to each tree's last
-    most = ends[0]
-    if ends == list(range(most, most * n_trees + 1, most)):
+    first, most = bounds[0], bounds[1] - bounds[0]
+    if bounds == list(range(first, bounds[-1] + 1, most)):
         table = score.reshape(n_trees, most, n_cols, N_QUANTILE_BUCKETS)
     else:
-        firsts = np.array([0, *ends[:-1]])
-        tree = occupied // n_leaves
-        table = np.zeros((n_trees, int(np.diff(ends, prepend=0).max()), n_cols, N_QUANTILE_BUCKETS))
-        table[tree, np.arange(occupied.size) - firsts[tree]] = score
-    gains = table.sum(axis=1).reshape(n_trees, width) - base[:, None]
+        tree = leaf // n_leaves
+        table = np.zeros((n_trees, max(e - f for f, e in zip(bounds, bounds[1:])), n_cols, N_QUANTILE_BUCKETS))
+        table[tree, np.arange(first, bounds[-1]) - np.array(bounds)[tree]] = score
+    np.subtract(table.sum(axis=1).reshape(n_trees, width), base[:, None], out=out)
 
     # Gains are those of scoring each column on its own (2^level, candidates)
     # table. numpy sums such a table leaf by leaf, as the occupied rows here
@@ -586,12 +581,9 @@ def _best_splits(slots, g, h, g_rows, h_rows, tree_leaf, n_leaves, padded, lone,
     if lone is not None:
         columns = np.flatnonzero(lone.any(axis=0))
         dense = np.zeros((n_trees, columns.size, n_leaves))
-        dense[occupied // n_leaves, :, occupied % n_leaves] = score[:, columns, 0]
+        dense[leaf // n_leaves, :, leaf % n_leaves] = score[:, columns, 0]
         tree, at = np.nonzero(lone[:, columns])
-        gains[tree, columns[at] * N_QUANTILE_BUCKETS] = dense.sum(axis=2)[tree, at] - base[tree]
-    gains[padded] = -np.inf
-    best = np.argmax(gains, axis=1).tolist()
-    return best, [bool(gains[t, slot] > _MIN_SPLIT_GAIN) for t, slot in enumerate(best)]
+        out[tree, columns[at] * N_QUANTILE_BUCKETS] = dense.sum(axis=2)[tree, at] - base[tree]
 
 
 def _grow_trees(slots, thresholds, sizes, grad, hess, depth, l2, split_slot):
@@ -601,13 +593,17 @@ def _grow_trees(slots, thresholds, sizes, grad, hess, depth, l2, split_slot):
     Tree b owns ``sizes[b]`` consecutive rows of ``slots``, ``grad`` and
     ``hess``, and row b of ``thresholds``: its split table from
     :func:`_split_table`, flattened to (column, bucket) slots, whose +inf
-    slots hold no candidate. A tree's rows stay in place for the whole call:
-    each level updates their leaves where they are. A level scores the trees
-    still growing in runs, blocks of consecutive growing trees whose work
-    arrays stay under ``_HISTOGRAM_BUDGET`` cells (:func:`_best_splits`), and
-    moves the rows of a run's growing trees to their new leaves in one pass;
-    a tree whose best split gains no more than the minimum stops, and later
-    levels skip it. Newton scores are plain divides (:func:`_newton_score`).
+    slots hold no candidate. A tree's rows stay in place for the whole call.
+    Each level is one pass over every tree: it keys each row by its (tree,
+    leaf), sums g and h per key, takes each tree's score before the split
+    and ranks the occupied keys; then the trees still growing fill their
+    rows of one (tree, slot) gains table in runs, blocks of consecutive
+    growing trees whose work arrays stay under ``_HISTOGRAM_BUDGET`` cells
+    (:func:`_run_gains`); and one ``argmax`` picks every tree's split, lowest
+    column then lowest threshold on ties, and one pass moves every row to
+    its new leaf. A tree whose best split gains no more than the minimum
+    stops: later levels leave its rows in place and score it in no run.
+    Newton scores are plain divides (:func:`_newton_score`).
     Writes the flat (column, bucket) slot of tree b's split at each level
     to ``split_slot[b, level]``, which keeps -1 past its last split, and
     returns the trees' leaf values and leaf covers, tree after tree as in a
@@ -618,49 +614,53 @@ def _grow_trees(slots, thresholds, sizes, grad, hess, depth, l2, split_slot):
     padded = np.isinf(thresholds)  # slots with no candidate
     lone = padded.reshape(n_trees, n_cols, N_QUANTILE_BUCKETS).sum(axis=2) == N_QUANTILE_BUCKETS - 1
     has_lone = lone.any(axis=1).tolist()  # trees with a one-candidate column
+    padded = np.flatnonzero(padded)  # as flat indices into a level's gains
     tree_of_row = np.repeat(np.arange(n_trees), sizes)
     leaf_idx = np.zeros(grad.size, dtype=np.int64)
     g_rows, h_rows = np.repeat(grad, n_cols), np.repeat(hess, n_cols)
     starts = [0, *itertools.accumulate(sizes)]
     rows_most = max(sizes)
-    growing = [True] * n_trees
-    chosen: list[list[int]] = []  # per level, each tree's slot or -1
+    growing = np.ones(n_trees, dtype=bool)
+    trees = np.arange(n_trees)
     row_cells = np.arange(grad.size) * n_cols  # each row's first cell of ``slots``
     for level in range(depth):
         n_leaves = 1 << level
+        key = (tree_of_row << level) | leaf_idx
+        g_leaf = np.bincount(key, weights=grad, minlength=n_trees << level)
+        h_leaf = np.bincount(key, weights=hess, minlength=n_trees << level)
+        base = _newton_score(g_leaf * g_leaf, h_leaf + l2).reshape(n_trees, n_leaves).sum(axis=1)
+        filled = np.bincount(key, minlength=n_trees << level) > 0
+        ranks = filled.cumsum()
+        occupied = filled.nonzero()[0]
+        rank = ranks[key]  # one more than each row's rank among the occupied pairs
+        g_occ, h_occ = g_leaf[occupied], h_leaf[occupied]
+        firsts = [0, *ranks[n_leaves - 1 :: n_leaves].tolist()]  # occupied pairs before each tree
+
         cost = max(min(rows_most, n_leaves) * width, rows_most * n_cols, n_leaves)
         step = max(1, _HISTOGRAM_BUDGET // cost)  # trees per run
         runs: list[list[int]] = []
-        for t in itertools.compress(range(n_trees), growing):
+        for t in growing.nonzero()[0].tolist():
             if runs and runs[-1][1] == t and t - runs[-1][0] < step:
                 runs[-1][1] = t + 1
             else:
                 runs.append([t, t + 1])
-        chosen.append([-1] * n_trees)
+        gains = np.empty((n_trees, width))  # no run writes a stopped tree's row
         for a, b in runs:
-            r0, r1 = starts[a], starts[b]
-            cells = slice(r0 * n_cols, r1 * n_cols)
-            tree = None if b - a == 1 else tree_of_row[r0:r1] - a
-            best, ok = _best_splits(
-                slots[r0:r1], grad[r0:r1], hess[r0:r1], g_rows[cells], h_rows[cells],
-                leaf_idx[r0:r1] if tree is None else (tree << level) | leaf_idx[r0:r1],
-                n_leaves, padded[a:b], lone[a:b] if any(has_lone[a:b]) else None, l2,
+            r0, r1, o0, o1 = starts[a], starts[b], firsts[a], firsts[b]
+            _run_gains(
+                slots[r0:r1], g_rows[r0 * n_cols : r1 * n_cols], h_rows[r0 * n_cols : r1 * n_cols],
+                rank[r0:r1] - (o0 + 1), g_occ[o0:o1], h_occ[o0:o1], base[a:b], occupied[o0:o1] - (a << level),
+                firsts[a : b + 1], n_leaves, lone[a:b] if any(has_lone[a:b]) else None, l2, gains[a:b],
             )
-            growing[a:b] = ok
-            chosen[level][a:b] = [slot if grows else -1 for slot, grows in zip(best, ok)]
-            if tree is None:
-                if ok[0]:
-                    right = slots[r0:r1, best[0] // N_QUANTILE_BUCKETS] > best[0]
-                    leaf_idx[r0:r1] |= right.astype(np.int64) << level
-                continue
-            # a stopped tree's rows stay put: no slot of a column exceeds its last
-            limit = np.array([slot if grows else slot | (N_QUANTILE_BUCKETS - 1) for slot, grows in zip(best, ok)])
-            limit = limit[tree]
-            right = slots.ravel()[row_cells[r0:r1] + limit // N_QUANTILE_BUCKETS] > limit
-            leaf_idx[r0:r1] |= right.astype(np.int64) << level
-        if not any(growing):
+        gains.put(padded, -np.inf)
+        best = gains.argmax(axis=1)
+        growing &= gains[trees, best] > _MIN_SPLIT_GAIN
+        split_slot[growing, level] = best[growing]
+        # a stopped tree's rows stay put: no slot of a column exceeds its last
+        limit = np.where(growing, best, best | (N_QUANTILE_BUCKETS - 1))[tree_of_row]
+        leaf_idx |= (slots.take(row_cells + limit // N_QUANTILE_BUCKETS) > limit) << level
+        if not growing.any():
             break
-    split_slot[:, : len(chosen)] = np.array(chosen).T
 
     offsets = np.concatenate([[0], np.cumsum(1 << np.count_nonzero(split_slot >= 0, axis=1))])
     key = offsets[tree_of_row] + leaf_idx

@@ -713,16 +713,16 @@ def _fold_fits(battery):
 
 def test_fit_folds_match_per_tree_oracle_bit_for_bit(monkeypatch):
     seen = {"uneven": False, "lone": False, "stopped": False}
-    best_splits = gbdt._best_splits
+    run_gains = gbdt._run_gains
 
     def spy(*args):
-        tree_leaf, n_leaves, padded, lone = args[-5:-1]
-        counts = np.bincount(np.unique(tree_leaf) // n_leaves, minlength=padded.shape[0])
+        bounds, _, lone, _, out = args[-5:]
+        counts = np.diff(bounds)
         seen["uneven"] |= bool(counts.min() != counts.max())
-        seen["lone"] |= lone is not None and padded.shape[0] > 1
-        return best_splits(*args)
+        seen["lone"] |= lone is not None and out.shape[0] > 1
+        return run_gains(*args)
 
-    monkeypatch.setattr(gbdt, "_best_splits", spy)
+    monkeypatch.setattr(gbdt, "_run_gains", spy)
     for cfg, batched, single, oracle in _fold_fits(_fold_battery()):
         assert batched == oracle, cfg
         assert single == oracle, cfg
@@ -742,18 +742,18 @@ def test_stopped_trees_cost_nothing_and_split_runs(monkeypatch):
     # its rows times min(n_levels + 1, depth). A run holds only consecutive
     # growing trees, so a stopped tree between growing ones splits a level
     # into more runs, whatever the budget.
-    rounds = []  # per grower call, its _best_splits calls' (n_leaves, rows)
-    best_splits, grow_trees = gbdt._best_splits, gbdt._grow_trees
+    rounds = []  # per grower call, its _run_gains calls' (n_leaves, rows)
+    run_gains, grow_trees = gbdt._run_gains, gbdt._grow_trees
 
     def spy(*args):
         rounds[-1].append((args[-4], args[0].shape[0]))
-        return best_splits(*args)
+        return run_gains(*args)
 
     def grow_spy(*args):
         rounds.append([])
         return grow_trees(*args)
 
-    monkeypatch.setattr(gbdt, "_best_splits", spy)
+    monkeypatch.setattr(gbdt, "_run_gains", spy)
     monkeypatch.setattr(gbdt, "_grow_trees", grow_spy)
     budgets = (1, gbdt._HISTOGRAM_BUDGET, 1 << 20)
     split_runs = False
@@ -778,6 +778,33 @@ def test_stopped_trees_cost_nothing_and_split_runs(monkeypatch):
                     assert len(runs) >= blocks, (budget, cfg, r, level)
                     split_runs |= budget == 1 << 20 and blocks > 1
     assert split_runs
+
+
+def test_runs_stay_within_the_histogram_budget(monkeypatch):
+    # A run's work arrays are its (occupied leaf, column, bucket) histograms
+    # and score tables, its (row, column) keys and its (tree, leaf) tables;
+    # only a tree whose own arrays pass the budget runs past it, alone.
+    runs = []  # per _run_gains call: (trees, cells)
+    run_gains = gbdt._run_gains
+
+    def spy(*args):
+        slots, leaf, bounds, n_leaves, out = args[0], args[7], args[8], args[9], args[-1]
+        n_trees, width = out.shape
+        most = int(np.diff(bounds).max())
+        runs.append((n_trees, max(leaf.size * width, slots.size, n_trees * most * width, n_trees * n_leaves)))
+        return run_gains(*args)
+
+    monkeypatch.setattr(gbdt, "_run_gains", spy)
+    seen = {"shared": False, "alone": False}
+    for budget in (1 << 10, gbdt._HISTOGRAM_BUDGET):
+        monkeypatch.setattr(gbdt, "_HISTOGRAM_BUDGET", budget)
+        runs.clear()
+        for X, cats, y, folds, cfg in itertools.islice(_fold_battery(), 0, None, 2):
+            _fit_folds(X, cats, y, folds, cfg)
+        assert all(cells <= budget for n_trees, cells in runs if n_trees > 1), budget
+        seen["shared"] |= any(n_trees > 1 for n_trees, _ in runs)
+        seen["alone"] |= any(cells > budget for _, cells in runs)
+    assert all(seen.values()), seen
 
 
 def test_fit_folds_rejects_fold_missing_a_class():

@@ -108,3 +108,14 @@ def test_spec_validation():
         bad = tuple(tuple(110.0 for _ in range(14)) for _ in range(2))
         synth.SynthSpec(year=2021, k=2, cluster_means=bad, n_per_cluster=(5, 5)).validate()
 
+
+def test_spec_validation_bounds_the_district_count():
+    # an unbounded count kept the pure-Python generator running past 10 s
+    # before it wrote anything; this only validates, so it cannot hang
+    spec = synth.default_spec()
+    huge = synth.SynthSpec(year=2021, k=2, cluster_means=spec.cluster_means, n_per_cluster=(10**8, 10**8))
+    with pytest.raises(SpecInvalid, match="at most 5000 districts, got 200000000"):
+        huge.validate()
+    with pytest.raises(SpecInvalid, match="at most 5000 districts"):
+        synth.SynthSpec(year=2021, k=2, cluster_means=spec.cluster_means, n_per_cluster=(2500, 2501)).validate()
+    synth.SynthSpec(year=2021, k=2, cluster_means=spec.cluster_means, n_per_cluster=(2500, 2500)).validate()
