@@ -37,7 +37,7 @@ from .pipeline import (
     write_cell_artifacts,
     write_text,
 )
-from .shapley import TreeShapExplainer, global_importance, importance_of
+from .shapley import TreeShapExplainer, importance_of
 from .synth import default_spec, generate, write_dataset_files
 
 
@@ -130,12 +130,14 @@ def cmd_explain(args) -> int:
     with open(args.model, "rb") as f:
         model = model_from_json(f.read())
     numeric, categorical, _, _ = dataset_design(dataset)
-    design = model.encode_features(numeric, categorical)
-    if args.per_row:  # one SHAP pass serves the ranking and the rows
-        phi = TreeShapExplainer(model).explain(design)
-        importance = importance_of(model, phi)
-    else:
-        importance = global_importance(model, design)
+    n_categorical = 0 if model.ts_encoder is None else len(model.ts_encoder.feature_names)
+    if (model.n_numeric, n_categorical) != (numeric.shape[1], categorical.shape[1]):
+        raise DataError(
+            f"model {args.model} takes {model.n_numeric} numeric and {n_categorical} categorical "
+            f"feature(s), year {args.year} has {numeric.shape[1]} and {categorical.shape[1]}"
+        )
+    phi = TreeShapExplainer(model).explain(model.encode_features(numeric, categorical))
+    importance = importance_of(model, phi)  # one SHAP pass serves the ranking and the rows
     os.makedirs(config.out_dir, exist_ok=True)
     path = os.path.join(config.out_dir, f"shap_importance_{args.year}.csv")
     ranked = ((name, value, rank) for rank, (name, value) in enumerate(importance.ranking(), start=1))

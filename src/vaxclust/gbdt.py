@@ -35,7 +35,7 @@ every tree of the round: (tree, leaf) keys, leaf sums, scores before the
 split, occupied-leaf ranks, one ``argmax`` over a shared gains table and one
 move of every row to its new leaf. Only the dense histograms are scored in
 runs, blocks of consecutive growing trees whose work arrays stay under
-``_HISTOGRAM_BUDGET`` cells, so they do not grow with the number of trees;
+``_WORK_BUDGET`` cells, which bounds prediction's and SHAP's work arrays too;
 a tree that stopped is in no run.
 Each tree's arithmetic is the one it would do alone, so every model is bit
 for bit the one :func:`fit` gives on its own rows, whichever cells and folds
@@ -393,14 +393,37 @@ class TreeEnsemble:
         return np.hstack([numeric, self.ts_encoder.encode(categorical)])
 
 
-# Upper bound on the (row, tree) cells of one prediction chunk.
-_PREDICT_BUDGET = 1 << 14
+# Upper bound on the cells of one work array: prediction's (row, tree)
+# values, a grower run's histograms, score tables, (row, column) keys and
+# (tree, leaf) tables, and SHAP's (node, term, player) factors, (row, player)
+# scatter entries and (tree, leaf, level) covers. Work goes in chunks under
+# it, so batching trees, folds and rows does not grow these arrays: with
+# unbounded grower runs, one 30-tree depth-6 round of a k=6 cell peaked at
+# 12.8 MB. Swept over the grower with each level's bookkeeping done once
+# (fit_cells over one call's cells, 40 alternations, median time over the
+# grower that repeated it per run): 2^13, 2^14 and 2^15 took 0.81, 0.78 and
+# 0.85 of it on paper-year, 0.85, 0.83 and 0.83 on small-areas, and 0.81,
+# 0.81 and 0.94 on a 40-round paper-year. Larger SHAP chunks were no faster
+# on the benchmark workloads and held more memory.
+_WORK_BUDGET = 1 << 14
+
+
+def _blocks(sizes, cap):
+    """(begin, end) of consecutive items, in order, whose ``sizes`` sum to at
+    most ``cap``: each block as long as fits and never empty, so an item
+    larger than ``cap`` is a block of its own."""
+    ends = np.cumsum(sizes)
+    begin = 0
+    while begin < ends.size:
+        end = max(begin + 1, int(np.searchsorted(ends, ends[begin] - sizes[begin] + cap, "right")))
+        yield begin, end
+        begin = end
 
 
 def margin_from_design(model: TreeEnsemble, design: np.ndarray) -> np.ndarray:
     """(n, n_outputs) additive margins over an already-encoded design matrix.
 
-    Rows go in chunks of at most ``_PREDICT_BUDGET`` (row, tree) cells. A
+    Rows go in chunks of at most ``_WORK_BUDGET`` (row, tree) cells. A
     chunk reads every tree's shrunk leaf value through :meth:`Forest.leaves`;
     each output's margin is then the last of a ``cumsum`` over its base score
     and its trees' values in model order: the numbers and the order of adding
@@ -415,7 +438,7 @@ def margin_from_design(model: TreeEnsemble, design: np.ndarray) -> np.ndarray:
     offset = forest.leaf_offset[:-1]
     n_rows = design.shape[0]
     margins = np.empty((n_rows, model.n_outputs))
-    step = max(1, _PREDICT_BUDGET // max(1, len(forest)))
+    step = max(1, _WORK_BUDGET // max(1, len(forest)))
     for begin in range(0, n_rows, step):
         rows = design[begin : begin + step]
         values = model.learning_rate * forest.leaf_values[offset + forest.leaves(rows)]
@@ -517,19 +540,6 @@ def _newton_score(squares: np.ndarray, denominators: np.ndarray) -> np.ndarray:
     return squares
 
 
-# Upper bound on the cells of one grower run: its (occupied leaf, column,
-# bucket) histograms and score tables, its (row, column) keys and its (tree,
-# leaf) tables. A level scores its growing trees in runs of consecutive trees
-# under it, so batching the trees of every fold and class does not grow the
-# work arrays with their number: unbounded, one 30-tree depth-6 round of a
-# k=6 cell peaked at 12.8 MB. Swept with each level's bookkeeping done once
-# (fit_cells over one call's cells, 40 alternations, median time over the
-# grower that repeated it per run): 2^13, 2^14 and 2^15 took 0.81, 0.78 and
-# 0.85 of it on paper-year, 0.85, 0.83 and 0.83 on small-areas, and 0.81,
-# 0.81 and 0.94 on a 40-round paper-year.
-_HISTOGRAM_BUDGET = 1 << 14
-
-
 def _run_gains(slots, g_rows, h_rows, rank, g_occ, h_occ, base, leaf, bounds, n_leaves, lone, l2, out):
     """Write the gain of every flat (column, bucket) slot of one run's trees
     at one level to ``out``, their rows of the level's gains table.
@@ -598,7 +608,7 @@ def _grow_trees(slots, thresholds, sizes, grad, hess, depth, l2, split_slot):
     leaf), sums g and h per key, takes each tree's score before the split
     and ranks the occupied keys; then the trees still growing fill their
     rows of one (tree, slot) gains table in runs, blocks of consecutive
-    growing trees whose work arrays stay under ``_HISTOGRAM_BUDGET`` cells
+    growing trees whose work arrays stay under ``_WORK_BUDGET`` cells
     (:func:`_run_gains`); and one ``argmax`` picks every tree's split, lowest
     column then lowest threshold on ties, and one pass moves every row to
     its new leaf. A tree whose best split gains no more than the minimum
@@ -637,7 +647,7 @@ def _grow_trees(slots, thresholds, sizes, grad, hess, depth, l2, split_slot):
         firsts = [0, *ranks[n_leaves - 1 :: n_leaves].tolist()]  # occupied pairs before each tree
 
         cost = max(min(rows_most, n_leaves) * width, rows_most * n_cols, n_leaves)
-        step = max(1, _HISTOGRAM_BUDGET // cost)  # trees per run
+        step = max(1, _WORK_BUDGET // cost)  # trees per run
         runs: list[list[int]] = []
         for t in growing.nonzero()[0].tolist():
             if runs and runs[-1][1] == t and t - runs[-1][0] < step:
@@ -909,12 +919,8 @@ def fit_cells(cells):
     batch are freed before the next grows.
     """
     cells = list(cells)
-    while cells:
-        batch = [cells.pop(0)]
-        slots = _leaf_slots(batch[0])
-        while cells and slots + _leaf_slots(cells[0]) <= _BATCH_BUDGET:
-            slots += _leaf_slots(cells[0])
-            batch.append(cells.pop(0))
+    for begin, end in _blocks([_leaf_slots(cell) for cell in cells], _BATCH_BUDGET):
+        batch = cells[begin:end]
         models = _boost([model for cell in batch for model in cell])
         for cell in batch:
             yield models[: len(cell)]

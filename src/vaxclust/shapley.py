@@ -64,6 +64,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import gbdt
 from .errors import EmptySample, FeatureArityMismatch, MissingCover, TooManyFeatures
 from .gbdt import ObliviousTree, TreeEnsemble
 
@@ -95,11 +96,6 @@ def rank_order(values) -> list[int]:
     return sorted(range(len(values)), key=lambda j: (-values[j], j))
 
 
-# Upper bound on the elements of one work array: the (node, term, player)
-# factors, the (row, player) scatter entries, the (tree, leaf, level) covers.
-# Larger chunks were no faster on the benchmark workloads and held more memory.
-_TERM_BUDGET = 1 << 14
-
 # brute_force_shapley enumerates 2^d feature subsets
 _MAX_BRUTE_FORCE_FEATURES = 20
 
@@ -113,10 +109,11 @@ def _gauss_legendre(u: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _leaf_terms(forest, values, trees, n_terms, player, width):
     """(leaf, value, zero) of the ``n_terms`` leaves with a nonzero value of
-    ``trees``, in (tree, leaf) order, built in passes of at most
-    ``_TERM_BUDGET`` (leaf, player) cells: per term its leaf index, its value
-    (``values`` are the forest's leaf values with shrinkage folded in) and
-    its z per player, ``width`` rows of them, 1.0 past a tree's players.
+    ``trees``, in (tree, leaf) order, built in passes over the
+    :func:`gbdt._blocks` of at most ``gbdt._WORK_BUDGET`` (leaf, player)
+    cells, or one tree's: per term its leaf index, its value (``values`` are
+    the forest's leaf values with shrinkage folded in) and its z per player,
+    ``width`` rows of them, 1.0 past a tree's players.
 
     ``player`` is the player of each (tree, level). The cover of a leaf's
     depth-m node sums the integer covers of the leaves that share its m low
@@ -124,11 +121,10 @@ def _leaf_terms(forest, values, trees, n_terms, player, width):
     """
     offset = forest.leaf_offset
     counts = 1 << forest.n_levels[trees]
-    ends = np.cumsum(counts)
     terms = (np.empty(n_terms, np.int64), np.empty(n_terms), np.empty((width, n_terms)))
-    filled = begin = 0
-    while begin < trees.size:
-        end = max(begin + 1, int(np.searchsorted(ends, ends[begin] - counts[begin] + _TERM_BUDGET // width, "right")))
+    filled = 0
+    # width is 0 only for a model without players, which has no trees here
+    for begin, end in gbdt._blocks(counts, gbdt._WORK_BUDGET // max(1, width)):
         block, sizes = trees[begin:end], counts[begin:end]
         firsts = np.cumsum(sizes) - sizes
         local = np.repeat(np.arange(block.size), sizes)  # each leaf's tree in the block
@@ -151,7 +147,6 @@ def _leaf_terms(forest, values, trees, n_terms, player, width):
         for column, part in zip(terms, (leaf[keep], values[at[keep]], zero)):
             column[..., filled : filled + keep.size] = part
         filled += keep.size
-        begin = end
     return terms
 
 
@@ -247,8 +242,8 @@ class TreeShapExplainer:
         pairs go in chunks of one node-count width, 2m for the trees with
         2m - 1 or 2m players, all of which take m quadrature nodes; a chunk
         ends where the width of the pairs changes (ranks run in player-count
-        order, so each width is one run) or at ``_TERM_BUDGET`` (node, term,
-        player) cells. A chunk with trees of both player counts pads the
+        order, so each width is one run) or at ``gbdt._WORK_BUDGET`` (node,
+        term, player) cells. A chunk with trees of both player counts pads the
         smaller ones: the padding player's factor is exactly 1.0, and it
         comes last, so every product of the other factors has the bits it
         has without it.
@@ -260,7 +255,7 @@ class TreeShapExplainer:
         while begin < ranks.size:
             u = int(widths[begin])
             nodes, weights = _gauss_legendre(u)
-            cap = _TERM_BUDGET // (u * nodes.size)  # terms per chunk
+            cap = gbdt._WORK_BUDGET // (u * nodes.size)  # terms per chunk
             end = max(begin + 1, int(np.searchsorted(tree_ends, tree_ends[begin] - sizes[begin] + cap, "right")))
             end = min(end, int(np.searchsorted(widths, u, "right")))
             tree, counts = ranks[begin:end], sizes[begin:end]
@@ -301,11 +296,11 @@ class TreeShapExplainer:
     def explain(self, design) -> np.ndarray:
         """(n_rows, n_outputs, n_features) margin-space phi for an encoded design.
 
-        The trees go in blocks, in model order, and the rows in chunks, so
-        that a block's (row, tree player) scatter entries for a chunk stay
-        within ``_TERM_BUDGET``; a chunk holds every row unless a single
-        tree's entries for all of them would not fit. A block reads its
-        trees' decision patterns for the chunk through
+        Every row goes in one pass, and the trees in :func:`gbdt._blocks`,
+        in model order, whose (row, tree player) scatter entries stay within
+        ``gbdt._WORK_BUDGET`` or are one tree's, no more than phi's cells: a
+        tree has at most ``n_features`` players. A block reads its trees'
+        decision patterns for every row through
         :meth:`~vaxclust.gbdt.Forest.leaves`, attributes each distinct
         (tree, pattern) pair once in one :meth:`_phi` call over the one term
         table (the pairs come out of ``np.unique`` sorted by rank, so its
@@ -320,23 +315,17 @@ class TreeShapExplainer:
         width = self.model.n_outputs * self.n_features
         phi = np.zeros((n_rows, width))
         ends, players = self._player_ends, self._players[self._rank]
-        step = max(1, _TERM_BUDGET // int(players.max(initial=1)))  # rows per chunk
-        for begin in range(0, n_rows, step):
-            rows = design[begin : begin + step]
-            cap = _TERM_BUDGET // rows.shape[0]  # scatter entries per block
-            first = 0
-            while first < ends.size:
-                last = max(first + 1, int(np.searchsorted(ends, ends[first] - players[first] + cap, "right")))
-                trees = slice(first, last)
-                patterns = self.model.forest.leaves(rows, self._ranked[trees]) | (self._rank[trees] << self._depth)
-                pairs, inverse = np.unique(patterns.ravel(), return_inverse=True)
-                pair_phi = np.empty((pairs.size, self._width))
-                self._phi(pairs >> self._depth, pairs & ((1 << self._depth) - 1), pair_phi)
-                entries = slice(ends[first] - players[first], ends[last - 1])
-                at = inverse.reshape(patterns.shape)[:, self._player_tree[entries] - first]
-                slots = np.arange(begin, begin + rows.shape[0])[:, None] * width + self._player_slot[entries]
-                np.add.at(phi.reshape(-1), slots.ravel(), pair_phi[at, self._player_index[entries]].ravel())
-                first = last
+        row_slot = np.arange(n_rows)[:, None] * width  # each row's first slot of phi
+        for first, last in gbdt._blocks(players, gbdt._WORK_BUDGET // max(1, n_rows)):
+            trees = slice(first, last)
+            patterns = self.model.forest.leaves(design, self._ranked[trees]) | (self._rank[trees] << self._depth)
+            pairs, inverse = np.unique(patterns.ravel(), return_inverse=True)
+            pair_phi = np.empty((pairs.size, self._width))
+            self._phi(pairs >> self._depth, pairs & ((1 << self._depth) - 1), pair_phi)
+            entries = slice(ends[first] - players[first], ends[last - 1])
+            at = inverse.reshape(patterns.shape)[:, self._player_tree[entries] - first]
+            slots = row_slot + self._player_slot[entries]
+            np.add.at(phi.reshape(-1), slots.ravel(), pair_phi[at, self._player_index[entries]].ravel())
         return phi.reshape(n_rows, self.model.n_outputs, self.n_features)
 
     def attribute(self, x) -> Attribution:

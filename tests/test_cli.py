@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,7 +16,7 @@ from vaxclust import shapley
 from vaxclust.cli import main
 from vaxclust.dataset import csv_text, load_year, table_paths
 from vaxclust.evaluation import dataset_design
-from vaxclust.gbdt import from_json as model_from_json
+from vaxclust.gbdt import TrainConfig, fit, from_json as model_from_json, to_json as model_to_json
 
 
 def _write_config(tmp_path, indir, out, **extra):
@@ -306,6 +307,40 @@ def test_explain_per_row_runs_shap_once(tmp_path, synth_inputs, monkeypatch):
     assert (out / "shap_rows_2021.csv").read_text(encoding="utf-8") == csv_text(
         ("district_id", "output", "feature_name", "phi"), rows
     )
+
+    # without --per-row: the same one pass, and the same ranking file
+    calls.clear()
+    ranking_only = tmp_path / "ranking"
+    assert main(["explain", "--input-dir", str(synth_inputs), "--year", "2021",
+                 "--model", str(model_path), "--out", str(ranking_only)]) == 0
+    assert calls == [24]
+    assert (ranking_only / "shap_importance_2021.csv").read_bytes() == (out / "shap_importance_2021.csv").read_bytes()
+    assert not (ranking_only / "shap_rows_2021.csv").exists()
+
+
+@pytest.mark.parametrize("categorical", [True, False], ids=["seven-numeric", "no-encoder"])
+def test_explain_model_of_another_feature_layout_is_data_error(tmp_path, synth_inputs, capsys, categorical):
+    # a valid model document whose features are not the year's: seven
+    # numeric features and the encoded rurality, or the numeric ones alone
+    dataset = load_year(str(synth_inputs / "vaccination_2021.csv"), str(synth_inputs / "gdsc_2021.csv"), 2021)
+    numeric, rurality, _, _ = dataset_design(dataset)
+    labels = np.arange(numeric.shape[0]) % 2
+    if categorical:
+        model = fit(numeric[:, 1:], rurality, labels, TrainConfig(n_trees=3, depth=2))
+        counts = "takes 7 numeric and 1 categorical feature(s), year 2021 has 8 and 1"
+    else:
+        model = fit(numeric, None, labels, TrainConfig(n_trees=3, depth=2))
+        counts = "takes 8 numeric and 0 categorical feature(s), year 2021 has 8 and 1"
+    model_path = tmp_path / "model.json"
+    model_path.write_text(model_to_json(model))
+    assert model_from_json(model_path.read_text()).n_numeric == (7 if categorical else 8)  # from_json accepts it
+    out = tmp_path / "explain"
+    code = main(["explain", "--input-dir", str(synth_inputs), "--year", "2021",
+                 "--model", str(model_path), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: model") and counts in err, err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["cluster", "train", "explain", "stats"])

@@ -189,7 +189,7 @@ def test_margin_matches_per_tree_loop_bit_for_bit(rng, monkeypatch):
     assert len({len(m.forest) % m.n_outputs for m, _ in cases}) > 1
     for model, design in cases:
         assert gbdt.margin_from_design(model, design).tobytes() == _per_tree_margin(model, design).tobytes()
-    monkeypatch.setattr(gbdt, "_PREDICT_BUDGET", 1)
+    monkeypatch.setattr(gbdt, "_WORK_BUDGET", 1)
     for model, design in cases[::7]:
         assert gbdt.margin_from_design(model, design).tobytes() == _per_tree_margin(model, design).tobytes()
 
@@ -731,7 +731,7 @@ def test_fit_folds_match_per_tree_oracle_bit_for_bit(monkeypatch):
     assert all(seen.values()), seen
 
     # runs of one tree each: the same models
-    monkeypatch.setattr(gbdt, "_HISTOGRAM_BUDGET", 1)
+    monkeypatch.setattr(gbdt, "_WORK_BUDGET", 1)
     for cfg, batched, _, oracle in _fold_fits(itertools.islice(_fold_battery(), 0, None, 6)):
         assert batched == oracle, cfg
 
@@ -755,13 +755,13 @@ def test_stopped_trees_cost_nothing_and_split_runs(monkeypatch):
 
     monkeypatch.setattr(gbdt, "_run_gains", spy)
     monkeypatch.setattr(gbdt, "_grow_trees", grow_spy)
-    budgets = (1, gbdt._HISTOGRAM_BUDGET, 1 << 20)
+    budgets = (1, gbdt._WORK_BUDGET, 1 << 20)
     split_runs = False
     for X, cats, y, folds, cfg in _fold_battery():
         fold_args = list(_fold_args(X, cats, y, folds, cfg))
         oracle = [gbdt.to_json(_oracle_fit(*args)) for args in fold_args]
         for budget in budgets:
-            monkeypatch.setattr(gbdt, "_HISTOGRAM_BUDGET", budget)
+            monkeypatch.setattr(gbdt, "_WORK_BUDGET", budget)
             rounds.clear()
             models = _fit_folds(X, cats, y, folds, cfg)
             assert [gbdt.to_json(m) for m in models] == oracle, (budget, cfg)
@@ -796,8 +796,8 @@ def test_runs_stay_within_the_histogram_budget(monkeypatch):
 
     monkeypatch.setattr(gbdt, "_run_gains", spy)
     seen = {"shared": False, "alone": False}
-    for budget in (1 << 10, gbdt._HISTOGRAM_BUDGET):
-        monkeypatch.setattr(gbdt, "_HISTOGRAM_BUDGET", budget)
+    for budget in (1 << 10, gbdt._WORK_BUDGET):
+        monkeypatch.setattr(gbdt, "_WORK_BUDGET", budget)
         runs.clear()
         for X, cats, y, folds, cfg in itertools.islice(_fold_battery(), 0, None, 2):
             _fit_folds(X, cats, y, folds, cfg)
@@ -805,6 +805,58 @@ def test_runs_stay_within_the_histogram_budget(monkeypatch):
         seen["shared"] |= any(n_trees > 1 for n_trees, _ in runs)
         seen["alone"] |= any(cells > budget for _, cells in runs)
     assert all(seen.values()), seen
+
+
+def _greedy_blocks(sizes, cap):
+    """The block rule by brute force: a block takes items while their sum
+    stays within ``cap``, and always its first item."""
+    blocks, begin = [], 0
+    while begin < len(sizes):
+        end = begin + 1
+        while end < len(sizes) and sum(sizes[begin : end + 1]) <= cap:
+            end += 1
+        blocks.append((begin, end))
+        begin = end
+    return blocks
+
+
+def test_blocks_match_the_greedy_rule_and_batch_cells_as_before(rng, monkeypatch):
+    # zero sizes, items larger than the cap, a cap of 0 and no items at all
+    cases = [([], 5), ([3], 0), ([0, 0, 0], 0), ([0, 0, 4, 0], 0), ([7, 0, 0, 2], 5)]
+    for _ in range(300):
+        cases.append((rng.integers(0, 9, size=int(rng.integers(0, 12))), int(rng.integers(0, 12))))
+    seen = {"zero": False, "over": False}
+    for sizes, cap in cases:
+        sizes = [int(size) for size in sizes]
+        for given in (sizes, np.array(sizes, dtype=np.int64)):
+            blocks = list(gbdt._blocks(given, cap))
+            assert blocks == _greedy_blocks(sizes, cap), (sizes, cap)
+        assert [i for begin, end in blocks for i in range(begin, end)] == list(range(len(sizes)))
+        for begin, end in blocks:
+            assert begin < end
+            assert end - begin == 1 or sum(sizes[begin:end]) <= cap, (sizes, cap)
+            assert end == len(sizes) or sum(sizes[begin : end + 1]) > cap, (sizes, cap)  # maximal
+            seen["zero"] |= 0 in sizes[begin:end] and end - begin > 1
+            seen["over"] |= sizes[begin] > cap
+    assert all(seen.values()), seen
+
+    # fit_cells batches cells by their leaf slots under the same rule
+    batches = []
+
+    def boost(untrained):
+        batches.append(len(untrained))
+        return list(untrained)
+
+    untrained = gbdt._prepare(np.arange(8.0)[:, None], None, np.arange(8) % 2, TrainConfig(n_trees=5, depth=3),
+                              None, None)
+    monkeypatch.setattr(gbdt, "_boost", boost)
+    monkeypatch.setattr(gbdt, "_BATCH_BUDGET", 480)
+    cells = [[untrained] * folds for folds in (4, 12, 2, 2, 1, 20, 4)]
+    assert [len(models) for models in gbdt.fit_cells(cells)] == [4, 12, 2, 2, 1, 20, 4]
+    slots = [gbdt._leaf_slots(cell) for cell in cells]
+    assert slots == [160, 480, 80, 80, 40, 800, 160]
+    assert batches == [sum(len(cell) for cell in cells[a:b]) for a, b in _greedy_blocks(slots, 480)]
+    assert batches == [4, 12, 5, 20, 4]
 
 
 def test_fit_folds_rejects_fold_missing_a_class():

@@ -328,8 +328,8 @@ def test_batch_phi_equals_attribute_bit_for_bit(rng, monkeypatch):
         for i, row in enumerate(rows):
             assert np.array_equal(batch[i], explainer.attribute(row).phi), i
         with monkeypatch.context() as patch:
-            # one (tree, pattern) pair per term chunk, one row per scatter chunk
-            patch.setattr(shapley, "_TERM_BUDGET", 1)
+            # one (tree, pattern) pair per term chunk, one tree per block
+            patch.setattr(gbdt, "_WORK_BUDGET", 1)
             assert np.array_equal(shapley.TreeShapExplainer(model).explain(rows), batch)
 
 
@@ -383,6 +383,28 @@ def test_explain_memory_stays_small_on_a_large_model(rng):
     assert peak < 3e6
     margins = gbdt.margin_from_design(model, rows)
     assert np.abs(phi.sum(axis=2) + explainer.base - margins).max() < 1e-9
+
+
+def test_explain_many_rows_in_one_pass(rng, monkeypatch):
+    # 3,000 rows of a depth-12 k=6 model go in one pass: most trees are a
+    # block of their own, and the work arrays stay within a bound sized from
+    # phi, not from rows x trees
+    X = rng.normal(size=(150, 8))
+    y = np.digitize(X[:, 0] + 0.5 * X[:, 1], [-1.0, -0.4, 0.0, 0.4, 1.0])
+    model = gbdt.fit(X, rng.integers(1, 7, size=(150, 1)), y, TrainConfig(n_trees=5, depth=12, seed=3))
+    assert model.n_outputs == 6 and int(model.forest.n_levels.max()) == 12
+    design = model.encode_features(rng.normal(size=(3000, 8)), rng.integers(1, 7, size=(3000, 1)))
+    explainer = shapley.TreeShapExplainer(model)
+    tracemalloc.start()
+    try:
+        phi = explainer.explain(design)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * phi.nbytes + (2 << 20), peak
+    # every tree in one block: the same bits
+    monkeypatch.setattr(gbdt, "_WORK_BUDGET", len(design) * int(explainer._players.sum()))
+    assert explainer.explain(design).tobytes() == phi.tobytes()
 
 
 def test_global_importance_constant_model():
