@@ -129,12 +129,14 @@ def cmd_explain(args) -> int:
     dataset = _load(config, args.year)
     with open(args.model, "rb") as f:
         model = model_from_json(f.read())
-    numeric, categorical, _, _ = dataset_design(dataset)
-    n_categorical = 0 if model.ts_encoder is None else len(model.ts_encoder.feature_names)
-    if (model.n_numeric, n_categorical) != (numeric.shape[1], categorical.shape[1]):
+    numeric, categorical, numeric_names, cat_names = dataset_design(dataset)
+    model_numeric = list(model.feature_names[: model.n_numeric])
+    model_cat = [] if model.ts_encoder is None else list(model.ts_encoder.feature_names)
+    if (model_numeric, model_cat) != (numeric_names, cat_names):
         raise DataError(
-            f"model {args.model} takes {model.n_numeric} numeric and {n_categorical} categorical "
-            f"feature(s), year {args.year} has {numeric.shape[1]} and {categorical.shape[1]}"
+            f"model {args.model} takes {len(model_numeric)} numeric and {len(model_cat)} categorical "
+            f"feature(s), year {args.year} has {len(numeric_names)} and {len(cat_names)}: "
+            f"the model's are {model_numeric} and {model_cat}, the year's {numeric_names} and {cat_names}"
         )
     phi = TreeShapExplainer(model).explain(model.encode_features(numeric, categorical))
     importance = importance_of(model, phi)  # one SHAP pass serves the ranking and the rows

@@ -94,6 +94,11 @@ class FeatureArityMismatch(VaxclustError):
     pass
 
 
+class NonFiniteModel(VaxclustError):
+    """Boosting diverged: a fitted model's training loss is not finite, or
+    its leaf values could overflow a prediction or SHAP sum."""
+
+
 class MissingCover(VaxclustError):
     """Tree ensemble lacks the per-leaf training-row counts needed for attribution."""
 

@@ -26,7 +26,7 @@ from .errors import (
     LengthMismatch,
     TooFewRows,
 )
-from .gbdt import TrainConfig, TreeEnsemble, fit_cells, predict_class, prepare_folds
+from .gbdt import TrainConfig, TreeEnsemble, check_fitted, fit_cells, predict_class, prepare_folds
 from .gbdt import fit  # noqa: F401  perfbench/spans.py wraps evaluation.fit by name
 from .hcluster import ClusterAssignment
 from .rng import Rng
@@ -72,8 +72,7 @@ def stratified_folds(labels, k_folds: int, seed: int) -> np.ndarray:
     for c in np.unique(labels):
         members = np.flatnonzero(labels == c).tolist()
         rng.shuffle(members)
-        for position, row in enumerate(members):
-            folds[row] = position % k_folds
+        folds[members] = np.arange(len(members)) % k_folds
     return folds
 
 
@@ -104,24 +103,12 @@ def macro_metrics(confusion: np.ndarray, restrict_to_present: bool = False) -> M
     tp = np.diag(confusion)
     support = confusion.sum(axis=1)
     predicted = confusion.sum(axis=0)
-    zero_divisions = 0
-
-    precision = np.zeros(len(tp))
-    recall = np.zeros(len(tp))
-    f1 = np.zeros(len(tp))
-    for c in range(len(tp)):
-        if predicted[c] > 0:
-            precision[c] = tp[c] / predicted[c]
-        else:
-            zero_divisions += 1
-        if support[c] > 0:
-            recall[c] = tp[c] / support[c]
-        else:
-            zero_divisions += 1
-        if precision[c] + recall[c] > 0:
-            f1[c] = 2 * precision[c] * recall[c] / (precision[c] + recall[c])
-
-    included = support > 0 if restrict_to_present else np.ones(len(tp), dtype=bool)
+    was_predicted, present = predicted > 0, support > 0
+    precision = np.divide(tp, predicted, out=np.zeros(len(tp)), where=was_predicted)
+    recall = np.divide(tp, support, out=np.zeros(len(tp)), where=present)
+    both = precision + recall
+    f1 = np.divide(2 * precision * recall, both, out=np.zeros(len(tp)), where=both > 0)
+    included = present if restrict_to_present else np.ones(len(tp), dtype=bool)
     weights = support[included] / support[included].sum()
     return MetricRow(
         accuracy=float(tp.sum() / total),
@@ -131,7 +118,7 @@ def macro_metrics(confusion: np.ndarray, restrict_to_present: bool = False) -> M
         weighted_precision=float((precision[included] * weights).sum()),
         weighted_recall=float((recall[included] * weights).sum()),
         weighted_f1=float((f1[included] * weights).sum()),
-        zero_division_count=zero_divisions,
+        zero_division_count=int(np.count_nonzero(~was_predicted) + np.count_nonzero(~present)),
     )
 
 
@@ -189,12 +176,18 @@ def cross_validate(
     rows miss a class is a warning; its metrics cover the classes present.
     A fold whose training rows miss a class (a cluster too small to leave
     members in every training split) raises :class:`DegenerateLabels`
-    before any model is fit.
+    before any model is fit. A fold model whose boosting diverged raises
+    :class:`NonFiniteModel`, and a batch that ran out of memory its
+    ``MemoryError``, before any prediction.
     """
     if fitted is None:
         folds, untrained = prepare_cv(dataset, assignment, config, k_folds, seed)
         fitted = folds, next(fit_cells([untrained]))
     folds, models = fitted
+    if isinstance(models, MemoryError):  # fit_cells' record of the batch
+        raise models
+    for model in models:
+        check_fitted(model)
     labels = np.asarray(assignment.labels, dtype=np.int64)
     numeric, categorical, _, _ = dataset_design(dataset)
 

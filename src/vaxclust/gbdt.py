@@ -66,6 +66,7 @@ from .errors import (
     DegenerateLabels,
     FeatureArityMismatch,
     NonFiniteFeature,
+    NonFiniteModel,
     TooFewRows,
 )
 from .rng import Rng, derive_seed
@@ -226,11 +227,10 @@ class OrderedTsEncoder:
         out = np.empty((categories.shape[0], len(self.feature_names) * width), dtype=np.float64)
         for f, feature_stats in enumerate(self.stats):
             seen, row_category = np.unique(categories[:, f].astype(np.int64), return_inverse=True)
-            table = np.empty((seen.size, width), dtype=np.float64)
-            for i, c in enumerate(seen.tolist()):
-                count, sums = feature_stats.get(c, (0, (0.0,) * width))
-                for comp_idx, prior in enumerate(self.priors[f]):
-                    table[i, comp_idx] = (sums[comp_idx] + a * prior) / (count + a)
+            entries = [feature_stats.get(c, (0, (0.0,) * width)) for c in seen.tolist()]
+            count = np.array([entry[0] for entry in entries], dtype=np.int64)[:, None]
+            sums = np.array([entry[1] for entry in entries], dtype=np.float64).reshape(seen.size, width)
+            table = (sums + a * np.array(self.priors[f])) / (count + a)
             out[:, f * width : (f + 1) * width] = table[row_category]
         return out
 
@@ -510,11 +510,11 @@ def _split_table(design: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     with +inf to ``N_QUANTILE_BUCKETS`` slots (a column has at most 31
     candidates, none when constant). ``slots[i, j]`` is ``j *
     N_QUANTILE_BUCKETS`` plus the bucket of row i in column j, the number of
-    candidates below its value, so the row falls left of ``thresholds[j, m]``
-    exactly when its bucket is <= m. Slots take the smallest unsigned type
-    that holds them.
+    candidates below its value (the +inf pads count for none), so the row
+    falls left of ``thresholds[j, m]`` exactly when its bucket is <= m. Slots
+    take the smallest unsigned type that holds them.
     """
-    n_rows, n_cols = design.shape
+    n_cols = design.shape[1]
     # each column's distinct borders in order, as np.unique keeps them
     borders = np.sort(_quantile_borders(design), axis=0).T
     distinct = np.ones(borders.shape, dtype=bool)
@@ -522,10 +522,8 @@ def _split_table(design: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     thresholds = np.full((n_cols, N_QUANTILE_BUCKETS), np.inf)
     column, _ = np.nonzero(distinct)
     thresholds[column, np.cumsum(distinct, axis=1)[distinct] - 1] = borders[distinct]
-    slots = np.empty((n_rows, n_cols), dtype=np.min_scalar_type(n_cols * N_QUANTILE_BUCKETS - 1))
-    for j, candidates in enumerate(thresholds):
-        slots[:, j] = j * N_QUANTILE_BUCKETS + np.searchsorted(candidates, design[:, j], side="left")
-    return slots, thresholds
+    slots = (design[:, :, None] > thresholds).sum(axis=2) + np.arange(n_cols) * N_QUANTILE_BUCKETS
+    return slots.astype(np.min_scalar_type(n_cols * N_QUANTILE_BUCKETS - 1)), thresholds
 
 
 def _newton_score(squares: np.ndarray, denominators: np.ndarray) -> np.ndarray:
@@ -749,6 +747,9 @@ def _prepare(numeric, categorical, labels, config, numeric_names, categorical_na
     return model, design, labels
 
 
+# a model that diverges (its leaf values and margins overflow) trains on
+# quietly; check_fitted refuses it before any prediction or SHAP
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def _boost(untrained) -> list[TreeEnsemble]:
     """The trained models of (model, design, labels) triples from
     :func:`_prepare` that share every setting but the seed.
@@ -848,7 +849,20 @@ def fit(
     None. Labels must be 0..k-1 with every class present. Deterministic for a
     given (data, config, seed).
     """
-    return _boost([_prepare(numeric, categorical, labels, config, numeric_names, categorical_names)])[0]
+    model = _boost([_prepare(numeric, categorical, labels, config, numeric_names, categorical_names)])[0]
+    return check_fitted(model)
+
+
+def check_fitted(model: TreeEnsemble) -> TreeEnsemble:
+    """``model``, unless its boosting diverged: :class:`NonFiniteModel` when
+    a training loss is not finite or the model breaks the bound that
+    :func:`from_json` holds a loaded model to (:func:`_magnitude_problem`)."""
+    problem = _magnitude_problem(model.forest, model.base_score, model.learning_rate, model.n_outputs)
+    if not np.all(np.isfinite(model.training_loss)):
+        problem = "a training loss is not finite"
+    if problem:
+        raise NonFiniteModel(f"boosting diverged: {problem}")
+    return model
 
 
 def prepare_folds(
@@ -916,14 +930,20 @@ def fit_cells(cells):
     Every model is bit for bit the one :func:`fit` gives on its rows. A
     generator: a batch boosts when its first cell is asked for, and keeps
     none of its models once it has handed them out, so the models of one
-    batch are freed before the next grows.
+    batch are freed before the next grows. A batch that runs out of memory
+    yields its ``MemoryError`` in place of each of its cells' models, and
+    the next batch still boosts.
     """
     cells = list(cells)
     for begin, end in _blocks([_leaf_slots(cell) for cell in cells], _BATCH_BUDGET):
         batch = cells[begin:end]
-        models = _boost([model for cell in batch for model in cell])
+        failure = None
+        try:
+            models = _boost([model for cell in batch for model in cell])
+        except MemoryError as exc:
+            models, failure = [], exc.with_traceback(None)  # holds no frame of the failed loop
         for cell in batch:
-            yield models[: len(cell)]
+            yield models[: len(cell)] if failure is None else failure
             del models[: len(cell)]
 
 
@@ -958,27 +978,25 @@ _MAX_MAGNITUDE = 1e300
 _MAX_COVER = 1 << 53
 
 
-def _check_magnitudes(forest: Forest, base: np.ndarray, learning_rate: float, n_outputs: int) -> None:
-    """DataError unless every sum that prediction and SHAP take over the
-    model stays finite: per output, |base| plus each of its trees' largest
-    |learning_rate x leaf value| is at most ``_MAX_MAGNITUDE``, and per tree
-    the covers sum below ``_MAX_COVER`` and the largest shrunk leaf times
-    that sum is at most ``_MAX_MAGNITUDE``. Every fitted model passes."""
+def _magnitude_problem(forest: Forest, base: np.ndarray, learning_rate: float, n_outputs: int) -> str:
+    """The first bound the model breaks, or "" when every sum that
+    prediction and SHAP take over it stays finite: per output, |base| plus
+    each of its trees' largest |learning_rate x leaf value| is at most
+    ``_MAX_MAGNITUDE``, and per tree the covers sum below ``_MAX_COVER`` and
+    the largest shrunk leaf times that sum is at most ``_MAX_MAGNITUDE``."""
     firsts = forest.leaf_offset[:-1]
     largest = np.maximum.reduceat(np.abs(learning_rate * forest.leaf_values), firsts)
     covered = np.add.reduceat(forest.leaf_cover.astype(np.float64), firsts)
     with np.errstate(over="ignore"):  # a sum past the largest double is inf, and fails
         reach = np.abs(base) + np.bincount(forest.class_index, weights=largest, minlength=n_outputs)
         weighted = largest * covered
-    _require(bool(np.all(covered < _MAX_COVER)), f"a tree's leaf_cover must sum below {_MAX_COVER}")
-    _require(
-        bool(np.all(reach <= _MAX_MAGNITUDE)),
-        f"base_score and shrunk leaf values must keep every margin within {_MAX_MAGNITUDE:g}",
-    )
-    _require(
-        bool(np.all(weighted <= _MAX_MAGNITUDE)),
-        f"shrunk leaf values and covers must keep every cover-weighted leaf sum within {_MAX_MAGNITUDE:g}",
-    )
+    if not np.all(covered < _MAX_COVER):
+        return f"a tree's leaf_cover must sum below {_MAX_COVER}"
+    if not np.all(reach <= _MAX_MAGNITUDE):
+        return f"base_score and shrunk leaf values must keep every margin within {_MAX_MAGNITUDE:g}"
+    if not np.all(weighted <= _MAX_MAGNITUDE):
+        return f"shrunk leaf values and covers must keep every cover-weighted leaf sum within {_MAX_MAGNITUDE:g}"
+    return ""
 
 
 def from_json(text: str | bytes) -> TreeEnsemble:
@@ -991,7 +1009,7 @@ def from_json(text: str | bytes) -> TreeEnsemble:
     by each tree, the config's learning rate at the top level and its
     target-statistic prior weight in the encoder, whose counts count rows; the
     magnitudes must keep every margin and SHAP sum finite
-    (:func:`_check_magnitudes`). Anything else is a DataError.
+    (:func:`_magnitude_problem`). Anything else is a DataError.
     """
     try:
         doc = json.loads(text)
@@ -1071,7 +1089,8 @@ def from_json(text: str | bytes) -> TreeEnsemble:
         for spec in record["forest"]
     )
     base = np.array(record["base_score"], dtype=np.float64)
-    _check_magnitudes(forest, base, config.learning_rate, n_outputs)
+    problem = _magnitude_problem(forest, base, config.learning_rate, n_outputs)
+    _require(not problem, problem)
     return TreeEnsemble(
         n_classes=n_classes,
         n_outputs=n_outputs,

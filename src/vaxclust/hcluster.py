@@ -78,12 +78,18 @@ def pairwise_distances(X) -> np.ndarray:
         raise TooFewRows("pairwise_distances requires at least 2 rows")
     if not np.all(np.isfinite(X)):
         raise NonFiniteInput("distance input contains non-finite values")
+    # one (n, n) array, worked in place: at most two are alive at once
     sq = np.sum(X * X, axis=1)
+    dist = np.add.outer(sq, sq)
     gram = X @ X.T
-    d2 = sq[:, None] + sq[None, :] - 2.0 * gram
-    np.maximum(d2, 0.0, out=d2)
-    upper = np.triu(np.sqrt(d2), 1)
-    return upper + upper.T
+    gram *= 2.0
+    dist -= gram
+    del gram
+    np.maximum(dist, 0.0, out=dist)
+    np.sqrt(dist, out=dist)
+    dist[np.tri(X.shape[0], dtype=bool)] = 0.0  # keep the upper triangle, then mirror it
+    dist += dist.T
+    return dist
 
 
 def agglomerate(dist: np.ndarray, linkage: str = "ward") -> Dendrogram:
@@ -100,7 +106,11 @@ def agglomerate(dist: np.ndarray, linkage: str = "ward") -> Dendrogram:
 
     # symmetric cost matrix indexed by slot; slot s hosts cluster node_of[s],
     # inactive slots and the diagonal are +inf; row_min[s] is the minimum of row s
-    cost = 0.5 * dist * dist if linkage == "ward" else dist.copy()  # ward: unit sizes, 1 * 1 / (1 + 1)
+    if linkage == "ward":  # unit sizes, 1 * 1 / (1 + 1): (0.5 * dist) * dist, one array
+        cost = np.multiply(dist, 0.5)
+        cost *= dist
+    else:
+        cost = dist.copy()
     np.fill_diagonal(cost, np.inf)
     row_min = cost.min(axis=1)
     node_of = np.arange(n)

@@ -17,9 +17,10 @@ folds drawn and its fold models prepared (:func:`evaluation.prepare_cv`); then
 :func:`gbdt.fit_cells` boosts the years' fold models together, in batches
 whose leaf slots stay under a bound, and each cell is analysed and written
 with its own models, which are bit for bit those it would get alone. A
-failure is recorded for its cell while the remaining cells still run. Every
-stochastic step seeds from (seed, year, k, fold), so a rerun with the same
-config and seed produces a byte-identical artifact tree.
+failure, running out of memory included, is recorded for its year or cell
+while the remaining cells still run. Every stochastic step seeds from
+(seed, year, k, fold), so a rerun with the same config and seed produces a
+byte-identical artifact tree.
 """
 
 from __future__ import annotations
@@ -481,18 +482,20 @@ def write_cell_artifacts(report: RunReport, assignment, dataset, config: RunConf
 
 
 def _failure(year: int, k: int, stage: str, exc: Exception) -> dict:
-    return {"year": year, "k": k, "stage": stage, "error": type(exc).__name__, "message": str(exc)}
+    error = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__  # numpy raises a private subclass
+    return {"year": year, "k": k, "stage": stage, "error": error, "message": str(exc)}
 
 
 def _finish_cell(dataset, assignment, suggested, config: RunConfig, geometry, fitted) -> RunReport | dict:
     """Analyse and write one cell with its folds and fitted fold models: its
-    report, or its failure record."""
-    stage = "analysis"
+    report, or its failure record. Fold models that are a ``MemoryError``
+    (:func:`gbdt.fit_cells`) fail the cell at stage ``fit``."""
+    stage = "fit" if isinstance(fitted[1], MemoryError) else "analysis"
     try:
         report = analyze_cell(dataset, assignment, suggested, config, fitted=fitted)
         stage = "write"
         write_cell_artifacts(report, assignment, dataset, config, geometry)
-    except VaxclustError as exc:
+    except (VaxclustError, MemoryError) as exc:
         return _failure(dataset.year, assignment.k, stage, exc)
     return report
 
@@ -522,7 +525,7 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
                 }
             dendro, suggested = cluster_year(dataset, config)
             write_text(os.path.join(config.out_dir, f"dendrogram_{year}.csv"), dendrogram_table(dendro))
-        except (DataError, OSError) as exc:
+        except (DataError, OSError, MemoryError) as exc:
             errors.update({(year, k): _failure(year, k, "ingestion", exc) for k in config.k_values})
         else:
             clustered[year] = (dataset, dendro, suggested)
@@ -538,7 +541,7 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
                 assignment = assign_clusters(dataset, dendro, k)
                 folds, untrained = prepare_cv(dataset, assignment, train_config, k_folds=config.k_folds, seed=cell_seed)
                 cells.append((dataset, assignment, suggested, folds, untrained))
-            except VaxclustError as exc:
+            except (VaxclustError, MemoryError) as exc:
                 errors[(year, k)] = _failure(year, k, "analysis", exc)
         boosted = fit_cells([untrained for *_, untrained in cells])
         for dataset, assignment, suggested, folds, _ in cells:

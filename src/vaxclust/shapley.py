@@ -457,16 +457,11 @@ def importance_of(model: TreeEnsemble, phi: np.ndarray) -> GlobalImportance:
     totals = np.abs(phi).sum(axis=0)
     per_column = totals.mean(axis=0) / phi.shape[0]
 
-    source_names: list[str] = []
-    source_of: dict[str, int] = {}
-    for name in model.feature_source:
-        if name not in source_of:
-            source_of[name] = len(source_names)
-            source_names.append(name)
-    values = np.zeros(len(source_names))
-    for col, name in enumerate(model.feature_source):
-        values[source_of[name]] += per_column[col]
-    return GlobalImportance(feature_names=tuple(source_names), values=values)
+    # sources in order of first appearance; each one's columns add in column order from +0.0
+    source_of = {name: i for i, name in enumerate(dict.fromkeys(model.feature_source))}
+    source = np.array([source_of[name] for name in model.feature_source], dtype=np.intp)
+    values = np.bincount(source, weights=per_column, minlength=len(source_of))
+    return GlobalImportance(feature_names=tuple(source_of), values=values)
 
 
 def fold_average(importances: list[GlobalImportance]) -> GlobalImportance:

@@ -225,8 +225,8 @@ def box_stats(values, grouping) -> dict[int, BoxStats]:
 def crosstab_from_pairs(rurality_values, cluster_labels, k: int) -> np.ndarray:
     """(6, k) contingency counts; row r is rurality category r+1."""
     table = np.zeros((len(RURALITY_CATEGORIES), k), dtype=np.int64)
-    for rurality, cluster in zip(rurality_values, cluster_labels):
-        table[int(rurality) - 1, int(cluster)] += 1
+    rows = np.asarray(rurality_values).astype(np.int64) - 1
+    np.add.at(table, (rows, np.asarray(cluster_labels).astype(np.int64)), 1)
     return table
 
 

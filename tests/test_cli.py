@@ -3,6 +3,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -341,6 +342,69 @@ def test_explain_model_of_another_feature_layout_is_data_error(tmp_path, synth_i
     err = capsys.readouterr().err
     assert err.startswith("data error: model") and counts in err, err
     assert not out.exists()
+
+
+def _swap_first_numeric(doc):
+    for key in ("feature_names", "feature_source"):
+        doc[key][:2] = doc[key][1::-1]
+
+
+def _rename_encoded(doc):
+    doc["encoder"]["feature_names"] = ["urban"]
+
+
+@pytest.mark.parametrize("corrupt", [_swap_first_numeric, _rename_encoded], ids=["swapped", "renamed"])
+def test_explain_model_of_another_column_order_is_data_error(tmp_path, synth_inputs, capsys, corrupt):
+    # the year's feature counts under other names or in another order: before
+    # the names were compared, explain exited 0 and ranked under the model's names
+    model_path = tmp_path / "model.json"
+    assert main(["train", "--input-dir", str(synth_inputs), "--year", "2021",
+                 "--k", "2", "--model-out", str(model_path)]) == 0
+    doc = json.loads(model_path.read_text())
+    corrupt(doc)
+    model_path.write_text(json.dumps(doc))
+    model = model_from_json(model_path.read_text())  # from_json accepts it
+    capsys.readouterr()
+    out = tmp_path / "explain"
+    code = main(["explain", "--input-dir", str(synth_inputs), "--year", "2021",
+                 "--model", str(model_path), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    _, _, numeric_names, cat_names = dataset_design(load_year(*table_paths(str(synth_inputs), 2021), 2021))
+    model_layout = f"{list(model.feature_names[:8])} and {list(model.ts_encoder.feature_names)}"
+    assert err.startswith("data error: model") and "takes 8 numeric and 1 categorical feature(s)" in err, err
+    assert model_layout in err and f"{numeric_names} and {cat_names}" in err, err
+    assert not out.exists()
+
+
+# A valid training config whose k=6 models diverge on the synth seed 7 year:
+# with no L2 penalty a saturated softmax drives the hessians to 0 and the
+# leaf values past any bound, within 5 rounds for the fold models and 50 for
+# the model of the whole year. The k=2 models stay finite.
+_DIVERGING = {"l2_leaf_reg": 0.0, "learning_rate": 1.0, "depth": 2, "n_trees": 50, "k_folds": 5, "seed": 7}
+
+
+def test_diverging_boosting_fails_only_its_cell(tmp_path, capsys):
+    # pytest turns RuntimeWarnings into errors, as -W error::RuntimeWarning
+    # does: before the check this run ended in a traceback at the grower's
+    # divide, and a plain run wrote Infinity and nan into the k=6 artifacts
+    indir, out = tmp_path / "in", tmp_path / "out"
+    assert main(["synth", "--seed", "7", "--out", str(indir)]) == 0
+    config = _write_config(tmp_path, indir, out, k_values=[2, 6], **_DIVERGING)
+    assert main(["run", "--config", config]) == 3
+    summary = json.loads((out / "run_summary.json").read_text())
+    assert summary["cells_ok"] == ["2021_k2"]
+    [failure] = summary["cells_failed"]
+    assert (failure["year"], failure["k"], failure["error"]) == (2021, 6, "NonFiniteModel")
+    assert failure["message"].startswith("boosting diverged")
+    for path in out.iterdir():
+        assert not re.search(r"\b(inf|nan|Infinity|NaN)\b", path.read_text(encoding="utf-8")), path.name
+
+    model_path = tmp_path / "model.json"
+    capsys.readouterr()
+    assert main(["train", "--config", config, "--year", "2021", "--k", "6", "--model-out", str(model_path)]) == 3
+    assert capsys.readouterr().err.startswith("error: boosting diverged")
+    assert not model_path.exists()
 
 
 @pytest.mark.parametrize("command", ["cluster", "train", "explain", "stats"])

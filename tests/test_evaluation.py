@@ -1,9 +1,11 @@
 from __future__ import annotations
 
-from dataclasses import asdict
+from dataclasses import asdict, astuple
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vaxclust import evaluation as ev
 from vaxclust.errors import (
@@ -15,6 +17,7 @@ from vaxclust.errors import (
 )
 from vaxclust.gbdt import OrderedTsEncoder, TrainConfig
 from vaxclust.hcluster import ClusterAssignment
+from vaxclust.rng import Rng
 
 
 def test_stratified_folds_perfectly_balanced():
@@ -32,6 +35,31 @@ def test_stratified_folds_deterministic():
     assert np.array_equal(a, b)
     c = ev.stratified_folds(labels, 5, seed=8)
     assert not np.array_equal(a, c)
+
+
+def _folds_by_loop(labels, k_folds, seed):
+    """The per-row loop that ``stratified_folds`` replaced, kept as its oracle."""
+    labels = np.asarray(labels, dtype=np.int64)
+    folds = np.empty(labels.shape[0], dtype=np.int64)
+    rng = Rng(seed)
+    for c in np.unique(labels):
+        members = np.flatnonzero(labels == c).tolist()
+        rng.shuffle(members)
+        for position, row in enumerate(members):
+            folds[row] = position % k_folds
+    return folds
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    labels=st.lists(st.integers(0, 6), min_size=2, max_size=60),
+    k_folds=st.integers(2, 7),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_stratified_folds_match_the_row_loop(labels, k_folds, seed):
+    k_folds = min(k_folds, len(labels))
+    got = ev.stratified_folds(labels, k_folds, seed)
+    assert got.dtype == np.int64 and got.tolist() == _folds_by_loop(labels, k_folds, seed).tolist()
 
 
 def test_stratified_folds_rejects_bad_k():
@@ -139,6 +167,58 @@ def test_macro_metrics_against_oracle_battery(rng):
         assert abs(row.macro_precision - p) < 1e-12
         assert abs(row.macro_recall - r) < 1e-12
         assert abs(row.macro_f1 - f) < 1e-12
+
+
+def _metrics_by_loop(confusion, restrict_to_present=False):
+    """The per-class loop that ``macro_metrics`` replaced, kept as its oracle."""
+    confusion = np.asarray(confusion, dtype=np.float64)
+    total = confusion.sum()
+    tp = np.diag(confusion)
+    support = confusion.sum(axis=1)
+    predicted = confusion.sum(axis=0)
+    zero_divisions = 0
+    precision = np.zeros(len(tp))
+    recall = np.zeros(len(tp))
+    f1 = np.zeros(len(tp))
+    for c in range(len(tp)):
+        if predicted[c] > 0:
+            precision[c] = tp[c] / predicted[c]
+        else:
+            zero_divisions += 1
+        if support[c] > 0:
+            recall[c] = tp[c] / support[c]
+        else:
+            zero_divisions += 1
+        if precision[c] + recall[c] > 0:
+            f1[c] = 2 * precision[c] * recall[c] / (precision[c] + recall[c])
+    included = support > 0 if restrict_to_present else np.ones(len(tp), dtype=bool)
+    weights = support[included] / support[included].sum()
+    return ev.MetricRow(
+        accuracy=float(tp.sum() / total),
+        macro_precision=float(precision[included].mean()),
+        macro_recall=float(recall[included].mean()),
+        macro_f1=float(f1[included].mean()),
+        weighted_precision=float((precision[included] * weights).sum()),
+        weighted_recall=float((recall[included] * weights).sum()),
+        weighted_f1=float((f1[included] * weights).sum()),
+        zero_division_count=zero_divisions,
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), k=st.integers(1, 6), restrict=st.booleans())
+def test_macro_metrics_match_the_class_loop(data, k, restrict):
+    # zeroed rows and columns: classes never present and never predicted
+    cells = st.one_of(st.just(0), st.integers(0, 30))
+    confusion = np.array(data.draw(st.lists(cells, min_size=k * k, max_size=k * k))).reshape(k, k)
+    confusion[list(data.draw(st.sets(st.integers(0, k - 1)))), :] = 0
+    confusion[:, list(data.draw(st.sets(st.integers(0, k - 1))))] = 0
+    if confusion.sum() == 0:
+        confusion[0, k - 1] = 1
+    got = ev.macro_metrics(confusion, restrict_to_present=restrict)
+    want = _metrics_by_loop(confusion, restrict_to_present=restrict)
+    assert type(got.zero_division_count) is int
+    assert [repr(v) for v in astuple(got)] == [repr(v) for v in astuple(want)]  # repr tells -0.0 from 0.0
 
 
 def _labelled_dataset(rng, n=60, threshold_feature="english_proficiency"):

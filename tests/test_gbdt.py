@@ -7,6 +7,8 @@ from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_oblivious_model
 from vaxclust import gbdt, shapley
@@ -550,6 +552,79 @@ def test_split_table_matches_searchsorted(rng):
         assert np.isinf(thresholds[j, cand.size :]).all()
         buckets = slots[:, j] - j * gbdt.N_QUANTILE_BUCKETS
         assert buckets.tolist() == np.searchsorted(cand, X[:, j], side="left").tolist()
+
+
+def _split_slots_by_loop(design, thresholds):
+    """The per-column ``searchsorted`` loop that ``_split_table`` replaced,
+    kept as its oracle."""
+    n_rows, n_cols = design.shape
+    slots = np.empty((n_rows, n_cols), dtype=np.min_scalar_type(n_cols * gbdt.N_QUANTILE_BUCKETS - 1))
+    for j, candidates in enumerate(thresholds):
+        slots[:, j] = j * gbdt.N_QUANTILE_BUCKETS + np.searchsorted(candidates, design[:, j], side="left")
+    return slots
+
+
+# few distinct values, so quantile borders fall on data values; both zeros
+_TIED_VALUES = st.sampled_from([-0.0, 0.0, 1.0, -2.5, 3.0, 1e-300])
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), n_rows=st.integers(1, 40), n_cols=st.integers(1, 10))
+def test_split_table_slots_match_the_searchsorted_loop(data, n_rows, n_cols):
+    # 8 columns and fewer take uint8 slots, 9 and more uint16
+    values = st.one_of(_TIED_VALUES, st.floats(-1e6, 1e6, allow_nan=False))
+    design = np.array(data.draw(st.lists(
+        st.lists(values, min_size=n_cols, max_size=n_cols), min_size=n_rows, max_size=n_rows,
+    )), dtype=np.float64).reshape(n_rows, n_cols)
+    constant = data.draw(st.integers(-1, n_cols - 1))
+    if constant >= 0:
+        design[:, constant] = data.draw(_TIED_VALUES)
+    slots, thresholds = gbdt._split_table(design)
+    want = _split_slots_by_loop(design, thresholds)
+    assert slots.dtype == want.dtype and slots.tobytes() == want.tobytes()
+
+
+def _encode_by_loop(encoder, categories):
+    """The category x component loop that ``OrderedTsEncoder.encode``
+    replaced, kept as its oracle."""
+    a, width = encoder.prior_weight, encoder.n_components
+    out = np.empty((categories.shape[0], len(encoder.feature_names) * width))
+    for f, feature_stats in enumerate(encoder.stats):
+        seen, row_category = np.unique(categories[:, f].astype(np.int64), return_inverse=True)
+        table = np.empty((seen.size, width))
+        for i, c in enumerate(seen.tolist()):
+            count, sums = feature_stats.get(c, (0, (0.0,) * width))
+            for comp_idx, prior in enumerate(encoder.priors[f]):
+                table[i, comp_idx] = (sums[comp_idx] + a * prior) / (count + a)
+        out[:, f * width : (f + 1) * width] = table[row_category]
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), n_features=st.integers(1, 3), width=st.integers(1, 4), n_rows=st.integers(0, 30))
+def test_encode_matches_the_category_loop(data, n_features, width, n_rows):
+    # categories 0..9 of which some are unseen, seen ones with count 0 among
+    # them, sums of either sign and zero, and no rows at all
+    floats = st.floats(-1e3, 1e3, allow_nan=False)
+    entry = st.tuples(st.integers(0, 2**62), st.tuples(*[floats] * width))
+    stats = tuple(
+        data.draw(st.dictionaries(st.integers(0, 9), entry, max_size=6)) for _ in range(n_features)
+    )
+    encoder = gbdt.OrderedTsEncoder(
+        feature_names=tuple(f"cat{f}" for f in range(n_features)),
+        n_components=width,
+        prior_weight=data.draw(st.floats(1e-3, 1e3)),
+        priors=tuple(data.draw(st.tuples(*[st.floats(0.0, 1.0)] * width)) for _ in range(n_features)),
+        stats=stats,
+        component_names=("",) if width == 1 else tuple(f"class{c}" for c in range(width)),
+    )
+    categories = np.array(
+        data.draw(st.lists(st.integers(0, 9), min_size=n_rows * n_features, max_size=n_rows * n_features)),
+        dtype=np.int64,
+    ).reshape(n_rows, n_features)
+    got = encoder.encode(categories)
+    assert got.shape == (n_rows, n_features * width)
+    assert got.tobytes() == _encode_by_loop(encoder, categories).tobytes()
 
 
 def test_quantile_borders_match_numpy_bit_for_bit():

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from vaxclust import hcluster as hc
+from vaxclust import pipeline, synth
+from vaxclust.dataset import VACCINE_COLUMNS, standardize
 from vaxclust.dataset import YearDataset
 from vaxclust.errors import KOutOfRange, NonFiniteInput
 from vaxclust.fixtures import table2_means
@@ -360,3 +363,32 @@ def test_identical_districts_agglomerate_quickly():
     elapsed = time.perf_counter() - start
     assert [m.height for m in dendro.merges] == [0.0] * 299
     assert elapsed < 2.0
+
+
+def _distances_by_formula(X):
+    """The distance formula before it worked in one array, kept as the
+    oracle: four (n, n) arrays at its peak."""
+    sq = np.sum(X * X, axis=1)
+    d2 = sq[:, None] + sq[None, :] - 2.0 * (X @ X.T)
+    np.maximum(d2, 0.0, out=d2)
+    upper = np.triu(np.sqrt(d2), 1)
+    return upper + upper.T
+
+
+def test_cluster_year_holds_two_distance_arrays():
+    # 4.13 (n, n) float arrays at the peak before, 126 MB traced at 2,000 districts
+    spec = synth.default_spec(year=2021, k=2, n_per_cluster=(500, 500), seed=7)
+    dataset, _ = synth.generate(spec)
+    config = pipeline.RunConfig(years=(2021,), input_dir=".", out_dir=".")
+    tracemalloc.start()
+    try:
+        dendro, _ = pipeline.cluster_year(dataset, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    n = len(dataset)
+    assert peak <= 2.2 * n * n * 8, peak / (n * n * 8)
+    X = standardize(dataset.rates, VACCINE_COLUMNS).values
+    dist = _distances_by_formula(X)
+    assert hc.pairwise_distances(X).tobytes() == dist.tobytes()
+    assert dendro == hc.agglomerate(dist)

@@ -5,6 +5,8 @@ import glob
 import json
 import os
 import shutil
+import subprocess
+import sys
 import tempfile
 from dataclasses import asdict, fields
 
@@ -15,6 +17,7 @@ from hypothesis import strategies as st
 
 from conftest import tree_digest
 from test_hcluster import quick_dataset
+import vaxclust
 from vaxclust import evaluation, gbdt, synth
 from vaxclust import pipeline as pl
 from vaxclust.cli import main
@@ -357,6 +360,72 @@ def test_batched_cells_equal_cells_fitted_alone(tmp_path, monkeypatch):
     assert pl.run_pipeline(config).exit_code == 0
     assert boosted == [12, 4, 4, 4]
     assert tree_digest(config.out_dir) == batched
+
+
+def test_a_batch_out_of_memory_fails_its_cells_and_the_next_batch_boosts(tmp_path, monkeypatch):
+    # batches as in the test above at a bound of 480: the k=2 cells of all
+    # three years, then each k=3 cell alone; the first and third run out of memory
+    config = small_config(tmp_path, years=(2021, 2022, 2023), k_values=[2, 3], n_trees=5)
+    monkeypatch.setattr(gbdt, "_BATCH_BUDGET", 480)
+    boosted = []
+    boost = gbdt._boost
+
+    def starved(untrained):
+        boosted.append(len(untrained))
+        if len(boosted) in (1, 3):
+            raise MemoryError("Unable to allocate 1.00 TiB")
+        return boost(untrained)
+
+    monkeypatch.setattr(gbdt, "_boost", starved)
+    result = pl.run_pipeline(config)
+    assert result.exit_code == 3
+    assert boosted == [12, 4, 4, 4]
+    assert {cell: (e["stage"], e["error"], e["message"]) for cell, e in result.errors.items()} == {
+        cell: ("fit", "MemoryError", "Unable to allocate 1.00 TiB")
+        for cell in [(2021, 2), (2022, 2), (2023, 2), (2022, 3)]
+    }
+    assert _summary(config)["cells_failed"] == list(result.errors.values())
+    assert list(result.reports) == [(2021, 3), (2023, 3)]
+    assert result.reports[(2023, 3)].to_json() == _report_alone(config, 2023, 3).to_json()
+
+
+_LIMITED_RUN = """
+import resource, sys
+from vaxclust.cli import main
+with open("/proc/self/status") as f:
+    mapped = next(int(line.split()[1]) for line in f if line.startswith("VmSize:")) * 1024
+limit = mapped + int(sys.argv[2])
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+sys.exit(main(["run", "--config", sys.argv[1]]))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_out_of_memory_is_a_recorded_year_failure(tmp_path):
+    # A 5,000-district year needs two (n, n) float arrays, 400 MB, to cluster
+    # (it needed four); the child may map 300 MB past what it holds once the
+    # package is imported. Before MemoryError was recorded, the run ended in a
+    # traceback (exit 1) and wrote no run_summary.json.
+    indir, out = tmp_path / "in", tmp_path / "out"
+    spec = synth.default_spec(year=2021, k=2, n_per_cluster=(2500, 2500), seed=7)
+    dataset, truth = synth.generate(spec)
+    synth.write_dataset_files(dataset, truth, str(indir))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(
+        {"years": [2021], "input_dir": str(indir), "out_dir": str(out), "k_values": [2], "n_trees": 3}
+    ))
+    src = os.path.dirname(os.path.dirname(vaxclust.__file__))
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "MKL_NUM_THREADS": "1"}
+    proc = subprocess.run(
+        [sys.executable, "-c", _LIMITED_RUN, str(config), str(300 << 20)],
+        capture_output=True, text=True, env=env, timeout=300, check=False,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    with open(out / "run_summary.json", encoding="utf-8") as f:
+        [failure] = json.load(f)["cells_failed"]
+    assert (failure["year"], failure["k"], failure["stage"], failure["error"]) == (2021, 2, "ingestion", "MemoryError")
 
 
 def test_each_cell_draws_its_folds_once(tmp_path, monkeypatch):

@@ -2,9 +2,12 @@ from __future__ import annotations
 
 import tracemalloc
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_oblivious_model
 from vaxclust import gbdt, shapley
@@ -431,6 +434,40 @@ def test_global_importance_merges_ts_columns(rng):
     design = model.encode_features(X, cats)
     importance = shapley.global_importance(model, design)
     assert importance.feature_names == ("a", "b", "rurality")
+
+
+def _importance_by_loop(feature_source, phi):
+    """The per-column loop that ``importance_of`` replaced, kept as its
+    oracle: (source names, values)."""
+    per_column = np.abs(phi).sum(axis=0).mean(axis=0) / phi.shape[0]
+    source_names: list[str] = []
+    source_of: dict[str, int] = {}
+    for name in feature_source:
+        if name not in source_of:
+            source_of[name] = len(source_names)
+            source_names.append(name)
+    values = np.zeros(len(source_names))
+    for col, name in enumerate(feature_source):
+        values[source_of[name]] += per_column[col]
+    return tuple(source_names), values
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    data=st.data(),
+    sources=st.lists(st.sampled_from(["a", "b", "rurality", "d"]), min_size=1, max_size=9),
+    n_rows=st.integers(1, 5),
+    n_outputs=st.integers(1, 3),
+)
+def test_importance_of_matches_the_column_loop(data, sources, n_rows, n_outputs):
+    # one source's columns need not be adjacent; zeros of both signs
+    values = st.one_of(st.sampled_from([-0.0, 0.0]), st.floats(-1e6, 1e6, allow_nan=False))
+    size = n_rows * n_outputs * len(sources)
+    phi = np.array(data.draw(st.lists(values, min_size=size, max_size=size))).reshape(n_rows, n_outputs, -1)
+    got = shapley.importance_of(SimpleNamespace(feature_source=tuple(sources)), phi)
+    names, want = _importance_by_loop(sources, phi)
+    assert got.feature_names == names
+    assert got.values.tobytes() == want.tobytes()
 
 
 def test_fold_average():

@@ -302,6 +302,25 @@ def test_crosstab_hand_case():
     assert table.tolist() == [[2, 0], [0, 0], [0, 1], [0, 0], [0, 0], [0, 1]]
 
 
+def _crosstab_by_loop(rurality_values, cluster_labels, k):
+    """The per-pair loop that ``crosstab_from_pairs`` replaced, kept as its oracle."""
+    table = np.zeros((6, k), dtype=np.int64)
+    for rurality, cluster in zip(rurality_values, cluster_labels):
+        table[int(rurality) - 1, int(cluster)] += 1
+    return table
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), k=st.integers(1, 6), n=st.integers(0, 50), as_float=st.booleans())
+def test_crosstab_matches_the_pair_loop(data, k, n, as_float):
+    rurality = data.draw(st.lists(st.integers(1, 6), min_size=n, max_size=n))
+    clusters = data.draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
+    if as_float:  # a dataset's rurality column, as the pipeline passes it
+        rurality = np.array(rurality, dtype=np.float64)
+    got = stats.crosstab_from_pairs(rurality, clusters, k)
+    assert got.dtype == np.int64 and got.tolist() == _crosstab_by_loop(rurality, clusters, k).tolist()
+
+
 def test_rurality_cross_tab_from_dataset():
     dataset = quick_dataset([[60.0] * 14, [90.0] * 14])
     assignment = ClusterAssignment(k=2, labels=np.array([0, 1]), ordered_names=("L", "H"))
