@@ -8,7 +8,7 @@ table from per-cell report files. ``run`` and the stage subcommands read
 ``--config`` when given, with their flags as overrides.
 
 Exit codes: 0 success, 1 config error, 2 data error, 3 one or more
-(year, k) cells failed.
+(year, k) cells failed, or a stage command failed or ran out of memory.
 """
 
 from __future__ import annotations
@@ -161,7 +161,7 @@ def cmd_stats(args) -> int:
     config, dataset, assignment, suggested = _cut(args)
     report = analyze_cell(dataset, assignment, suggested, config)
     os.makedirs(config.out_dir, exist_ok=True)
-    write_cell_artifacts(report, assignment, dataset, config, config.geometry())
+    write_cell_artifacts(report, assignment, dataset, config, config.geometry)
     print(f"wrote stats artifacts for year {args.year}, k={args.k} to {config.out_dir}")
     return 0
 
@@ -264,6 +264,9 @@ def main(argv=None) -> int:
         return 2
     except VaxclustError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:  # run records its own; a stage command ends as a failed stage
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 3
 
 

@@ -70,7 +70,7 @@ from .errors import (
     TooFewRows,
 )
 from .rng import Rng, derive_seed
-from .schema import check_fields, is_int
+from .schema import check_fields, is_int, read_object
 
 N_QUANTILE_BUCKETS = 32
 _MIN_SPLIT_GAIN = 1e-12
@@ -336,22 +336,6 @@ class Forest:
             leaf_cover=np.concatenate([np.zeros(0, dtype=np.int64), *cover]),
         )
 
-    def trees(self) -> tuple[ObliviousTree, ...]:
-        """Per-tree views of the arrays, built on each call."""
-        offset = self.leaf_offset.tolist()
-        return tuple(
-            ObliviousTree(
-                splits=tuple(zip(columns[:levels], thresholds[:levels])),
-                leaf_values=self.leaf_values[offset[t] : offset[t + 1]],
-                leaf_cover=self.leaf_cover[offset[t] : offset[t + 1]],
-                class_index=c,
-            )
-            for t, (columns, thresholds, levels, c) in enumerate(zip(
-                self.split_column.tolist(), self.split_threshold.tolist(),
-                self.n_levels.tolist(), self.class_index.tolist(),
-            ))
-        )
-
 
 @dataclass(frozen=True)
 class TreeEnsemble:
@@ -373,9 +357,22 @@ class TreeEnsemble:
 
     @property
     def trees(self) -> tuple[ObliviousTree, ...]:
-        """The forest tree by tree, built on each read, for per-tree readers
-        outside training, prediction and SHAP."""
-        return self.forest.trees()
+        """The forest tree by tree, views of its arrays built on each read,
+        for per-tree readers outside training, prediction and SHAP."""
+        forest = self.forest
+        offset = forest.leaf_offset.tolist()
+        return tuple(
+            ObliviousTree(
+                splits=tuple(zip(columns[:levels], thresholds[:levels])),
+                leaf_values=forest.leaf_values[offset[t] : offset[t + 1]],
+                leaf_cover=forest.leaf_cover[offset[t] : offset[t + 1]],
+                class_index=c,
+            )
+            for t, (columns, thresholds, levels, c) in enumerate(zip(
+                forest.split_column.tolist(), forest.split_threshold.tolist(),
+                forest.n_levels.tolist(), forest.class_index.tolist(),
+            ))
+        )
 
     def encode_features(self, numeric: np.ndarray, categorical: np.ndarray | None = None) -> np.ndarray:
         numeric = np.atleast_2d(np.asarray(numeric, dtype=np.float64))
@@ -1011,14 +1008,8 @@ def from_json(text: str | bytes) -> TreeEnsemble:
     magnitudes must keep every margin and SHAP sum finite
     (:func:`_magnitude_problem`). Anything else is a DataError.
     """
-    try:
-        doc = json.loads(text)
-    except (ValueError, RecursionError) as exc:  # JSONDecodeError, UnicodeDecodeError, deep nesting
-        raise DataError(f"model file is not JSON: {exc}") from exc
-    _require(
-        isinstance(doc, dict) and all(doc.get(k) == v for k, v in _DOCUMENT_FORMAT.items()),
-        f"not a {_DOCUMENT_FORMAT} document",
-    )
+    doc = read_object(text, DataError, "model")
+    _require(all(doc.get(k) == v for k, v in _DOCUMENT_FORMAT.items()), f"not a {_DOCUMENT_FORMAT} document")
     names = {"encoder": "ts_encoder", "trees": "forest"}
     record = {names.get(k, k): v for k, v in doc.items() if k not in _DOCUMENT_FORMAT}
     check_fields(TreeEnsemble, record, DataError, "model", nested={"forest", "ts_encoder", "config"})

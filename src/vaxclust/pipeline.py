@@ -25,6 +25,7 @@ byte-identical artifact tree.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import sys
@@ -34,7 +35,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .dataset import GDSC_NUMERIC_COLUMNS, VACCINE_COLUMNS, YearDataset, csv_text, load_year, standardize, table_paths
+from .dataset import VACCINE_COLUMNS, YearDataset, csv_text, load_year, standardize, table_paths
 from .errors import ConfigError, DataError, GeometryKeyMismatch, KOutOfRange, VaxclustError
 from .evaluation import MetricRow, cross_validate, dataset_design, prepare_cv
 from .gbdt import TrainConfig, TreeEnsemble, fit_cells
@@ -51,7 +52,7 @@ from .hcluster import (
     suggest_k,
 )
 from .rng import derive_seed
-from .schema import JSON_TYPES, check_fields
+from .schema import JSON_TYPES, check_fields, read_object
 from .shapley import fold_average, global_importance, rank_order
 from .stats import BoxStats, box_stats, mann_whitney_u, rurality_cross_tab, welch_t
 
@@ -92,7 +93,7 @@ class RunConfig:
             raise ConfigError(f"linkage must be one of {LINKAGES}")
         if self.k_folds < 2:
             raise ConfigError("k_folds must be >= 2")
-        self.geometry()
+        self.geometry  # a bad geometry file is a config error; the parse is kept for use
         try:
             self.train.validate()
         except ValueError as exc:
@@ -106,25 +107,20 @@ class RunConfig:
         doc.update(doc.pop("train"))
         return {key: list(value) if isinstance(value, tuple) else value for key, value in doc.items()}
 
+    @functools.cached_property
     def geometry(self) -> dict | None:
-        """Parsed GeoJSON at ``geometry_path``, or None when unset."""
+        """Parsed GeoJSON at ``geometry_path``, or None when unset; parsed once, by :meth:`validate`."""
         return _read_geometry(self.geometry_path) if self.geometry_path else None
 
 
 def _read_json_object(path, what: str) -> dict:
-    """The JSON object in the UTF-8 file at ``path``, a leading byte-order mark
-    skipped; a ConfigError if the file is unreadable, not UTF-8, not JSON or
-    not an object."""
+    """The JSON object in the file at ``path``, or a ConfigError (:func:`read_object`)."""
     try:
-        with open(path, encoding="utf-8-sig") as f:
-            value = json.load(f)
+        with open(path, "rb") as f:
+            data = f.read()
     except OSError as exc:
         raise ConfigError(f"cannot read {what} file: {exc}") from exc
-    except (ValueError, RecursionError) as exc:  # JSONDecodeError, UnicodeDecodeError, deep nesting
-        raise ConfigError(f"{what} file is not valid JSON: {exc}") from exc
-    if not isinstance(value, dict):
-        raise ConfigError(f"{what} file must hold a JSON object")
-    return value
+    return read_object(data, ConfigError, what)
 
 
 def _read_geometry(path: str) -> dict:
@@ -205,10 +201,7 @@ class RunReport:
         """The report a :meth:`to_json` document describes: its keys and JSON
         types those of the fields, its metrics with a ``mean`` row of every
         :class:`MetricRow` field. Anything else is a DataError."""
-        try:
-            doc = json.loads(text)
-        except (ValueError, RecursionError) as exc:  # JSONDecodeError, UnicodeDecodeError, deep nesting
-            raise DataError(f"report file is not JSON: {exc}") from exc
+        doc = read_object(text, DataError, "report")
         check_fields(cls, doc, DataError, "report")
         check_fields(MetricRow, doc["metrics"].get("mean"), DataError, "report metrics mean")
         return cls(**doc)
@@ -273,7 +266,7 @@ def analyze_cell(
     train_config, cell_seed = _cell_training(config, year, k)
     cv = cross_validate(dataset, assignment, train_config, k_folds=config.k_folds, seed=cell_seed, fitted=fitted)
 
-    numeric, categorical, _, _ = dataset_design(dataset)
+    numeric, categorical, numeric_names, cat_names = dataset_design(dataset)
     fold_importances = []
     for model, test_idx in zip(cv.models, cv.test_indices):
         design = model.encode_features(numeric[test_idx], categorical[test_idx])
@@ -282,8 +275,8 @@ def analyze_cell(
 
     low = assignment.labels == 0
     high = assignment.labels == k - 1
-    gdsc_matrix = np.column_stack([numeric, dataset.rurality.astype(np.float64)])
-    gdsc_names = [*GDSC_NUMERIC_COLUMNS, "rurality"]
+    gdsc_matrix = np.column_stack([numeric, categorical.astype(np.float64)])
+    gdsc_names = [*numeric_names, *cat_names]
     tests = []
     welch_rows = []
     boxes: dict[str, dict] = {}
@@ -509,7 +502,7 @@ class PipelineResult:
 
 def run_pipeline(config: RunConfig) -> PipelineResult:
     config.validate()
-    geometry = config.geometry()
+    geometry = config.geometry
     os.makedirs(config.out_dir, exist_ok=True)
 
     clustered: dict[int, tuple[YearDataset, Dendrogram, int]] = {}

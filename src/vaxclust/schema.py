@@ -9,6 +9,7 @@ holds it, and a tuple or array arrives as a list.
 
 from __future__ import annotations
 
+import json
 import re
 import sys
 from dataclasses import fields
@@ -66,6 +67,19 @@ JSON_TYPES = {
     "tuple[tuple[int, float], ...]": _list_of(_is_split),
     "tuple[dict[int, tuple[int, tuple[float, ...]]], ...]": _list_of(_is_category_stats),
 }
+
+
+def read_object(data: str | bytes, error, what: str) -> dict:
+    """The JSON object in ``data``, UTF-8 bytes whose leading byte-order mark
+    is skipped, or text; ``error`` if the bytes are not UTF-8, the text is
+    not JSON, nests deeper than the decoder goes, or holds no object."""
+    try:
+        doc = json.loads(data.decode("utf-8-sig") if isinstance(data, bytes) else data)
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, UnicodeDecodeError, deep nesting
+        raise error(f"{what} file is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise error(f"{what} file must hold a JSON object")
+    return doc
 
 
 def check_fields(cls, doc, error, where: str, nested=frozenset()) -> None:

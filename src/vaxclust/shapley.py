@@ -240,58 +240,56 @@ class TreeShapExplainer:
         level l). Each (pair, player) slot sums its own terms in leaf order,
         so a result depends neither on the batch nor on the chunking. The
         pairs go in chunks of one node-count width, 2m for the trees with
-        2m - 1 or 2m players, all of which take m quadrature nodes; a chunk
-        ends where the width of the pairs changes (ranks run in player-count
-        order, so each width is one run) or at ``gbdt._WORK_BUDGET`` (node,
-        term, player) cells. A chunk with trees of both player counts pads the
+        2m - 1 or 2m players, all of which take m quadrature nodes: ranks run
+        in player-count order, so each width is one run, which
+        :func:`gbdt._blocks` cuts at ``gbdt._WORK_BUDGET`` (node, term,
+        player) cells. A chunk with trees of both player counts pads the
         smaller ones: the padding player's factor is exactly 1.0, and it
         comes last, so every product of the other factors has the bits it
         has without it.
         """
         widths = self._widths[ranks]
         sizes = self._counts[ranks]
-        tree_ends = np.cumsum(sizes)
-        begin = 0
-        while begin < ranks.size:
-            u = int(widths[begin])
+        _, runs, run_sizes = np.unique(widths, return_index=True, return_counts=True)
+        for run, run_size in zip(runs.tolist(), run_sizes.tolist()):
+            u = int(widths[run])
             nodes, weights = _gauss_legendre(u)
             cap = gbdt._WORK_BUDGET // (u * nodes.size)  # terms per chunk
-            end = max(begin + 1, int(np.searchsorted(tree_ends, tree_ends[begin] - sizes[begin] + cap, "right")))
-            end = min(end, int(np.searchsorted(widths, u, "right")))
-            tree, counts = ranks[begin:end], sizes[begin:end]
-            ends = np.cumsum(counts)
-            pair = np.repeat(np.arange(tree.size), counts)
-            term = np.arange(ends[-1]) + np.repeat(self._starts[tree] - (ends - counts), counts)
-            disagree = patterns[begin:end][pair] ^ self._leaf[term]
-            players = self._players[tree]
-            v = int(players.max())  # the chunk's width: u - 1 if no tree has more players
-            # (player, term) agreements o and cover products z, and the
-            # (player, quadrature node, term) factors z (1 - t) + o t
-            one = ((disagree & self._masks[:v, tree[pair]]) == 0).astype(np.float64)
-            zero = self._zero[:v, term]
-            factors = zero[:, None, :] * (1.0 - nodes)[:, None]
-            factors += one[:, None, :] * nodes[:, None]
-            short = players < v
-            if short.any():
-                factors[-1][:, short[pair]] = 1.0
-            # a player's integrand is the product of the other players'
-            # factors: those before it, then those after it, each multiplied
-            # up in the order of a cumprod
-            others = np.empty_like(factors)
-            after = np.empty_like(factors)
-            others[0] = after[-1] = 1.0
-            for s in range(1, v):
-                np.multiply(others[s - 1], factors[s - 1], out=others[s])
-            for s in range(v - 2, -1, -1):
-                np.multiply(after[s + 1], factors[s + 1], out=after[s])
-            others *= after
-            integral = weights[0] * others[:, 0]
-            for k in range(1, nodes.size):
-                integral += weights[k] * others[:, k]
-            terms = (one - zero) * integral * self._value[term]
-            slots = (pair * v + np.arange(v)[:, None]).ravel()
-            out[begin:end, :v] = np.bincount(slots, weights=terms.ravel(), minlength=tree.size * v).reshape(-1, v)
-            begin = end
+            for first, last in gbdt._blocks(sizes[run : run + run_size], cap):
+                begin, end = run + first, run + last
+                tree, counts = ranks[begin:end], sizes[begin:end]
+                ends = np.cumsum(counts)
+                pair = np.repeat(np.arange(tree.size), counts)
+                term = np.arange(ends[-1]) + np.repeat(self._starts[tree] - (ends - counts), counts)
+                disagree = patterns[begin:end][pair] ^ self._leaf[term]
+                players = self._players[tree]
+                v = int(players.max())  # the chunk's width: u - 1 if no tree has more players
+                # (player, term) agreements o and cover products z, and the
+                # (player, quadrature node, term) factors z (1 - t) + o t
+                one = ((disagree & self._masks[:v, tree[pair]]) == 0).astype(np.float64)
+                zero = self._zero[:v, term]
+                factors = zero[:, None, :] * (1.0 - nodes)[:, None]
+                factors += one[:, None, :] * nodes[:, None]
+                short = players < v
+                if short.any():
+                    factors[-1][:, short[pair]] = 1.0
+                # a player's integrand is the product of the other players'
+                # factors: those before it, then those after it, each multiplied
+                # up in the order of a cumprod
+                others = np.empty_like(factors)
+                after = np.empty_like(factors)
+                others[0] = after[-1] = 1.0
+                for s in range(1, v):
+                    np.multiply(others[s - 1], factors[s - 1], out=others[s])
+                for s in range(v - 2, -1, -1):
+                    np.multiply(after[s + 1], factors[s + 1], out=after[s])
+                others *= after
+                integral = weights[0] * others[:, 0]
+                for k in range(1, nodes.size):
+                    integral += weights[k] * others[:, k]
+                terms = (one - zero) * integral * self._value[term]
+                slots = (pair * v + np.arange(v)[:, None]).ravel()
+                out[begin:end, :v] = np.bincount(slots, weights=terms.ravel(), minlength=tree.size * v).reshape(-1, v)
 
     def explain(self, design) -> np.ndarray:
         """(n_rows, n_outputs, n_features) margin-space phi for an encoded design.

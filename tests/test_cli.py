@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vaxclust
-from vaxclust import shapley
+from vaxclust import pipeline, shapley
 from vaxclust.cli import main
 from vaxclust.dataset import csv_text, load_year, table_paths
 from vaxclust.evaluation import dataset_design
@@ -449,17 +449,27 @@ def test_explain_empty_year_is_error(tmp_path, synth_inputs, capsys, per_row):
 
 
 @pytest.mark.parametrize(
-    "content", [b'{"model_type": "oblivious_gbdt"}', b"not json", b"\x89PNG\r\n\x1a\n", _DEEPLY_NESTED],
-    ids=["missing-keys", "not-json", "binary", "deep-nesting"],
+    "corrupt, code",
+    [
+        (lambda text: b'{"model_type": "oblivious_gbdt"}', 2),
+        (lambda text: b"not json", 2),
+        (lambda text: b"\x89PNG\r\n\x1a\n", 2),
+        (lambda text: _DEEPLY_NESTED, 2),
+        (lambda text: b"[" + text + b"]", 2),
+        (lambda text: b"\xef\xbb\xbf" + text, 0),  # a leading byte-order mark is skipped
+    ],
+    ids=["missing-keys", "not-json", "binary", "deep-nesting", "array", "byte-order-mark"],
 )
-def test_explain_corrupt_model_is_data_error(tmp_path, synth_inputs, capsys, content):
+def test_explain_corrupt_model_is_data_error(tmp_path, synth_inputs, capsys, corrupt, code):
     model_path = tmp_path / "model.json"
-    model_path.write_bytes(content)
-    code = main(["explain", "--input-dir", str(synth_inputs), "--year", "2021",
-                 "--model", str(model_path), "--out", str(tmp_path / "explain")])
-    assert code == 2
+    assert main(["train", "--config", _write_config(tmp_path, synth_inputs, tmp_path / "out"),
+                 "--year", "2021", "--k", "2", "--model-out", str(model_path)]) == 0
+    model_path.write_bytes(corrupt(model_path.read_bytes()))
+    capsys.readouterr()
+    assert main(["explain", "--input-dir", str(synth_inputs), "--year", "2021",
+                 "--model", str(model_path), "--out", str(tmp_path / "explain")]) == code
     err = capsys.readouterr().err
-    assert err.startswith("data error: model") and "Traceback" not in err
+    assert (err.startswith("data error: model") if code else not err) and "Traceback" not in err
 
 
 @pytest.mark.parametrize(
@@ -615,16 +625,37 @@ def test_mutated_report_files_end_report_in_an_exit_code(tmp_path, synth_inputs)
     check()
 
 
-def test_mutated_geometry_files_end_run_in_an_exit_code(tmp_path, synth_inputs):
-    """A valid geometry file changed at 1 to 3 places ends ``run`` in exit
-    0-3, with no exception and no RuntimeWarning, and ``run_summary.json``
-    written whenever the run got past its config."""
-    ids = load_year(*table_paths(synth_inputs, 2021), 2021).ids
-    valid = json.dumps({"type": "FeatureCollection", "features": [
+def _geometry_text(indir) -> str:
+    """A GeoJSON point for each district of the 2021 tables in ``indir``."""
+    ids = load_year(*table_paths(indir, 2021), 2021).ids
+    return json.dumps({"type": "FeatureCollection", "features": [
         {"type": "Feature", "properties": {"district_id": district_id},
          "geometry": {"type": "Point", "coordinates": [float(i), -float(i)]}}
         for i, district_id in enumerate(ids)
     ]})
+
+
+def test_geometry_is_parsed_once_per_command(tmp_path, synth_inputs, monkeypatch):
+    # validation and use share one parse, where run parsed the file three
+    # times and stats twice
+    geometry = tmp_path / "geometry.json"
+    geometry.write_text(_geometry_text(synth_inputs))
+    config = _write_config(tmp_path, synth_inputs, tmp_path / "out", n_trees=2, depth=2, geometry_path=str(geometry))
+    read = pipeline._read_geometry
+    parses = []
+    monkeypatch.setattr(pipeline, "_read_geometry", lambda path: parses.append(path) or read(path))
+    for command in (["run"], ["stats", "--year", "2021", "--k", "2"]):
+        parses.clear()
+        assert main([*command, "--config", config]) == 0
+        assert parses == [str(geometry)], command
+    assert (tmp_path / "out" / "choropleth_2021_k2.geojson").exists()
+
+
+def test_mutated_geometry_files_end_run_in_an_exit_code(tmp_path, synth_inputs):
+    """A valid geometry file changed at 1 to 3 places ends ``run`` in exit
+    0-3, with no exception and no RuntimeWarning, and ``run_summary.json``
+    written whenever the run got past its config."""
+    valid = _geometry_text(synth_inputs)
     paths = sorted(_json_paths(json.loads(valid)), key=repr)
     geometry = tmp_path / "geometry.json"
     out = tmp_path / "out"
@@ -663,22 +694,26 @@ def test_report_subcommand(tmp_path, synth_inputs):
 
 
 @pytest.mark.parametrize(
-    "corrupt",
+    "corrupt, code",
     [
-        lambda text: b"{not json",
-        lambda text: b'{"year": "\xc3\x28"}',
-        lambda text: b'{"year": 2021}',
-        lambda text: json.dumps({**json.loads(text), "metrics": {}}).encode(),
-        lambda text: _DEEPLY_NESTED,
+        (lambda text: b"{not json", 2),
+        (lambda text: b'{"year": "\xc3\x28"}', 2),
+        (lambda text: b'{"year": 2021}', 2),
+        (lambda text: json.dumps({**json.loads(text), "metrics": {}}).encode(), 2),
+        (lambda text: _DEEPLY_NESTED, 2),
+        (lambda text: f"[{text}]".encode(), 2),
+        (lambda text: b"\xef\xbb\xbf" + text.encode(), 0),  # a leading byte-order mark is skipped
     ],
-    ids=["not-json", "not-utf8", "year-only", "metrics-empty", "deep-nesting"],
+    ids=["not-json", "not-utf8", "year-only", "metrics-empty", "deep-nesting", "array", "byte-order-mark"],
 )
-def test_report_corrupt_file_is_data_error(tmp_path, synth_inputs, capsys, corrupt):
+def test_report_corrupt_file_is_data_error(tmp_path, synth_inputs, capsys, corrupt, code):
     out = tmp_path / "out"
     assert main(["run", "--config", _write_config(tmp_path, synth_inputs, out)]) == 0
     report = out / "report_2021_k2.json"
     report.write_bytes(corrupt(report.read_text()))
+    metrics = (out / "metrics.csv").read_bytes()
     capsys.readouterr()
-    assert main(["report", "--runs", str(out)]) == 2
+    assert main(["report", "--runs", str(out)]) == code
     err = capsys.readouterr().err
-    assert err.startswith("data error: report") and "Traceback" not in err
+    assert (err.startswith("data error: report") if code else not err) and "Traceback" not in err
+    assert (out / "metrics.csv").read_bytes() == metrics

@@ -18,10 +18,10 @@ from hypothesis import strategies as st
 from conftest import tree_digest
 from test_hcluster import quick_dataset
 import vaxclust
-from vaxclust import evaluation, gbdt, synth
+from vaxclust import evaluation, gbdt, hcluster, synth
 from vaxclust import pipeline as pl
 from vaxclust.cli import main
-from vaxclust.dataset import VACCINE_COLUMNS, YearDataset
+from vaxclust.dataset import GDSC_NUMERIC_COLUMNS, VACCINE_COLUMNS, YearDataset, csv_text, table_paths
 from vaxclust.errors import ConfigError, GeometryKeyMismatch
 from vaxclust.fixtures import STUDY_YEARS, load_wtable_assignment, table2_means
 from vaxclust.gbdt import TrainConfig
@@ -389,43 +389,81 @@ def test_a_batch_out_of_memory_fails_its_cells_and_the_next_batch_boosts(tmp_pat
     assert result.reports[(2023, 3)].to_json() == _report_alone(config, 2023, 3).to_json()
 
 
+# the command line after the first argument, in a child that may map that
+# many bytes past what it holds once the package is imported
 _LIMITED_RUN = """
 import resource, sys
 from vaxclust.cli import main
 with open("/proc/self/status") as f:
     mapped = next(int(line.split()[1]) for line in f if line.startswith("VmSize:")) * 1024
-limit = mapped + int(sys.argv[2])
+limit = mapped + int(sys.argv[1])
 resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
-sys.exit(main(["run", "--config", sys.argv[1]]))
+sys.exit(main(sys.argv[2:]))
 """
+
+
+def _out_of_memory(indir, *args):
+    """``vaxclust *args`` past a 5,000-district year written to ``indir``,
+    with 300 MB to map: the year needs two (n, n) float arrays, 400 MB, to
+    cluster (it needed four)."""
+    spec = synth.default_spec(year=2021, k=2, n_per_cluster=(2500, 2500), seed=7)
+    synth.write_dataset_files(*synth.generate(spec), str(indir))
+    src = os.path.dirname(os.path.dirname(vaxclust.__file__))
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "MKL_NUM_THREADS": "1"}
+    return subprocess.run(
+        [sys.executable, "-c", _LIMITED_RUN, str(300 << 20), *args],
+        capture_output=True, text=True, env=env, timeout=300, check=False,
+    )
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
 def test_out_of_memory_is_a_recorded_year_failure(tmp_path):
-    # A 5,000-district year needs two (n, n) float arrays, 400 MB, to cluster
-    # (it needed four); the child may map 300 MB past what it holds once the
-    # package is imported. Before MemoryError was recorded, the run ended in a
-    # traceback (exit 1) and wrote no run_summary.json.
+    # Before MemoryError was recorded, the run ended in a traceback (exit 1)
+    # and wrote no run_summary.json.
     indir, out = tmp_path / "in", tmp_path / "out"
-    spec = synth.default_spec(year=2021, k=2, n_per_cluster=(2500, 2500), seed=7)
-    dataset, truth = synth.generate(spec)
-    synth.write_dataset_files(dataset, truth, str(indir))
     config = tmp_path / "config.json"
     config.write_text(json.dumps(
         {"years": [2021], "input_dir": str(indir), "out_dir": str(out), "k_values": [2], "n_trees": 3}
     ))
-    src = os.path.dirname(os.path.dirname(vaxclust.__file__))
-    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
-           "MKL_NUM_THREADS": "1"}
-    proc = subprocess.run(
-        [sys.executable, "-c", _LIMITED_RUN, str(config), str(300 << 20)],
-        capture_output=True, text=True, env=env, timeout=300, check=False,
-    )
+    proc = _out_of_memory(indir, "run", "--config", str(config))
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     with open(out / "run_summary.json", encoding="utf-8") as f:
         [failure] = json.load(f)["cells_failed"]
     assert (failure["year"], failure["k"], failure["stage"], failure["error"]) == (2021, 2, "ingestion", "MemoryError")
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_stage_command_out_of_memory_exits_3(tmp_path):
+    # the MemoryError left cli.main: a traceback and exit 1
+    indir = tmp_path / "in"
+    proc = _out_of_memory(indir, "cluster", "--input-dir", str(indir), "--year", "2021", "--out", str(tmp_path / "out"))
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("error: out of memory: ")
+    assert "Traceback" not in proc.stderr
+
+
+def test_year_past_district_bound_is_data_error(tmp_path, capsys):
+    # one district past the bound fails before any (n, n) array, on every host
+    indir, out = tmp_path / "in", tmp_path / "out"
+    indir.mkdir()
+    ids = [f"E{i:08d}" for i in range(hcluster.MAX_DISTRICTS + 1)]
+    vaccination, gdsc = table_paths(indir, 2021)
+    pl.write_text(vaccination, csv_text(
+        ["district_id", "district_name", *VACCINE_COLUMNS], ([d, d, *[i % 101] * 14] for i, d in enumerate(ids))
+    ))
+    pl.write_text(gdsc, csv_text(
+        ["district_id", *GDSC_NUMERIC_COLUMNS, "rurality"], ([d, *[i % 101] * 8, i % 6 + 1] for i, d in enumerate(ids))
+    ))
+    for stage in (["cluster"], ["train", "--k", "2", "--model-out", str(out / "model.json")], ["stats", "--k", "2"]):
+        assert main([stage[0], "--input-dir", str(indir), "--year", "2021", *stage[1:], "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "data error: a year holds at most 10000 districts to cluster, got 10001\n"
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"years": [2021], "input_dir": str(indir), "out_dir": str(out), "k_values": [2]}))
+    assert main(["run", "--config", str(config)]) == 2
+    [failure] = _summary(pl.load_config(config))["cells_failed"]
+    assert (failure["stage"], failure["error"]) == ("ingestion", "DataError")
 
 
 def test_each_cell_draws_its_folds_once(tmp_path, monkeypatch):
