@@ -18,7 +18,7 @@ import os
 import sys
 
 from . import __version__
-from .dataset import csv_text
+from .dataset import csv_text, write_text
 from .errors import ConfigError, DataError, VaxclustError
 from .evaluation import dataset_design
 from .gbdt import fit, from_json as model_from_json, to_json as model_to_json
@@ -35,7 +35,6 @@ from .pipeline import (
     load_dataset,
     run_pipeline,
     write_cell_artifacts,
-    write_text,
 )
 from .shapley import TreeShapExplainer, importance_of
 from .synth import default_spec, generate, write_dataset_files

@@ -13,11 +13,13 @@ columns, empty or duplicate district ids and a table without rows are hard
 errors, and a numeric cell must be a plain decimal (no exponent or locale
 separator), finite and within its column's :data:`_BOUNDS`, so a decimal too
 long for a double is out of range. Missing cells are never imputed.
-:func:`csv_text` is the one writer for every CSV artifact the package emits.
+:func:`csv_text` is the one writer for every CSV artifact the package emits,
+and :func:`write_text` the one writer of every file.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import math
@@ -153,6 +155,27 @@ def csv_text(header, rows) -> str:
     writer.writerow(header)
     writer.writerows(rows)
     return buffer.getvalue()
+
+
+def write_text(path, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8, whole or not at all.
+
+    The text goes to ``.NAME.tmp`` beside ``path``, a name no artifact
+    pattern matches, which then replaces ``path`` in one rename; on any
+    failure the temporary file is removed and ``path`` is left as it was.
+    The name holds no process id, so a failure's message is the same on
+    every rerun. The file's mode follows the umask.
+    """
+    directory, name = os.path.split(path)
+    temporary = os.path.join(directory, f".{name}.tmp")
+    try:
+        with open(temporary, "w", encoding="utf-8", newline="") as f:
+            f.write(text)
+        os.replace(temporary, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(temporary)
+        raise
 
 
 def _parse_table(stream, year: int, what: str, columns: tuple[str, ...], parse_row) -> dict:

@@ -1,7 +1,10 @@
 """Exception taxonomy shared by all vaxclust modules.
 
 Exit-code mapping used by the CLI: ConfigError -> 1, DataError -> 2,
-anything else raised inside a (year, k) cell -> recorded per cell, exit 3.
+anything else -> 3. ``run`` records a VaxclustError, an OSError or a
+MemoryError against its year or (year, k) cell, at the stage that raised
+it: a year that fails to load or cluster exits 2, a cell that fails later,
+a failed write included, exits 3. A stage command maps an OSError to 2.
 """
 
 from __future__ import annotations

@@ -177,15 +177,13 @@ def cross_validate(
     A fold whose training rows miss a class (a cluster too small to leave
     members in every training split) raises :class:`DegenerateLabels`
     before any model is fit. A fold model whose boosting diverged raises
-    :class:`NonFiniteModel`, and a batch that ran out of memory its
-    ``MemoryError``, before any prediction.
+    :class:`NonFiniteModel` before any prediction. Running out of memory
+    while boosting is the ``MemoryError`` of :func:`gbdt.fit_cells`.
     """
     if fitted is None:
         folds, untrained = prepare_cv(dataset, assignment, config, k_folds, seed)
-        fitted = folds, next(fit_cells([untrained]))
+        fitted = folds, fit_cells([untrained])[0]
     folds, models = fitted
-    if isinstance(models, MemoryError):  # fit_cells' record of the batch
-        raise models
     for model in models:
         check_fitted(model)
     labels = np.asarray(assignment.labels, dtype=np.int64)

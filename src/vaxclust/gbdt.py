@@ -28,15 +28,16 @@ every (class, model) in one grower call, whose histograms carry (tree,
 occupied leaf) keys. A cell is one (year, k) cut's cross-validation, whose
 fold models :func:`prepare_folds` prepares; :func:`fit_cells` boosts the
 fold models of one cell, or of several cells that share a config and a
-class count, such as every study year's cell of one k, in one loop, in
-batches whose leaf slots stay under ``_BATCH_BUDGET``. Every tree's rows
-stay in place for the whole round. Each level does its bookkeeping once for
-every tree of the round: (tree, leaf) keys, leaf sums, scores before the
-split, occupied-leaf ranks, one ``argmax`` over a shared gains table and one
-move of every row to its new leaf. Only the dense histograms are scored in
-runs, blocks of consecutive growing trees whose work arrays stay under
-``_WORK_BUDGET`` cells, which bounds prediction's and SHAP's work arrays too;
-a tree that stopped is in no run.
+class count, such as every study year's cell of one k, in one loop; a run
+boosts its cells in the batches of :func:`cell_batches`, whose leaf slots
+stay under ``_BATCH_BUDGET``. Every tree's rows stay in place for the
+whole round. Each level does its bookkeeping once for every tree of the
+round: (tree, leaf) keys, leaf sums, scores before the split, occupied-leaf
+ranks, one ``argmax`` over a shared gains table and one move of every row
+to its new leaf. Only the dense histograms are scored in runs, blocks of
+consecutive growing trees whose work arrays stay under ``_WORK_BUDGET``
+cells, which bounds prediction's and SHAP's work arrays too; a tree that
+stopped is in no run.
 Each tree's arithmetic is the one it would do alone, so every model is bit
 for bit the one :func:`fit` gives on its own rows, whichever cells and folds
 it boosted with; :func:`fit` is the same loop over one training set.
@@ -903,12 +904,12 @@ def prepare_folds(
 
 
 # Upper bound on the leaf slots (models x rounds x outputs x 2^depth) of the
-# cells that one boosting loop of :func:`fit_cells` trains together. A cell's
-# trees live until it is analysed, so a batch holds every one of its cells'
-# models at once: unbounded, a run of three 500-round k=6 cells of 150
-# districts (960,000 slots each) peaked at 160.6 MB RSS against 97-99 MB
-# one cell at a time. A cell of 5 folds, 20 rounds, one output and depth 6
-# has 6,400.
+# cells that one :func:`fit_cells` call of a run boosts together
+# (:func:`cell_batches`). A cell's trees live until it is analysed, so a
+# batch holds every one of its cells' models at once: unbounded, a run of
+# three 500-round k=6 cells of 150 districts (960,000 slots each) peaked at
+# 160.6 MB RSS against 97-99 MB one cell at a time. A cell of 5 folds, 20
+# rounds, one output and depth 6 has 6,400.
 _BATCH_BUDGET = 1 << 18
 
 
@@ -917,31 +918,21 @@ def _leaf_slots(cell) -> int:
     return len(cell) * model.config.n_trees * model.n_outputs << model.config.depth
 
 
-def fit_cells(cells):
-    """Each cell's trained fold models, in order, from cells of
-    :func:`prepare_folds` models that share every setting but the seed (one
-    config, one class count).
+def cell_batches(cells):
+    """(begin, end) of each batch of consecutive ``cells`` (lists of
+    :func:`prepare_folds` models) for :func:`fit_cells`: as many cells as
+    their leaf slots keep within ``_BATCH_BUDGET``, and a cell over it alone."""
+    return _blocks([_leaf_slots(cell) for cell in cells], _BATCH_BUDGET)
 
-    Consecutive cells boost together in one :func:`_boost` loop while their
-    leaf slots stay within ``_BATCH_BUDGET``; a cell over it boosts alone.
-    Every model is bit for bit the one :func:`fit` gives on its rows. A
-    generator: a batch boosts when its first cell is asked for, and keeps
-    none of its models once it has handed them out, so the models of one
-    batch are freed before the next grows. A batch that runs out of memory
-    yields its ``MemoryError`` in place of each of its cells' models, and
-    the next batch still boosts.
+
+def fit_cells(cells) -> list[list[TreeEnsemble]]:
+    """Each cell's trained fold models, in order, from one or more cells of
+    :func:`prepare_folds` models that share every setting but the seed (one
+    config, one class count), boosted together in one :func:`_boost` loop.
+    Every model is bit for bit the one :func:`fit` gives on its rows.
     """
-    cells = list(cells)
-    for begin, end in _blocks([_leaf_slots(cell) for cell in cells], _BATCH_BUDGET):
-        batch = cells[begin:end]
-        failure = None
-        try:
-            models = _boost([model for cell in batch for model in cell])
-        except MemoryError as exc:
-            models, failure = [], exc.with_traceback(None)  # holds no frame of the failed loop
-        for cell in batch:
-            yield models[: len(cell)] if failure is None else failure
-            del models[: len(cell)]
+    models = iter(_boost([model for cell in cells for model in cell]))
+    return [list(itertools.islice(models, len(cell))) for cell in cells]
 
 
 _DOCUMENT_FORMAT = {"format_version": 1, "model_type": "oblivious_gbdt"}

@@ -14,13 +14,15 @@ single-stage CLI subcommands share both.
 
 Cells run k by k in one thread. For each k, every year's cell is cut, its
 folds drawn and its fold models prepared (:func:`evaluation.prepare_cv`); then
-:func:`gbdt.fit_cells` boosts the years' fold models together, in batches
-whose leaf slots stay under a bound, and each cell is analysed and written
-with its own models, which are bit for bit those it would get alone. A
-failure, running out of memory included, is recorded for its year or cell
-while the remaining cells still run. Every stochastic step seeds from
-(seed, year, k, fold), so a rerun with the same config and seed produces a
-byte-identical artifact tree.
+the years' fold models boost together, one :func:`gbdt.fit_cells` call per
+batch of :func:`gbdt.cell_batches`, whose leaf slots stay under a bound, and
+each cell is analysed and written with its own models, which are bit for bit
+those it would get alone. Each stage of ``run_pipeline`` (ingestion,
+analysis, fit, write) catches one set of exceptions, ``_FAILURES``: a
+package error, an ``OSError`` or running out of memory is recorded for its
+year or cell while the remaining cells still run. Every stochastic step
+seeds from (seed, year, k, fold), so a rerun with the same config and seed
+produces a byte-identical artifact tree.
 """
 
 from __future__ import annotations
@@ -35,10 +37,10 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .dataset import VACCINE_COLUMNS, YearDataset, csv_text, load_year, standardize, table_paths
+from .dataset import VACCINE_COLUMNS, YearDataset, csv_text, load_year, standardize, table_paths, write_text
 from .errors import ConfigError, DataError, GeometryKeyMismatch, KOutOfRange, VaxclustError
 from .evaluation import MetricRow, cross_validate, dataset_design, prepare_cv
-from .gbdt import TrainConfig, TreeEnsemble, fit_cells
+from .gbdt import TrainConfig, TreeEnsemble, cell_batches, fit_cells
 from .hcluster import (
     LINKAGES,
     ClusterAssignment,
@@ -393,11 +395,6 @@ def emit_table3(reports: dict, years, k_values) -> str:
     return csv_text(header, rows)
 
 
-def write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        f.write(text)
-
-
 def cluster_table(dataset: YearDataset, assignment: ClusterAssignment) -> str:
     """``clusters_Y_kK.csv``: each district with its cluster index and name."""
     rows = [
@@ -474,23 +471,14 @@ def write_cell_artifacts(report: RunReport, assignment, dataset, config: RunConf
     write(f"report_{tag}.json", report.to_json() + "\n")
 
 
+# what fails a year or a cell, at every stage of run_pipeline
+_FAILURES = (VaxclustError, OSError, MemoryError)
+
+
 def _failure(year: int, k: int, stage: str, exc: Exception) -> dict:
-    error = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__  # numpy raises a private subclass
+    # named by its first public class: numpy runs out of memory with a private subclass
+    error = next(cls.__name__ for cls in type(exc).__mro__ if not cls.__name__.startswith("_"))
     return {"year": year, "k": k, "stage": stage, "error": error, "message": str(exc)}
-
-
-def _finish_cell(dataset, assignment, suggested, config: RunConfig, geometry, fitted) -> RunReport | dict:
-    """Analyse and write one cell with its folds and fitted fold models: its
-    report, or its failure record. Fold models that are a ``MemoryError``
-    (:func:`gbdt.fit_cells`) fail the cell at stage ``fit``."""
-    stage = "fit" if isinstance(fitted[1], MemoryError) else "analysis"
-    try:
-        report = analyze_cell(dataset, assignment, suggested, config, fitted=fitted)
-        stage = "write"
-        write_cell_artifacts(report, assignment, dataset, config, geometry)
-    except (VaxclustError, MemoryError) as exc:
-        return _failure(dataset.year, assignment.k, stage, exc)
-    return report
 
 
 @dataclass
@@ -518,7 +506,7 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
                 }
             dendro, suggested = cluster_year(dataset, config)
             write_text(os.path.join(config.out_dir, f"dendrogram_{year}.csv"), dendrogram_table(dendro))
-        except (DataError, OSError, MemoryError) as exc:
+        except _FAILURES as exc:
             errors.update({(year, k): _failure(year, k, "ingestion", exc) for k in config.k_values})
         else:
             clustered[year] = (dataset, dendro, suggested)
@@ -526,22 +514,37 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
 
     results: dict = {}
     for k in sorted(config.k_values):
-        cells = []
+        cells, untrained = [], []
         for year in sorted(clustered):
             dataset, dendro, suggested = clustered[year]
             train_config, cell_seed = _cell_training(config, year, k)
             try:
                 assignment = assign_clusters(dataset, dendro, k)
-                folds, untrained = prepare_cv(dataset, assignment, train_config, k_folds=config.k_folds, seed=cell_seed)
-                cells.append((dataset, assignment, suggested, folds, untrained))
-            except (VaxclustError, MemoryError) as exc:
+                folds, models = prepare_cv(dataset, assignment, train_config, k_folds=config.k_folds, seed=cell_seed)
+            except _FAILURES as exc:
                 errors[(year, k)] = _failure(year, k, "analysis", exc)
-        boosted = fit_cells([untrained for *_, untrained in cells])
-        for dataset, assignment, suggested, folds, _ in cells:
-            # the models go straight into the call, so no name holds them
-            # while the next batch boosts
-            outcome = _finish_cell(dataset, assignment, suggested, config, geometry, (folds, next(boosted)))
-            (results if isinstance(outcome, RunReport) else errors)[(dataset.year, k)] = outcome
+            else:
+                cells.append((dataset, assignment, suggested, folds))
+                untrained.append(models)
+        for begin, end in cell_batches(untrained):
+            batch = cells[begin:end]
+            try:
+                boosted = fit_cells(untrained[begin:end])
+            except _FAILURES as exc:
+                errors.update({(dataset.year, k): _failure(dataset.year, k, "fit", exc) for dataset, *_ in batch})
+                continue
+            for dataset, assignment, suggested, folds in batch:
+                # each cell's models go straight into the call and leave the
+                # list, so none is held once its cell is done
+                stage = "analysis"
+                try:
+                    report = analyze_cell(dataset, assignment, suggested, config, fitted=(folds, boosted.pop(0)))
+                    stage = "write"
+                    write_cell_artifacts(report, assignment, dataset, config, geometry)
+                except _FAILURES as exc:
+                    errors[(dataset.year, k)] = _failure(dataset.year, k, stage, exc)
+                else:
+                    results[(dataset.year, k)] = report
     results = dict(sorted(results.items()))
     errors = dict(sorted(errors.items()))
 

@@ -29,6 +29,7 @@ from .dataset import (
     YearDataset,
     csv_text,
     table_paths,
+    write_text,
 )
 from .errors import SpecInvalid
 from .fixtures import TABLE2, table2_means
@@ -167,7 +168,8 @@ def generate(spec: SynthSpec) -> tuple[YearDataset, np.ndarray]:
 
 def write_dataset_files(dataset: YearDataset, truth: np.ndarray, out_dir) -> dict[str, str]:
     """Write vaccination/gdsc tables in the ingestion format, plus truth labels,
-    each through :func:`vaxclust.dataset.csv_text`."""
+    each through :func:`vaxclust.dataset.csv_text` and
+    :func:`vaxclust.dataset.write_text`."""
     os.makedirs(out_dir, exist_ok=True)
     vaccination, gdsc = table_paths(out_dir, dataset.year)
     paths = {"vaccination": vaccination, "gdsc": gdsc, "truth": os.path.join(out_dir, "truth_labels.csv")}
@@ -189,6 +191,5 @@ def write_dataset_files(dataset: YearDataset, truth: np.ndarray, out_dir) -> dic
         ),
     }
     for name, text in tables.items():
-        with open(paths[name], "w", newline="", encoding="utf-8") as f:
-            f.write(text)
+        write_text(paths[name], text)
     return paths

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import csv
+import errno
 import io
 import math
+import os
 import re
 
 import numpy as np
@@ -359,3 +361,21 @@ def test_load_year_skips_byte_order_mark(tmp_path, bom_in):
     path = tmp_path / f"{bom_in}_2021.csv"
     path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
     assert_same_dataset(ds.load_year(paths["vaccination"], paths["gdsc"], 2021), plain)
+
+
+def test_write_text_writes_the_whole_text_or_leaves_the_file_as_it_was(tmp_path, monkeypatch):
+    path = tmp_path / "table.csv"
+    ds.write_text(path, "a,b\r\n1,é\n")
+    assert path.read_bytes() == "a,b\r\n1,é\n".encode()  # UTF-8, line ends as given
+    umask = os.umask(0o022)
+    os.umask(umask)
+    assert path.stat().st_mode & 0o777 == 0o666 & ~umask  # not tempfile's 0600
+
+    def cross_device(src, dst):
+        raise OSError(errno.EXDEV, os.strerror(errno.EXDEV))
+
+    monkeypatch.setattr(os, "replace", cross_device)
+    with pytest.raises(OSError):
+        ds.write_text(path, "x,y\n")
+    assert path.read_bytes() == "a,b\r\n1,é\n".encode()
+    assert os.listdir(tmp_path) == ["table.csv"]  # the temporary file is gone

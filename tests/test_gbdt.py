@@ -765,7 +765,7 @@ def _fold_battery():
 
 def _fit_folds(X, cats, y, folds, cfg):
     """One cell's fold models, boosted together by ``fit_cells``."""
-    return next(gbdt.fit_cells([gbdt.prepare_folds(X, cats, y, folds, cfg)]))
+    return gbdt.fit_cells([gbdt.prepare_folds(X, cats, y, folds, cfg)])[0]
 
 
 def _fold_args(X, cats, y, folds, cfg):
@@ -915,7 +915,7 @@ def test_blocks_match_the_greedy_rule_and_batch_cells_as_before(rng, monkeypatch
             seen["over"] |= sizes[begin] > cap
     assert all(seen.values()), seen
 
-    # fit_cells batches cells by their leaf slots under the same rule
+    # cell_batches batches cells for fit_cells by their leaf slots under the same rule
     batches = []
 
     def boost(untrained):
@@ -927,7 +927,8 @@ def test_blocks_match_the_greedy_rule_and_batch_cells_as_before(rng, monkeypatch
     monkeypatch.setattr(gbdt, "_boost", boost)
     monkeypatch.setattr(gbdt, "_BATCH_BUDGET", 480)
     cells = [[untrained] * folds for folds in (4, 12, 2, 2, 1, 20, 4)]
-    assert [len(models) for models in gbdt.fit_cells(cells)] == [4, 12, 2, 2, 1, 20, 4]
+    fitted = [models for begin, end in gbdt.cell_batches(cells) for models in gbdt.fit_cells(cells[begin:end])]
+    assert [len(models) for models in fitted] == [4, 12, 2, 2, 1, 20, 4]
     slots = [gbdt._leaf_slots(cell) for cell in cells]
     assert slots == [160, 480, 80, 80, 40, 800, 160]
     assert batches == [sum(len(cell) for cell in cells[a:b]) for a, b in _greedy_blocks(slots, 480)]

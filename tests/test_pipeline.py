@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import errno
 import glob
 import json
 import os
@@ -519,6 +520,80 @@ def test_missing_input_file_is_data_error(tmp_path):
     result = pl.run_pipeline(config)
     assert result.exit_code == 2
     assert not result.reports
+
+
+def test_a_year_without_tables_fails_at_ingestion_and_the_other_years_run(tmp_path):
+    config = small_config(tmp_path, years=(2021, 2022), k_values=[2, 3], n_trees=5)
+    for path in table_paths(config.input_dir, 2022):
+        os.remove(path)
+    result = pl.run_pipeline(config)
+    assert result.exit_code == 2
+    assert {cell: (e["stage"], e["error"]) for cell, e in result.errors.items()} == {
+        (2022, 2): ("ingestion", "FileNotFoundError"),
+        (2022, 3): ("ingestion", "FileNotFoundError"),
+    }
+    assert list(result.reports) == [(2021, 2), (2021, 3)]
+    summary = _summary(config)
+    assert summary["cells_ok"] == ["2021_k2", "2021_k3"]
+    assert summary["cells_failed"] == list(result.errors.values())
+    for name in ("report_2021_k2.json", "report_2021_k3.json", "metrics.csv", "dendrogram_2021.csv"):
+        assert os.path.isfile(os.path.join(config.out_dir, name)), name
+
+
+_CELL_FILES = ("clusters_{}.csv", "cluster_means_{}.csv", "shap_importance_{}.csv", "tests_{}.csv",
+               "boxstats_{}.csv", "crosstab_{}.csv", "choropleth_{}.json", "report_{}.json")
+
+
+def test_a_directory_in_the_way_fails_only_its_cell_at_write(tmp_path):
+    # The IsADirectoryError left run_pipeline, and the run ended as a data
+    # error (exit 2) with no metrics.csv and no run_summary.json, though the
+    # k=2 cell's files were all written.
+    config = small_config(tmp_path, k_values=[2, 3], n_trees=5)
+    os.makedirs(os.path.join(config.out_dir, "report_2021_k3.json"))
+    result = pl.run_pipeline(config)
+    assert result.exit_code == 3
+    failure = result.errors[(2021, 3)]
+    assert (failure["stage"], failure["error"]) == ("write", "IsADirectoryError")
+    summary = _summary(config)
+    assert summary["cells_ok"] == ["2021_k2"]
+    assert summary["cells_failed"] == [failure]
+    names = set(os.listdir(config.out_dir))
+    assert {name.format("2021_k2") for name in _CELL_FILES} | {"metrics.csv", "metrics_full.json"} <= names
+    assert not [name for name in names if name.startswith(".")]  # no temporary file is left
+
+
+def test_a_full_disk_fails_its_cell_and_leaves_no_partial_file(tmp_path, monkeypatch):
+    # The disk fills halfway through report_2021_k3.json. The truncated
+    # report stayed behind for `report` to read, and the OSError ended the
+    # run as a data error (exit 2) with no run_summary.json.
+    config = small_config(tmp_path, k_values=[2, 3], n_trees=5)
+    real_open = open
+
+    def full_disk(path, mode="r", *args, **kwargs):
+        f = real_open(path, mode, *args, **kwargs)
+        if "report_2021_k3.json" in os.fspath(path):
+            write = f.write
+
+            def write_half(text):
+                write(text[: len(text) // 2])
+                f.flush()
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+            f.write = write_half
+        return f
+
+    monkeypatch.setattr("builtins.open", full_disk)
+    result = pl.run_pipeline(config)
+    monkeypatch.undo()
+    assert result.exit_code == 3
+    failure = result.errors[(2021, 3)]
+    assert (failure["stage"], failure["error"]) == ("write", "OSError")
+    assert os.strerror(errno.ENOSPC) in failure["message"]
+    assert _summary(config)["cells_ok"] == ["2021_k2"]
+    names = set(os.listdir(config.out_dir))
+    assert "report_2021_k3.json" not in names
+    assert "report_2021_k2.json" in names
+    assert not [name for name in names if name.startswith(".")]
 
 
 def test_determinism_across_runs_and_threads(tmp_path):
