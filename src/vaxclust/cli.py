@@ -1,14 +1,16 @@
 """Command-line interface.
 
 Subcommands mirror the pipeline stages: ``run`` drives the whole analysis
-from a config file; ``cluster``, ``train``, ``explain``, and ``stats`` run a
-single stage for one year, through the same stage functions as ``run``;
-``synth`` writes synthetic input tables; ``report`` re-assembles the metrics
-table from per-cell report files. ``run`` and the stage subcommands read
-``--config`` when given, with their flags as overrides.
+from a config file, and ``stats`` is ``run`` on one (year, k) cell;
+``cluster``, ``train`` and ``explain`` run a single stage for one year,
+through the same stage functions as ``run``; ``synth`` writes synthetic
+input tables; ``report`` re-assembles the metrics table from per-cell report
+files. ``run`` and the stage subcommands read ``--config`` when given, with
+their flags as overrides.
 
 Exit codes: 0 success, 1 config error, 2 data error, 3 one or more
-(year, k) cells failed, or a stage command failed or ran out of memory.
+(year, k) cells failed, or a stage command failed, ran out of memory or
+could not write its output.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from .gbdt import fit, from_json as model_from_json, to_json as model_to_json
 from .hcluster import dendrogram_table
 from .pipeline import (
     RunReport,
-    analyze_cell,
     assign_clusters,
     cluster_table,
     cluster_year,
@@ -34,7 +35,6 @@ from .pipeline import (
     load_config,
     load_dataset,
     run_pipeline,
-    write_cell_artifacts,
 )
 from .shapley import TreeShapExplainer, importance_of
 from .synth import default_spec, generate, write_dataset_files
@@ -70,9 +70,30 @@ def _config(args):
     return config_from_mapping({"out_dir": ".", **overrides})
 
 
+def _write(path: str, text: str) -> None:
+    """``write_text``; a failed write fails the command (exit 3), as it fails a cell of ``run``."""
+    try:
+        write_text(path, text)
+    except OSError as exc:
+        raise VaxclustError(f"cannot write {path}: {exc}") from exc
+
+
+def _say_dropped(year, vaccination_only, gdsc_only) -> None:
+    """The districts a partial join dropped, to stderr."""
+    for side, dropped in (("vaccination", vaccination_only), ("gdsc", gdsc_only)):
+        if dropped:
+            print(f"year {year}: partial join dropped {len(dropped)} district(s) found in the "
+                  f"{side} table only: {', '.join(dropped)}", file=sys.stderr)
+
+
 def cmd_run(args) -> int:
+    """``run``, and ``stats`` on its one cell: dropped districts and failed cells go to stderr."""
     config = _config(args)
     result = run_pipeline(config)
+    for year, dropped in result.dropped.items():
+        _say_dropped(year, **dropped)
+    for failure in result.errors.values():
+        print("year {year}, k={k}: {stage} failed: {error}: {message}".format(**failure), file=sys.stderr)
     ok = len(result.reports)
     failed = len(result.errors)
     print(f"pipeline finished: {ok} cell(s) ok, {failed} failed; artifacts in {config.out_dir}")
@@ -82,10 +103,7 @@ def cmd_run(args) -> int:
 def _load(config, year):
     """The year's dataset; the districts a partial join dropped go to stderr."""
     dataset = load_dataset(config, year)
-    for side, dropped in (("vaccination", dataset.vaccination_only), ("gdsc", dataset.gdsc_only)):
-        if dropped:
-            print(f"year {year}: partial join dropped {len(dropped)} district(s) found in the "
-                  f"{side} table only: {', '.join(dropped)}", file=sys.stderr)
+    _say_dropped(year, dataset.vaccination_only, dataset.gdsc_only)
     return dataset
 
 
@@ -94,31 +112,26 @@ def cmd_cluster(args) -> int:
     dataset = _load(config, args.year)
     dendro, suggested = cluster_year(dataset, config)
     os.makedirs(config.out_dir, exist_ok=True)
-    write_text(os.path.join(config.out_dir, f"dendrogram_{args.year}.csv"), dendrogram_table(dendro))
+    _write(os.path.join(config.out_dir, f"dendrogram_{args.year}.csv"), dendrogram_table(dendro))
     for k in config.k_values:
         assignment = assign_clusters(dataset, dendro, k)
         path = os.path.join(config.out_dir, f"clusters_{args.year}_k{k}.csv")
-        write_text(path, cluster_table(dataset, assignment))
+        _write(path, cluster_table(dataset, assignment))
     print(f"clustered year {args.year} at k={list(config.k_values)}; suggested k = {suggested}")
     return 0
 
 
-def _cut(args):
-    """(config, dataset, assignment at ``--k``, suggested k) for one year."""
+def cmd_train(args) -> int:
     config = _config(args)
     dataset = _load(config, args.year)
-    dendro, suggested = cluster_year(dataset, config)
-    return config, dataset, assign_clusters(dataset, dendro, args.k), suggested
-
-
-def cmd_train(args) -> int:
-    config, dataset, assignment, _ = _cut(args)
+    dendro, _ = cluster_year(dataset, config)
+    assignment = assign_clusters(dataset, dendro, args.k)
     numeric, categorical, numeric_names, cat_names = dataset_design(dataset)
     model = fit(
         numeric, categorical, assignment.labels, config.train,
         numeric_names=numeric_names, categorical_names=cat_names,
     )
-    write_text(args.model_out, model_to_json(model) + "\n")
+    _write(args.model_out, model_to_json(model) + "\n")
     print(f"trained k={args.k} model on year {args.year}; wrote {args.model_out}")
     return 0
 
@@ -142,7 +155,7 @@ def cmd_explain(args) -> int:
     os.makedirs(config.out_dir, exist_ok=True)
     path = os.path.join(config.out_dir, f"shap_importance_{args.year}.csv")
     ranked = ((name, value, rank) for rank, (name, value) in enumerate(importance.ranking(), start=1))
-    write_text(path, csv_text(("feature_name", "mean_abs_shap", "rank"), ranked))
+    _write(path, csv_text(("feature_name", "mean_abs_shap", "rank"), ranked))
     if args.per_row:
         rows = (
             (district_id, output, fname, float(phi[i, output, j]))
@@ -151,17 +164,8 @@ def cmd_explain(args) -> int:
             for j, fname in enumerate(model.feature_names)
         )
         rows_path = os.path.join(config.out_dir, f"shap_rows_{args.year}.csv")
-        write_text(rows_path, csv_text(("district_id", "output", "feature_name", "phi"), rows))
+        _write(rows_path, csv_text(("district_id", "output", "feature_name", "phi"), rows))
     print(f"wrote {path}")
-    return 0
-
-
-def cmd_stats(args) -> int:
-    config, dataset, assignment, suggested = _cut(args)
-    report = analyze_cell(dataset, assignment, suggested, config)
-    os.makedirs(config.out_dir, exist_ok=True)
-    write_cell_artifacts(report, assignment, dataset, config, config.geometry)
-    print(f"wrote stats artifacts for year {args.year}, k={args.k} to {config.out_dir}")
     return 0
 
 
@@ -197,7 +201,7 @@ def cmd_report(args) -> int:
     out_path = args.out or os.path.join(args.runs, "metrics.csv")
     if os.path.isdir(out_path):
         out_path = os.path.join(out_path, "metrics.csv")
-    write_text(out_path, table)
+    _write(out_path, table)
     print(f"wrote {out_path}")
     return 0
 
@@ -215,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("cluster", cmd_cluster, False),
         ("train", cmd_train, True),
         ("explain", cmd_explain, False),
-        ("stats", cmd_stats, True),
+        ("stats", cmd_run, True),
     ):
         p = sub.add_parser(name, help=f"{name} stage for one year")
         _add_config_flags(p)

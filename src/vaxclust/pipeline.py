@@ -404,13 +404,13 @@ def cluster_table(dataset: YearDataset, assignment: ClusterAssignment) -> str:
     return csv_text(("district_id", "district_name", "cluster_index", "cluster_name"), rows)
 
 
-def write_cell_artifacts(report: RunReport, assignment, dataset, config: RunConfig, geometry) -> None:
+def write_cell_artifacts(report: RunReport, assignment, dataset, config: RunConfig) -> None:
     """One cell's CSV tables, choropleth and report under ``config.out_dir``.
 
-    The choropleth is built first: a ``geometry`` that lacks a district
+    The choropleth is built first: a ``config.geometry`` lacking a district
     raises GeometryKeyMismatch before any of the cell's files is written.
     """
-    choropleth = emit_choropleth(assignment, dataset, geometry)
+    choropleth = emit_choropleth(assignment, dataset, config.geometry)
     tag = f"{report.year}_k{report.k}"
     names = report.cluster_names
 
@@ -466,7 +466,7 @@ def write_cell_artifacts(report: RunReport, assignment, dataset, config: RunConf
         ["rurality", *names],
         ([r + 1, *row] for r, row in enumerate(report.crosstab)),
     ))
-    suffix = "geojson" if geometry is not None else "json"
+    suffix = "geojson" if config.geometry is not None else "json"
     write(f"choropleth_{tag}.{suffix}", json.dumps(choropleth, sort_keys=True, indent=2) + "\n")
     write(f"report_{tag}.json", report.to_json() + "\n")
 
@@ -486,11 +486,11 @@ class PipelineResult:
     reports: dict
     errors: dict
     exit_code: int
+    dropped: dict
 
 
 def run_pipeline(config: RunConfig) -> PipelineResult:
     config.validate()
-    geometry = config.geometry
     os.makedirs(config.out_dir, exist_ok=True)
 
     clustered: dict[int, tuple[YearDataset, Dendrogram, int]] = {}
@@ -540,7 +540,7 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
                 try:
                     report = analyze_cell(dataset, assignment, suggested, config, fitted=(folds, boosted.pop(0)))
                     stage = "write"
-                    write_cell_artifacts(report, assignment, dataset, config, geometry)
+                    write_cell_artifacts(report, assignment, dataset, config)
                 except _FAILURES as exc:
                     errors[(dataset.year, k)] = _failure(dataset.year, k, stage, exc)
                 else:
@@ -581,4 +581,4 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
         exit_code = 3
     else:
         exit_code = 0
-    return PipelineResult(reports=results, errors=errors, exit_code=exit_code)
+    return PipelineResult(reports=results, errors=errors, exit_code=exit_code, dropped=dropped)

@@ -683,6 +683,54 @@ def test_stats_subcommand(tmp_path, synth_inputs):
     assert (out / "crosstab_2021_k2.csv").exists()
 
 
+_CELL_FILES = ("clusters_{}.csv", "cluster_means_{}.csv", "shap_importance_{}.csv", "tests_{}.csv",
+               "boxstats_{}.csv", "crosstab_{}.csv", "choropleth_{}.json")
+
+
+def test_stats_is_run_on_one_cell(tmp_path, synth_inputs):
+    # run boosts the two years' k=3 cells together, stats its one cell alone
+    assert main(["synth", "--year", "2022", "--k", "2", "--n-per-cluster", "12", "12", "--seed", "9",
+                 "--out", str(synth_inputs)]) == 0
+    run_out, alone = tmp_path / "run", tmp_path / "alone"
+    config = _write_config(tmp_path, synth_inputs, run_out, years=[2021, 2022], k_values=[2, 3])
+    assert main(["run", "--config", config]) == 0
+    assert main(["stats", "--config", config, "--year", "2022", "--k", "3", "--out", str(alone)]) == 0
+    cell = [name.format("2022_k3") for name in _CELL_FILES]
+    run_files = ["dendrogram_2022.csv", "report_2022_k3.json", "metrics.csv", "metrics_full.json", "run_summary.json"]
+    assert sorted(path.name for path in alone.iterdir()) == sorted(cell + run_files)
+    for name in [*cell, "dendrogram_2022.csv"]:
+        assert (alone / name).read_bytes() == (run_out / name).read_bytes(), name
+
+
+def test_stats_failed_write_is_a_recorded_cell_failure(tmp_path, synth_inputs, capsys):
+    # stats let the IsADirectoryError reach cli.main, which called it a data
+    # error (exit 2), and wrote no run_summary.json
+    out = tmp_path / "stats"
+    (out / "report_2021_k2.json").mkdir(parents=True)
+    code = main(["stats", "--input-dir", str(synth_inputs), "--year", "2021", "--k", "2", "--out", str(out)])
+    assert code == 3
+    assert capsys.readouterr().err.startswith("year 2021, k=2: write failed: IsADirectoryError: ")
+    summary = json.loads((out / "run_summary.json").read_text())
+    assert summary["cells_ok"] == []
+    assert [(f["year"], f["k"], f["stage"], f["error"]) for f in summary["cells_failed"]] == [
+        (2021, 2, "write", "IsADirectoryError")
+    ]
+    for name in [name.format("2021_k2") for name in _CELL_FILES] + ["dendrogram_2021.csv", "metrics.csv"]:
+        assert (out / name).is_file(), name
+
+
+@pytest.mark.parametrize("command", ["cluster", "train"])
+def test_stage_command_failed_write_exits_3(tmp_path, synth_inputs, capsys, command):
+    # a directory in the way of the output: cli.main called the OSError a
+    # data error (exit 2), though the input tables are fine
+    out = tmp_path / "out"
+    (out / "clusters_2021_k2.csv").mkdir(parents=True)
+    extra = {"cluster": ["--k-values", "2"], "train": ["--k", "2", "--model-out", str(out)]}[command]
+    code = main([command, "--input-dir", str(synth_inputs), "--year", "2021", "--out", str(out), *extra])
+    assert code == 3
+    assert capsys.readouterr().err.startswith("error: cannot write ")
+
+
 def test_report_subcommand(tmp_path, synth_inputs):
     out = tmp_path / "out"
     config = _write_config(tmp_path, synth_inputs, out)

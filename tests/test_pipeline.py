@@ -457,14 +457,15 @@ def test_year_past_district_bound_is_data_error(tmp_path, capsys):
     pl.write_text(gdsc, csv_text(
         ["district_id", *GDSC_NUMERIC_COLUMNS, "rurality"], ([d, *[i % 101] * 8, i % 6 + 1] for i, d in enumerate(ids))
     ))
-    for stage in (["cluster"], ["train", "--k", "2", "--model-out", str(out / "model.json")], ["stats", "--k", "2"]):
+    for stage in (["cluster"], ["train", "--k", "2", "--model-out", str(out / "model.json")]):
         assert main([stage[0], "--input-dir", str(indir), "--year", "2021", *stage[1:], "--out", str(out)]) == 2
         assert capsys.readouterr().err == "data error: a year holds at most 10000 districts to cluster, got 10001\n"
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"years": [2021], "input_dir": str(indir), "out_dir": str(out), "k_values": [2]}))
-    assert main(["run", "--config", str(config)]) == 2
-    [failure] = _summary(pl.load_config(config))["cells_failed"]
-    assert (failure["stage"], failure["error"]) == ("ingestion", "DataError")
+    for command in (["run"], ["stats", "--year", "2021", "--k", "2"]):  # stats is run on one cell
+        assert main([*command, "--config", str(config)]) == 2
+        [failure] = _summary(pl.load_config(config))["cells_failed"]
+        assert (failure["stage"], failure["error"]) == ("ingestion", "DataError")
 
 
 def test_each_cell_draws_its_folds_once(tmp_path, monkeypatch):
