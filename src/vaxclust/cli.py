@@ -8,9 +8,9 @@ input tables; ``report`` re-assembles the metrics table from per-cell report
 files. ``run`` and the stage subcommands read ``--config`` when given, with
 their flags as overrides.
 
-Exit codes: 0 success, 1 config error, 2 data error, 3 one or more
-(year, k) cells failed, or a stage command failed, ran out of memory or
-could not write its output.
+Exit codes: 0 success, 1 config error, 2 data error (an input could not be
+read or used), 3 one or more (year, k) cells failed, or a command failed, ran
+out of memory or could not write an output or its directory (a WriteError).
 """
 
 from __future__ import annotations
@@ -70,14 +70,6 @@ def _config(args):
     return config_from_mapping({"out_dir": ".", **overrides})
 
 
-def _write(path: str, text: str) -> None:
-    """``write_text``; a failed write fails the command (exit 3), as it fails a cell of ``run``."""
-    try:
-        write_text(path, text)
-    except OSError as exc:
-        raise VaxclustError(f"cannot write {path}: {exc}") from exc
-
-
 def _say_dropped(year, vaccination_only, gdsc_only) -> None:
     """The districts a partial join dropped, to stderr."""
     for side, dropped in (("vaccination", vaccination_only), ("gdsc", gdsc_only)):
@@ -111,12 +103,11 @@ def cmd_cluster(args) -> int:
     config = _config(args)
     dataset = _load(config, args.year)
     dendro, suggested = cluster_year(dataset, config)
-    os.makedirs(config.out_dir, exist_ok=True)
-    _write(os.path.join(config.out_dir, f"dendrogram_{args.year}.csv"), dendrogram_table(dendro))
+    write_text(os.path.join(config.out_dir, f"dendrogram_{args.year}.csv"), dendrogram_table(dendro))
     for k in config.k_values:
         assignment = assign_clusters(dataset, dendro, k)
         path = os.path.join(config.out_dir, f"clusters_{args.year}_k{k}.csv")
-        _write(path, cluster_table(dataset, assignment))
+        write_text(path, cluster_table(dataset, assignment))
     print(f"clustered year {args.year} at k={list(config.k_values)}; suggested k = {suggested}")
     return 0
 
@@ -131,7 +122,7 @@ def cmd_train(args) -> int:
         numeric, categorical, assignment.labels, config.train,
         numeric_names=numeric_names, categorical_names=cat_names,
     )
-    _write(args.model_out, model_to_json(model) + "\n")
+    write_text(args.model_out, model_to_json(model) + "\n")
     print(f"trained k={args.k} model on year {args.year}; wrote {args.model_out}")
     return 0
 
@@ -152,10 +143,9 @@ def cmd_explain(args) -> int:
         )
     phi = TreeShapExplainer(model).explain(model.encode_features(numeric, categorical))
     importance = importance_of(model, phi)  # one SHAP pass serves the ranking and the rows
-    os.makedirs(config.out_dir, exist_ok=True)
     path = os.path.join(config.out_dir, f"shap_importance_{args.year}.csv")
     ranked = ((name, value, rank) for rank, (name, value) in enumerate(importance.ranking(), start=1))
-    _write(path, csv_text(("feature_name", "mean_abs_shap", "rank"), ranked))
+    write_text(path, csv_text(("feature_name", "mean_abs_shap", "rank"), ranked))
     if args.per_row:
         rows = (
             (district_id, output, fname, float(phi[i, output, j]))
@@ -164,7 +154,7 @@ def cmd_explain(args) -> int:
             for j, fname in enumerate(model.feature_names)
         )
         rows_path = os.path.join(config.out_dir, f"shap_rows_{args.year}.csv")
-        _write(rows_path, csv_text(("district_id", "output", "feature_name", "phi"), rows))
+        write_text(rows_path, csv_text(("district_id", "output", "feature_name", "phi"), rows))
     print(f"wrote {path}")
     return 0
 
@@ -201,7 +191,7 @@ def cmd_report(args) -> int:
     out_path = args.out or os.path.join(args.runs, "metrics.csv")
     if os.path.isdir(out_path):
         out_path = os.path.join(out_path, "metrics.csv")
-    _write(out_path, table)
+    write_text(out_path, table)
     print(f"wrote {out_path}")
     return 0
 
@@ -262,7 +252,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except (DataError, OSError) as exc:
+    except (DataError, OSError) as exc:  # an input: every write raises WriteError, so OSError is a read
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     except VaxclustError as exc:

@@ -14,7 +14,7 @@ errors, and a numeric cell must be a plain decimal (no exponent or locale
 separator), finite and within its column's :data:`_BOUNDS`, so a decimal too
 long for a double is out of range. Missing cells are never imputed.
 :func:`csv_text` is the one writer for every CSV artifact the package emits,
-and :func:`write_text` the one writer of every file.
+and :func:`write_text` the one writer of every file, a failed one a WriteError.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from .errors import (
     OutOfRange,
     RuralityOutOfDomain,
     TooFewRows,
+    WriteError,
 )
 
 VACCINE_COLUMNS = (
@@ -160,21 +161,24 @@ def csv_text(header, rows) -> str:
 def write_text(path, text: str) -> None:
     """Write ``text`` to ``path`` as UTF-8, whole or not at all.
 
-    The text goes to ``.NAME.tmp`` beside ``path``, a name no artifact
-    pattern matches, which then replaces ``path`` in one rename; on any
-    failure the temporary file is removed and ``path`` is left as it was.
-    The name holds no process id, so a failure's message is the same on
-    every rerun. The file's mode follows the umask.
+    The directory is made; the text goes to ``.NAME.tmp`` beside ``path``,
+    a name no artifact pattern matches and every rerun repeats (so does a
+    failure's message), then replaces ``path`` in one rename. On any failure
+    the temporary file is removed, ``path`` is left as it was and an OSError
+    becomes a WriteError, ``cannot write PATH: ...``. Mode follows the umask.
     """
     directory, name = os.path.split(path)
     temporary = os.path.join(directory, f".{name}.tmp")
     try:
+        os.makedirs(directory or ".", exist_ok=True)
         with open(temporary, "w", encoding="utf-8", newline="") as f:
             f.write(text)
         os.replace(temporary, path)
-    except BaseException:
+    except BaseException as exc:
         with contextlib.suppress(OSError):
             os.remove(temporary)
+        if isinstance(exc, OSError):
+            raise WriteError(f"cannot write {path}: {exc}") from exc
         raise
 
 
@@ -266,14 +270,14 @@ def table_paths(directory, year: int) -> tuple[str, str]:
 
 def load_year(vacc_path, gdsc_path, year: int, allow_partial: bool = False) -> YearDataset:
     """Both tables of a year, parsed and joined; a leading byte-order mark is
-    skipped. A file that is not UTF-8 or not CSV the ``csv`` module can read is
-    a DataError naming it."""
+    skipped. A file that is missing, unreadable, not UTF-8 or not CSV the
+    ``csv`` module can read is a DataError naming it."""
     tables = []
     for path, parse in ((vacc_path, parse_vaccination_table), (gdsc_path, parse_gdsc_table)):
         try:
             with open(path, encoding="utf-8-sig", newline="") as f:
                 tables.append(parse(f, year))
-        except (UnicodeDecodeError, csv.Error) as exc:
+        except (OSError, UnicodeDecodeError, csv.Error) as exc:
             raise DataError(f"cannot read {path} as UTF-8 CSV: {exc}") from exc
     return join_year(*tables, year, allow_partial=allow_partial)
 

@@ -1,12 +1,12 @@
 """Exception taxonomy shared by all vaxclust modules.
 
-Exit-code mapping used by the CLI: ConfigError -> 1, DataError -> 2,
-anything else -> 3. ``run``, and ``stats`` on its one cell, record a
-VaxclustError, an OSError or a MemoryError against its year or (year, k)
-cell, at the stage that raised it: a year that fails to load or cluster
-exits 2, a cell that fails later, a failed write included, exits 3. The
-other stage commands map a failed write to 3 and any other OSError, such
-as an unreadable input, to 2.
+Exit-code mapping used by the CLI: ConfigError -> 1, DataError (an input
+that could not be read or used) -> 2, anything else -> 3. An output that
+cannot be written, its directory included, is a WriteError (exit 3). ``run``,
+and ``stats`` on its one cell, record a VaxclustError or a MemoryError
+against its year or (year, k) cell, at the stage that raised it: a year that
+fails to load or cluster exits 2, a cell that fails later, a failed write
+included, exits 3.
 """
 
 from __future__ import annotations
@@ -22,6 +22,10 @@ class ConfigError(VaxclustError):
 
 class DataError(VaxclustError):
     """Input tables could not be ingested as specified."""
+
+
+class WriteError(VaxclustError):
+    """An output file or its directory could not be written."""
 
 
 class MissingColumn(DataError):

@@ -471,7 +471,7 @@ def write_cell_artifacts(report: RunReport, assignment, dataset, config: RunConf
     write(f"report_{tag}.json", report.to_json() + "\n")
 
 
-# what fails a year or a cell, at every stage of run_pipeline
+# what fails a year or a cell, at every stage of run_pipeline (OSError: a safety net)
 _FAILURES = (VaxclustError, OSError, MemoryError)
 
 
@@ -491,12 +491,12 @@ class PipelineResult:
 
 def run_pipeline(config: RunConfig) -> PipelineResult:
     config.validate()
-    os.makedirs(config.out_dir, exist_ok=True)
 
     clustered: dict[int, tuple[YearDataset, Dendrogram, int]] = {}
     errors: dict = {}
     dropped: dict[str, dict] = {}
     for year in config.years:
+        stage = "ingestion"
         try:
             dataset = load_dataset(config, year)
             if dataset.vaccination_only or dataset.gdsc_only:
@@ -505,12 +505,13 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
                     "gdsc_only": list(dataset.gdsc_only),
                 }
             dendro, suggested = cluster_year(dataset, config)
+            stage = "write"
             write_text(os.path.join(config.out_dir, f"dendrogram_{year}.csv"), dendrogram_table(dendro))
         except _FAILURES as exc:
-            errors.update({(year, k): _failure(year, k, "ingestion", exc) for k in config.k_values})
+            errors.update({(year, k): _failure(year, k, stage, exc) for k in config.k_values})
         else:
             clustered[year] = (dataset, dendro, suggested)
-    data_error = bool(errors)
+    data_error = any(failure["stage"] == "ingestion" for failure in errors.values())
 
     results: dict = {}
     for k in sorted(config.k_values):

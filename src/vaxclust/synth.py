@@ -170,7 +170,6 @@ def write_dataset_files(dataset: YearDataset, truth: np.ndarray, out_dir) -> dic
     """Write vaccination/gdsc tables in the ingestion format, plus truth labels,
     each through :func:`vaxclust.dataset.csv_text` and
     :func:`vaxclust.dataset.write_text`."""
-    os.makedirs(out_dir, exist_ok=True)
     vaccination, gdsc = table_paths(out_dir, dataset.year)
     paths = {"vaccination": vaccination, "gdsc": gdsc, "truth": os.path.join(out_dir, "truth_labels.csv")}
     # shortest positional decimal that round-trips; the ingestion grammar

@@ -709,11 +709,11 @@ def test_stats_failed_write_is_a_recorded_cell_failure(tmp_path, synth_inputs, c
     (out / "report_2021_k2.json").mkdir(parents=True)
     code = main(["stats", "--input-dir", str(synth_inputs), "--year", "2021", "--k", "2", "--out", str(out)])
     assert code == 3
-    assert capsys.readouterr().err.startswith("year 2021, k=2: write failed: IsADirectoryError: ")
+    assert capsys.readouterr().err.startswith("year 2021, k=2: write failed: WriteError: cannot write ")
     summary = json.loads((out / "run_summary.json").read_text())
     assert summary["cells_ok"] == []
     assert [(f["year"], f["k"], f["stage"], f["error"]) for f in summary["cells_failed"]] == [
-        (2021, 2, "write", "IsADirectoryError")
+        (2021, 2, "write", "WriteError")
     ]
     for name in [name.format("2021_k2") for name in _CELL_FILES] + ["dendrogram_2021.csv", "metrics.csv"]:
         assert (out / name).is_file(), name
@@ -730,6 +730,65 @@ def test_stage_command_failed_write_exits_3(tmp_path, synth_inputs, capsys, comm
     assert code == 3
     assert capsys.readouterr().err.startswith("error: cannot write ")
 
+
+@pytest.mark.parametrize("command", ["run", "stats"])
+def test_a_failed_dendrogram_write_fails_the_years_cells_at_write(tmp_path, synth_inputs, command):
+    # the year stage called every failure ingestion, so the IsADirectoryError
+    # of the dendrogram write made the run a data error (exit 2)
+    out = tmp_path / "out"
+    (out / "dendrogram_2021.csv").mkdir(parents=True)
+    config = _write_config(tmp_path, synth_inputs, out, k_values=[2, 3])
+    extra = {"run": [], "stats": ["--year", "2021", "--k", "2"]}[command]
+    assert main([command, "--config", config, *extra]) == 3
+    summary = json.loads((out / "run_summary.json").read_text())
+    assert summary["cells_ok"] == []
+    ks = {"run": [2, 3], "stats": [2]}[command]
+    assert [(f["k"], f["stage"], f["error"]) for f in summary["cells_failed"]] == [
+        (k, "write", "WriteError") for k in ks
+    ]
+    assert (out / "metrics.csv").is_file()
+
+
+@pytest.mark.parametrize("name", ["metrics.csv", "metrics_full.json", "run_summary.json"])
+def test_a_failed_run_level_write_exits_3(tmp_path, synth_inputs, name):
+    # cli.main called the IsADirectoryError a data error (exit 2)
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)
+    proc = _cli_process("run", "--config", _write_config(tmp_path, synth_inputs, out))
+    assert proc.returncode == 3
+    assert proc.stderr.startswith(f"error: cannot write {out / name}: ")
+    assert "Traceback" not in proc.stderr
+
+
+def test_synth_failed_write_exits_3(tmp_path, capsys):
+    # cli.main called the IsADirectoryError a data error (exit 2)
+    out = tmp_path / "syn"
+    (out / "vaccination_2021.csv").mkdir(parents=True)
+    assert main(["synth", "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("error: cannot write ")
+
+
+@pytest.mark.parametrize("command", ["cluster", "explain"])
+def test_an_output_directory_that_is_a_file_exits_3(tmp_path, synth_inputs, capsys, command):
+    # os.makedirs raised FileExistsError, which cli.main called a data error (exit 2)
+    model_path = tmp_path / "model.json"
+    assert main(["train", "--input-dir", str(synth_inputs), "--year", "2021",
+                 "--k", "2", "--model-out", str(model_path)]) == 0
+    out = tmp_path / "taken"
+    out.write_text("")
+    extra = {"cluster": ["--k-values", "2"], "explain": ["--model", str(model_path)]}[command]
+    capsys.readouterr()
+    code = main([command, "--input-dir", str(synth_inputs), "--year", "2021", "--out", str(out), *extra])
+    assert code == 3
+    assert capsys.readouterr().err.startswith("error: cannot write ")
+
+
+def test_train_makes_the_model_directory(tmp_path, synth_inputs):
+    # the only output whose directory was not made: exit 3, cannot write
+    model_path = tmp_path / "new" / "m.json"
+    assert main(["train", "--input-dir", str(synth_inputs), "--year", "2021",
+                 "--k", "2", "--model-out", str(model_path)]) == 0
+    assert model_from_json(model_path.read_text()).n_classes == 2
 
 def test_report_subcommand(tmp_path, synth_inputs):
     out = tmp_path / "out"

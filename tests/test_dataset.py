@@ -22,6 +22,7 @@ from vaxclust.errors import (
     OutOfRange,
     RuralityOutOfDomain,
     TooFewRows,
+    WriteError,
 )
 
 
@@ -375,7 +376,8 @@ def test_write_text_writes_the_whole_text_or_leaves_the_file_as_it_was(tmp_path,
         raise OSError(errno.EXDEV, os.strerror(errno.EXDEV))
 
     monkeypatch.setattr(os, "replace", cross_device)
-    with pytest.raises(OSError):
+    with pytest.raises(WriteError) as failed:
         ds.write_text(path, "x,y\n")
+    assert isinstance(failed.value.__cause__, OSError)
     assert path.read_bytes() == "a,b\r\n1,é\n".encode()
     assert os.listdir(tmp_path) == ["table.csv"]  # the temporary file is gone

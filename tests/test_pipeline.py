@@ -530,8 +530,8 @@ def test_a_year_without_tables_fails_at_ingestion_and_the_other_years_run(tmp_pa
     result = pl.run_pipeline(config)
     assert result.exit_code == 2
     assert {cell: (e["stage"], e["error"]) for cell, e in result.errors.items()} == {
-        (2022, 2): ("ingestion", "FileNotFoundError"),
-        (2022, 3): ("ingestion", "FileNotFoundError"),
+        (2022, 2): ("ingestion", "DataError"),
+        (2022, 3): ("ingestion", "DataError"),
     }
     assert list(result.reports) == [(2021, 2), (2021, 3)]
     summary = _summary(config)
@@ -554,7 +554,7 @@ def test_a_directory_in_the_way_fails_only_its_cell_at_write(tmp_path):
     result = pl.run_pipeline(config)
     assert result.exit_code == 3
     failure = result.errors[(2021, 3)]
-    assert (failure["stage"], failure["error"]) == ("write", "IsADirectoryError")
+    assert (failure["stage"], failure["error"]) == ("write", "WriteError")
     summary = _summary(config)
     assert summary["cells_ok"] == ["2021_k2"]
     assert summary["cells_failed"] == [failure]
@@ -588,7 +588,7 @@ def test_a_full_disk_fails_its_cell_and_leaves_no_partial_file(tmp_path, monkeyp
     monkeypatch.undo()
     assert result.exit_code == 3
     failure = result.errors[(2021, 3)]
-    assert (failure["stage"], failure["error"]) == ("write", "OSError")
+    assert (failure["stage"], failure["error"]) == ("write", "WriteError")
     assert os.strerror(errno.ENOSPC) in failure["message"]
     assert _summary(config)["cells_ok"] == ["2021_k2"]
     names = set(os.listdir(config.out_dir))
