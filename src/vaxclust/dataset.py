@@ -158,19 +158,28 @@ def csv_text(header, rows) -> str:
     return buffer.getvalue()
 
 
+def make_directory(path) -> None:
+    """Make the directory ``path`` and its parents, unless it is one; an
+    OSError becomes a WriteError, ``cannot write PATH: ...``."""
+    try:
+        os.makedirs(path or ".", exist_ok=True)
+    except OSError as exc:
+        raise WriteError(f"cannot write {path}: {exc}") from exc
+
+
 def write_text(path, text: str) -> None:
     """Write ``text`` to ``path`` as UTF-8, whole or not at all.
 
-    The directory is made; the text goes to ``.NAME.tmp`` beside ``path``,
-    a name no artifact pattern matches and every rerun repeats (so does a
-    failure's message), then replaces ``path`` in one rename. On any failure
-    the temporary file is removed, ``path`` is left as it was and an OSError
-    becomes a WriteError, ``cannot write PATH: ...``. Mode follows the umask.
+    :func:`make_directory` makes the directory; the text goes to ``.NAME.tmp``
+    beside ``path``, a name no artifact pattern matches and every rerun repeats
+    (so does a failure's message), then replaces ``path`` in one rename. On any
+    failure the temporary file is removed, ``path`` is left as it was and an
+    OSError becomes a WriteError, ``cannot write PATH: ...``. Mode follows the umask.
     """
     directory, name = os.path.split(path)
     temporary = os.path.join(directory, f".{name}.tmp")
+    make_directory(directory)
     try:
-        os.makedirs(directory or ".", exist_ok=True)
         with open(temporary, "w", encoding="utf-8", newline="") as f:
             f.write(text)
         os.replace(temporary, path)

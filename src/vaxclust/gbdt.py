@@ -13,8 +13,8 @@ leakage a plain mean encoding would introduce. Inference uses the frozen
 full-training statistics.
 
 Split candidates are 32-bucket per-feature quantile borders, computed once
-per fit from one sort of the design, together with every row's bucket in
-every column. Each tree level
+per fit by :func:`~vaxclust.stats.linear_quantiles` (the box plots' rule) from
+one sort of the design, with every row's bucket in every column. Each tree level
 scores every (feature, threshold) candidate from one gradient and one
 hessian histogram over (occupied leaf, feature, bucket), as in LightGBM's
 histogram method (Ke et al. 2017). The histogram has one row per leaf that
@@ -72,6 +72,7 @@ from .errors import (
 )
 from .rng import Rng, derive_seed
 from .schema import check_fields, is_int, read_object
+from .stats import linear_quantiles
 
 N_QUANTILE_BUCKETS = 32
 _MIN_SPLIT_GAIN = 1e-12
@@ -484,21 +485,11 @@ _QUANTILES = np.arange(1, N_QUANTILE_BUCKETS) / N_QUANTILE_BUCKETS
 
 
 def _quantile_borders(design: np.ndarray) -> np.ndarray:
-    """(quantile, column) ``np.quantile(design, _QUANTILES, axis=0,
-    method="linear")`` from one sort: numpy's position (n - 1) q, its floor
-    row a and the next row b, and its two-sided interpolation, a + (b - a) g
-    below g = 0.5 and b - (b - a) (1 - g) from there. The bits are numpy's,
-    but for the sign of a zero border in a column that holds both -0.0 and
-    +0.0, which numpy's own partition leaves to chance.
-    """
-    n_rows = design.shape[0]
-    ordered = np.sort(design, axis=0)
-    position = (n_rows - 1) * _QUANTILES
-    below = np.floor(position).astype(np.intp)
-    gamma = (position - below)[:, None]
-    a, b = ordered[below], ordered[np.minimum(below + 1, n_rows - 1)]
-    step = b - a
-    return np.where(gamma >= 0.5, b - step * (1 - gamma), a + step * gamma)
+    """(quantile, column) ``np.quantile(design, _QUANTILES, axis=0, method="linear")``:
+    :func:`~vaxclust.stats.linear_quantiles` of the columns, sorted once."""
+    n_rows, n_cols = design.shape
+    ordered = np.sort(design, axis=0).T.ravel()
+    return linear_quantiles(ordered, np.arange(n_cols) * n_rows, np.full(n_cols, n_rows), _QUANTILES).T
 
 
 def _split_table(design: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

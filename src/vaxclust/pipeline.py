@@ -37,7 +37,16 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .dataset import VACCINE_COLUMNS, YearDataset, csv_text, load_year, standardize, table_paths, write_text
+from .dataset import (
+    VACCINE_COLUMNS,
+    YearDataset,
+    csv_text,
+    load_year,
+    make_directory,
+    standardize,
+    table_paths,
+    write_text,
+)
 from .errors import ConfigError, DataError, GeometryKeyMismatch, KOutOfRange, VaxclustError
 from .evaluation import MetricRow, cross_validate, dataset_design, prepare_cv
 from .gbdt import TrainConfig, TreeEnsemble, cell_batches, fit_cells
@@ -491,6 +500,7 @@ class PipelineResult:
 
 def run_pipeline(config: RunConfig) -> PipelineResult:
     config.validate()
+    make_directory(config.out_dir)  # fail before reading any year, not after clustering them all
 
     clustered: dict[int, tuple[YearDataset, Dendrogram, int]] = {}
     errors: dict = {}

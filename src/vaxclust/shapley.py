@@ -150,6 +150,18 @@ def _leaf_terms(forest, values, trees, n_terms, player, width):
     return terms
 
 
+def _others(factors: np.ndarray) -> np.ndarray:
+    """Per player (axis 0), the product of the other players' factors: the cumprod of those before
+    it times the cumprod, from the last down, of those after it, in one loop over the players, which
+    beats ``np.cumprod``'s one short lane per (node, term) on many-tree models, with the same bits."""
+    others, after = np.ones_like(factors), np.ones_like(factors)
+    for s in range(1, factors.shape[0]):
+        np.multiply(others[s - 1], factors[s - 1], out=others[s])
+        np.multiply(after[-s], factors[-s], out=after[-s - 1])
+    others *= after
+    return others
+
+
 class TreeShapExplainer:
     """One leaf-term table for the whole model; attributions for any batch
     of rows.
@@ -179,8 +191,7 @@ class TreeShapExplainer:
         widths = (n_players + 1) // 2 * 2  # trees with ceil(u / 2) quadrature nodes share a width
         width = int(widths.max(initial=0))
         masks = np.zeros((max(depth, width), n_trees), dtype=np.int64)  # levels of each player as leaf-index bits
-        for level in range(depth):
-            masks[player[:, level], np.arange(n_trees)] += real[:, level] << level
+        np.add.at(masks, (player, np.arange(n_trees)[:, None]), real << np.arange(depth))
 
         # each tree's expected value, from its own dot product as numpy sums it
         values = model.learning_rate * forest.leaf_values
@@ -273,17 +284,7 @@ class TreeShapExplainer:
                 short = players < v
                 if short.any():
                     factors[-1][:, short[pair]] = 1.0
-                # a player's integrand is the product of the other players'
-                # factors: those before it, then those after it, each multiplied
-                # up in the order of a cumprod
-                others = np.empty_like(factors)
-                after = np.empty_like(factors)
-                others[0] = after[-1] = 1.0
-                for s in range(1, v):
-                    np.multiply(others[s - 1], factors[s - 1], out=others[s])
-                for s in range(v - 2, -1, -1):
-                    np.multiply(after[s + 1], factors[s + 1], out=after[s])
-                others *= after
+                others = _others(factors)  # a player's integrand at each node
                 integral = weights[0] * others[:, 0]
                 for k in range(1, nodes.size):
                     integral += weights[k] * others[:, k]

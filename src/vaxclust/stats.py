@@ -9,10 +9,10 @@ of Streitberg & Roehmel 1986): the number of j-subsets of the pooled sample
 per doubled rank sum, built one observation at a time. Welch's t is computed
 alongside for transparency; it is never the significance criterion.
 
-Quartile convention (fixed, because tools disagree): linear interpolation
-between order statistics at position p*(n-1), the same rule as
-``numpy.quantile(..., method="linear")``. Whiskers reach the most extreme
-points within 1.5*IQR of the quartiles; points beyond are outliers.
+Quartile convention (fixed, because tools disagree): ``numpy.quantile(...,
+method="linear")``, in :func:`linear_quantiles`, which gbdt's split borders
+share. Whiskers reach the most extreme points within 1.5*IQR of the
+quartiles; points beyond are outliers.
 """
 
 from __future__ import annotations
@@ -171,16 +171,29 @@ def quartiles(values) -> tuple[float, float, float]:
     return float(q1), float(q2), float(q3)
 
 
-_QUARTILE_LEVELS = np.array([0.25, 0.5, 0.75])
+def linear_quantiles(ordered, starts, sizes, levels) -> np.ndarray:
+    """(segment, level) ``numpy.quantile(segment, levels, method="linear")`` of the sorted,
+    non-empty segments ``ordered[start : start + size]``, in numpy's arithmetic: virtual index
+    v = (n - 1) p, order statistics a at floor(v) and b after it, t = v - floor(v) (v + 1 once
+    v reaches n - 1, where numpy reads a and b at index -1), and a + (b - a) t below t = 0.5,
+    b - (b - a) (1 - t) from there. The bits are numpy's, but for the sign of a zero quantile
+    of a segment holding -0.0 and +0.0, whose order numpy leaves to chance."""
+    virtual = (sizes[:, None] - 1) * levels
+    below = np.floor(virtual)
+    t = virtual - np.where(virtual < sizes[:, None] - 1, below, -1)
+    at = starts[:, None] + below.astype(np.intp)
+    lower = ordered[at]
+    upper = ordered[np.minimum(at + 1, (starts + sizes - 1)[:, None])]
+    step = upper - lower
+    return np.where(t >= 0.5, upper - step * (1 - t), lower + step * t)
 
 
 def box_stats(values, grouping) -> dict[int, BoxStats]:
     """Five-number summary plus 1.5*IQR whiskers and outliers, per cluster.
 
     One stable sort by (cluster, value) lays every cluster's sample out in
-    order. Quartiles interpolate its slice as ``numpy.quantile(...,
-    method="linear")`` does, with the same arithmetic; extremes, whiskers and
-    outliers are read off the slice's ends and the bounds' sorted positions.
+    order. Quartiles are its slices' :func:`linear_quantiles`; extremes, whiskers
+    and outliers are read off the slice's ends and the bounds' sorted positions.
     """
     values = np.asarray(values, dtype=np.float64)
     grouping = np.asarray(grouping)
@@ -189,18 +202,7 @@ def box_stats(values, grouping) -> dict[int, BoxStats]:
     order = np.lexsort((values, grouping))
     ordered = values[order]
     clusters, starts, sizes = np.unique(grouping[order], return_index=True, return_counts=True)
-
-    # numpy's "linear" rule: virtual index (n-1)*p, and a lerp from the order
-    # statistic below it that switches to one from above where t >= 0.5
-    virtual = (sizes[:, None] - 1) * _QUARTILE_LEVELS
-    below = np.floor(virtual)
-    t = virtual - below
-    at = starts[:, None] + below.astype(np.intp)
-    lower = ordered[at]
-    upper = ordered[np.minimum(at + 1, (starts + sizes - 1)[:, None])]
-    step = upper - lower
-    q = np.where(t >= 0.5, upper - step * (1 - t), lower + step * t)
-
+    q = linear_quantiles(ordered, starts, sizes, np.array([0.25, 0.5, 0.75]))
     iqr = q[:, 2] - q[:, 0]
     low_bound = q[:, 0] - 1.5 * iqr
     high_bound = q[:, 2] + 1.5 * iqr

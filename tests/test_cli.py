@@ -783,6 +783,22 @@ def test_an_output_directory_that_is_a_file_exits_3(tmp_path, synth_inputs, caps
     assert capsys.readouterr().err.startswith("error: cannot write ")
 
 
+def test_a_run_whose_output_directory_cannot_be_made_reads_no_year(tmp_path, synth_inputs, capsys, monkeypatch):
+    # the run loaded and clustered every year, recorded its cells as failed
+    # writes, then stopped at metrics.csv and printed none of those failures
+    out = tmp_path / "taken"
+    out.write_text("")
+    loads = []
+    monkeypatch.setattr(pipeline, "load_year", lambda *args, **kwargs: loads.append(args) or load_year(*args, **kwargs))
+    config = _write_config(tmp_path, synth_inputs, out, k_values=[2, 3])
+    capsys.readouterr()
+    assert main(["run", "--config", config]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out}: ") and err.count("\n") == 1
+    assert "metrics.csv" not in err
+    assert loads == []
+
+
 def test_train_makes_the_model_directory(tmp_path, synth_inputs):
     # the only output whose directory was not made: exit 3, cannot write
     model_path = tmp_path / "new" / "m.json"

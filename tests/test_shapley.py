@@ -317,6 +317,46 @@ def test_explain_matches_per_tree_oracle_bit_for_bit(rng):
     assert deepest == 6
 
 
+def _others_by_loops(factors):
+    """The product of the other players' factors as two hand-written loops,
+    kept as the reference: a running product from the first player up and
+    one from the last player down, multiplied together."""
+    v = factors.shape[0]
+    others = np.empty_like(factors)
+    after = np.empty_like(factors)
+    others[0] = after[-1] = 1.0
+    for s in range(1, v):
+        np.multiply(others[s - 1], factors[s - 1], out=others[s])
+    for s in range(v - 2, -1, -1):
+        np.multiply(after[s + 1], factors[s + 1], out=after[s])
+    others *= after
+    return others
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    players=st.integers(1, 16),
+    nodes=st.integers(1, 8),
+    terms=st.one_of(st.just(1), st.integers(1, 40)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_others_match_the_product_loops_and_cumprods_bit_for_bit(players, nodes, terms, seed):
+    # factors in [0, 1] as z (1 - t) + o t gives them, with exact zeros, the
+    # padding player's exact ones and tiny values among them
+    rng = np.random.default_rng(seed)
+    factors = rng.random((players, nodes, terms))
+    pick = rng.random(factors.shape)
+    factors[pick < 0.1] = 0.0
+    factors[pick > 0.9] = 1.0
+    factors[(pick > 0.4) & (pick < 0.5)] **= 60
+    got = shapley._others(factors).tobytes()
+    assert got == _others_by_loops(factors).tobytes()
+    cumprods = np.ones_like(factors)
+    np.cumprod(factors[:-1], axis=0, out=cumprods[1:])
+    cumprods[:-1] *= np.cumprod(factors[:0:-1], axis=0)[::-1]
+    assert got == cumprods.tobytes()
+
+
 def test_batch_phi_equals_attribute_bit_for_bit(rng, monkeypatch):
     X = rng.normal(size=(40, 5))
     y = (X[:, 0] > 0).astype(int) + (X[:, 3] > 0.5).astype(int)

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from test_hcluster import quick_dataset
-from vaxclust import stats
+from vaxclust import gbdt, stats
 from vaxclust.errors import EmptyGroup, EmptySample
 from vaxclust.fixtures import load_rurality_fixture, load_wtable_assignment
 from vaxclust.hcluster import ClusterAssignment
@@ -288,6 +288,26 @@ def test_box_stats_cluster_ids_need_not_be_contiguous():
 def test_box_stats_rejects_empty():
     with pytest.raises(EmptyGroup):
         stats.box_stats([], [])
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), sizes=st.lists(st.integers(1, 40), min_size=1, max_size=6))
+def test_linear_quantiles_match_numpy_bit_for_bit(data, sizes):
+    # segments of 1 to 40 values with ties, at the split-border and the
+    # quartile levels; a segment's zeros all take one sign, since one that
+    # holds both -0.0 and +0.0 may give a zero quantile of either sign
+    value = st.one_of(st.integers(-3, 3).map(float), st.floats(-1e6, 1e6, allow_nan=False))
+    segments = []
+    for size in sizes:
+        segment = np.sort(np.array(data.draw(st.lists(value, min_size=size, max_size=size))))
+        segment[segment == 0.0] = data.draw(st.sampled_from([0.0, -0.0]))
+        segments.append(segment)
+    sizes = np.array(sizes)
+    for levels in (gbdt._QUANTILES, np.array([0.25, 0.5, 0.75])):
+        got = stats.linear_quantiles(np.concatenate(segments), np.cumsum(sizes) - sizes, sizes, levels)
+        assert got.shape == (len(segments), levels.size)
+        for row, segment in zip(got, segments):
+            assert row.tobytes() == np.quantile(segment, levels, method="linear").tobytes()
 
 
 def test_crosstab_single_category():
