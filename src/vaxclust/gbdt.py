@@ -13,8 +13,8 @@ leakage a plain mean encoding would introduce. Inference uses the frozen
 full-training statistics.
 
 Split candidates are 32-bucket per-feature quantile borders, computed once
-per fit by :func:`~vaxclust.stats.linear_quantiles` (the box plots' rule) from
-one sort of the design, with every row's bucket in every column. Each tree level
+per fit by :func:`linear_quantiles` (also the box plots' rule, in ``stats``)
+from one sort of the design, with every row's bucket in every column. Each tree level
 scores every (feature, threshold) candidate from one gradient and one
 hessian histogram over (occupied leaf, feature, bucket), as in LightGBM's
 histogram method (Ke et al. 2017). The histogram has one row per leaf that
@@ -72,7 +72,6 @@ from .errors import (
 )
 from .rng import Rng, derive_seed
 from .schema import check_fields, is_int, read_object
-from .stats import linear_quantiles
 
 N_QUANTILE_BUCKETS = 32
 _MIN_SPLIT_GAIN = 1e-12
@@ -269,9 +268,6 @@ class ObliviousTree:
         for level, (feature, threshold) in enumerate(self.splits):
             idx |= (X[:, feature] > threshold).astype(np.int64) << level
         return idx
-
-    def evaluate(self, X: np.ndarray) -> np.ndarray:
-        return self.leaf_values[self.leaf_indices(X)]
 
 
 @dataclass(frozen=True)
@@ -484,9 +480,26 @@ def predict_class(model: TreeEnsemble, numeric, categorical=None) -> np.ndarray:
 _QUANTILES = np.arange(1, N_QUANTILE_BUCKETS) / N_QUANTILE_BUCKETS
 
 
+def linear_quantiles(ordered, starts, sizes, levels) -> np.ndarray:
+    """(segment, level) ``numpy.quantile(segment, levels, method="linear")`` of the sorted,
+    non-empty segments ``ordered[start : start + size]``, in numpy's arithmetic: virtual index
+    v = (n - 1) p, order statistics a at floor(v) and b after it, t = v - floor(v) (v + 1 once
+    v reaches n - 1, where numpy reads a and b at index -1), and a + (b - a) t below t = 0.5,
+    b - (b - a) (1 - t) from there. The bits are numpy's, but for the sign of a zero quantile
+    of a segment holding -0.0 and +0.0, whose order numpy leaves to chance."""
+    virtual = (sizes[:, None] - 1) * levels
+    below = np.floor(virtual)
+    t = virtual - np.where(virtual < sizes[:, None] - 1, below, -1)
+    at = starts[:, None] + below.astype(np.intp)
+    lower = ordered[at]
+    upper = ordered[np.minimum(at + 1, (starts + sizes - 1)[:, None])]
+    step = upper - lower
+    return np.where(t >= 0.5, upper - step * (1 - t), lower + step * t)
+
+
 def _quantile_borders(design: np.ndarray) -> np.ndarray:
     """(quantile, column) ``np.quantile(design, _QUANTILES, axis=0, method="linear")``:
-    :func:`~vaxclust.stats.linear_quantiles` of the columns, sorted once."""
+    :func:`linear_quantiles` of the columns, sorted once."""
     n_rows, n_cols = design.shape
     ordered = np.sort(design, axis=0).T.ravel()
     return linear_quantiles(ordered, np.arange(n_cols) * n_rows, np.full(n_cols, n_rows), _QUANTILES).T

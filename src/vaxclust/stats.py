@@ -10,9 +10,9 @@ per doubled rank sum, built one observation at a time. Welch's t is computed
 alongside for transparency; it is never the significance criterion.
 
 Quartile convention (fixed, because tools disagree): ``numpy.quantile(...,
-method="linear")``, in :func:`linear_quantiles`, which gbdt's split borders
-share. Whiskers reach the most extreme points within 1.5*IQR of the
-quartiles; points beyond are outliers.
+method="linear")``, in :func:`~vaxclust.gbdt.linear_quantiles`, the rule of
+gbdt's split borders. Whiskers reach the most extreme points within 1.5*IQR
+of the quartiles; points beyond are outliers.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from scipy.special import stdtr
 
 from .dataset import RURALITY_CATEGORIES, YearDataset
 from .errors import EmptyGroup, EmptySample
+from .gbdt import linear_quantiles
 from .hcluster import ClusterAssignment
 
 # combined sample size up to which p is exact: a counting DP over doubled rank
@@ -162,38 +163,13 @@ def welch_t(sample_a, sample_b, feature_name: str = "") -> WelchResult:
     return WelchResult(feature_name, float(t), float(dof), min(1.0, p))
 
 
-def quartiles(values) -> tuple[float, float, float]:
-    """(q1, median, q3) by linear interpolation at p*(n-1)."""
-    v = np.asarray(values, dtype=np.float64)
-    if v.size == 0:
-        raise EmptyGroup("cannot take quartiles of an empty sample")
-    q1, q2, q3 = np.quantile(v, [0.25, 0.5, 0.75], method="linear")
-    return float(q1), float(q2), float(q3)
-
-
-def linear_quantiles(ordered, starts, sizes, levels) -> np.ndarray:
-    """(segment, level) ``numpy.quantile(segment, levels, method="linear")`` of the sorted,
-    non-empty segments ``ordered[start : start + size]``, in numpy's arithmetic: virtual index
-    v = (n - 1) p, order statistics a at floor(v) and b after it, t = v - floor(v) (v + 1 once
-    v reaches n - 1, where numpy reads a and b at index -1), and a + (b - a) t below t = 0.5,
-    b - (b - a) (1 - t) from there. The bits are numpy's, but for the sign of a zero quantile
-    of a segment holding -0.0 and +0.0, whose order numpy leaves to chance."""
-    virtual = (sizes[:, None] - 1) * levels
-    below = np.floor(virtual)
-    t = virtual - np.where(virtual < sizes[:, None] - 1, below, -1)
-    at = starts[:, None] + below.astype(np.intp)
-    lower = ordered[at]
-    upper = ordered[np.minimum(at + 1, (starts + sizes - 1)[:, None])]
-    step = upper - lower
-    return np.where(t >= 0.5, upper - step * (1 - t), lower + step * t)
-
-
 def box_stats(values, grouping) -> dict[int, BoxStats]:
     """Five-number summary plus 1.5*IQR whiskers and outliers, per cluster.
 
     One stable sort by (cluster, value) lays every cluster's sample out in
-    order. Quartiles are its slices' :func:`linear_quantiles`; extremes, whiskers
-    and outliers are read off the slice's ends and the bounds' sorted positions.
+    order. Quartiles are its slices' :func:`~vaxclust.gbdt.linear_quantiles`;
+    extremes, whiskers and outliers are read off the slice's ends and the
+    bounds' sorted positions.
     """
     values = np.asarray(values, dtype=np.float64)
     grouping = np.asarray(grouping)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import re
 import subprocess
@@ -552,51 +553,65 @@ _JSON_VALUES = st.one_of(
     st.none(),
     st.booleans(),
     st.integers(-(2**70), 2**70),
-    st.sampled_from([0, 1, -1, 2**53, 2**62, 2**63 - 1, 1e300, 1e308, -1e308, 5e-324, -0.0]),
+    st.sampled_from([0, 1, -1, 2**53, 2**62, 2**63 - 1, 2**63, -(2**63), 1e300, 1e308, -1e308, 5e-324, -0.0]),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
     st.floats(),
     st.text(max_size=3),
     st.lists(st.integers(-3, 3), max_size=4),
     st.lists(st.floats(-1e308, 1e308), max_size=4),
     st.just({}),
 )
+_DROP = object()  # a change that deletes the key or list item at its path
 
 
-def test_mutated_model_files_end_explain_in_an_exit_code(tmp_path, synth_inputs):
-    """A valid k=3 model file changed at 1 to 3 places ends ``explain
-    --per-row`` in exit 0-3, with no exception and no RuntimeWarning (an
-    error under pytest's filter)."""
-    config = _write_config(tmp_path, synth_inputs, tmp_path / "explain", n_trees=4, seed=7)
+def _check_mutated_models(tmp_path, synth_inputs, k, n_trees, max_examples, *flags):
+    """A valid model file trained with ``k`` and ``n_trees``, changed at 1 to
+    3 places, ends ``explain`` in exit 0-3, with no exception and no
+    RuntimeWarning (an error under pytest's filter)."""
+    config = _write_config(tmp_path, synth_inputs, tmp_path / "explain", n_trees=n_trees, seed=7)
     model_path = tmp_path / "model.json"
-    assert main(["train", "--config", config, "--year", "2021", "--k", "3", "--model-out", str(model_path)]) == 0
+    assert main(["train", "--config", config, "--year", "2021", "--k", k, "--model-out", str(model_path)]) == 0
     valid = model_path.read_text()
     paths = sorted(_json_paths(json.loads(valid)), key=repr)
     mutated_path = tmp_path / "mutated.json"
 
-    @settings(derandomize=True, max_examples=150, deadline=None)
+    @settings(derandomize=True, max_examples=max_examples, deadline=None)
     @given(changes=_changes(paths))
     def check(changes):
         mutated_path.write_text(_mutated(valid, changes))
-        code = main(["explain", "--config", config, "--year", "2021", "--model", str(mutated_path), "--per-row"])
+        code = main(["explain", "--config", config, "--year", "2021", "--model", str(mutated_path), *flags])
         assert code in (0, 1, 2, 3)
 
     check()
 
 
+def test_mutated_model_files_end_explain_in_an_exit_code(tmp_path, synth_inputs):
+    _check_mutated_models(tmp_path, synth_inputs, "3", 4, 150, "--per-row")
+
+
+def test_mutated_binary_model_files_end_explain_in_an_exit_code(tmp_path, synth_inputs):
+    # k=2 boosts one binary_logistic output where k=3 boosts three softmax outputs
+    _check_mutated_models(tmp_path, synth_inputs, "2", 2, 100)
+
+
 def _changes(paths):
-    """1 to 3 (path, new value) pairs."""
-    return st.lists(st.tuples(st.sampled_from(paths), _JSON_VALUES), min_size=1, max_size=3)
+    """1 to 3 (path, new value or ``_DROP``) pairs."""
+    return st.lists(st.tuples(st.sampled_from(paths), _JSON_VALUES | st.just(_DROP)), min_size=1, max_size=3)
 
 
 def _mutated(text, changes) -> str:
-    """The JSON document ``text`` with each change's value at its path, where
-    that path is still there after the changes before it."""
+    """The JSON document ``text`` with each change's value at its path, or its
+    key dropped, where that path is still there after the changes before it."""
     doc = json.loads(text)
     for path, value in changes:
         parent = doc
         for key in path[:-1]:
             parent = parent[key] if isinstance(parent, (dict, list)) and _holds(parent, key) else None
         if isinstance(parent, (dict, list)) and _holds(parent, path[-1]):
-            parent[path[-1]] = value
+            if value is _DROP:
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = value
     return json.dumps(doc)
 
 
@@ -669,6 +684,57 @@ def test_mutated_geometry_files_end_run_in_an_exit_code(tmp_path, synth_inputs):
         code = main(["run", "--config", config])
         assert code in (0, 1, 2, 3)
         assert code == 1 or (out / "run_summary.json").exists()
+
+    check()
+
+
+_TABLE_EDITS = st.tuples(
+    st.sampled_from(["vaccination_2021.csv", "gdsc_2021.csv"]),
+    st.sampled_from(["splice", "delete", "duplicate", "truncate", "insert"]),
+    st.integers(0, 2**16),  # where, modulo the table's length + 1
+    st.integers(0, 2**16),  # where a splice puts its bytes, likewise
+    st.integers(1, 200),  # how many bytes a splice, delete or duplicate takes
+    st.sampled_from([b"\xef\xbb\xbf", b"\xff", b"\xc3", b"\xed\xa0\x80", b"\x00"]),  # what insert adds
+)
+
+
+def _edited(data: bytes, operation, at, to, length, insert) -> bytes:
+    at %= len(data) + 1
+    taken = data[at : at + length]
+    if operation == "truncate":
+        return data[:at]
+    if operation == "insert":
+        return data[:at] + insert + data[at:]
+    if operation == "duplicate":
+        return data[: at + length] + taken + data[at + length :]
+    data = data[:at] + data[at + length :]
+    if operation == "splice":
+        to %= len(data) + 1
+        data = data[:to] + taken + data[to:]
+    return data
+
+
+def test_mutated_input_tables_end_run_in_an_exit_code(tmp_path, synth_inputs):
+    """The two input tables with 1 to 3 byte edits (spliced, deleted,
+    duplicated or truncated bytes, invalid UTF-8, a BOM) end a 2-tree ``run``
+    in exit 0-3, with no exception and no RuntimeWarning, and
+    ``run_summary.json`` written."""
+    valid = {name: (synth_inputs / name).read_bytes() for name in ("vaccination_2021.csv", "gdsc_2021.csv")}
+    indir, out = tmp_path / "mutated", tmp_path / "out"
+    indir.mkdir()
+    config = _write_config(tmp_path, indir, out, n_trees=2, depth=2)
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(edits=st.lists(_TABLE_EDITS, min_size=1, max_size=3))
+    def check(edits):
+        tables = dict(valid)
+        for name, *edit in edits:
+            tables[name] = _edited(tables[name], *edit)
+        for name, data in tables.items():
+            (indir / name).write_bytes(data)
+        (out / "run_summary.json").unlink(missing_ok=True)
+        assert main(["run", "--config", config]) in (0, 1, 2, 3)
+        assert (out / "run_summary.json").exists()
 
     check()
 

@@ -163,7 +163,7 @@ def test_margin_equals_sum_of_tree_evaluations(rng):
     margins = gbdt.predict_margin(model, X)[:, 0]
     manual = np.full(50, model.base_score[0])
     for tree in model.trees:
-        manual += model.learning_rate * tree.evaluate(X)
+        manual += model.learning_rate * tree.leaf_values[tree.leaf_indices(X)]
     assert np.abs(margins - manual).max() < 1e-12
 
 
@@ -171,7 +171,7 @@ def _per_tree_margin(model, design):
     """The per-tree loop ``margin_from_design`` replaced, kept as the reference."""
     margins = np.tile(model.base_score, (design.shape[0], 1))
     for tree in model.trees:
-        margins[:, tree.class_index] += model.learning_rate * tree.evaluate(design)
+        margins[:, tree.class_index] += model.learning_rate * tree.leaf_values[tree.leaf_indices(design)]
     return margins
 
 
@@ -295,7 +295,8 @@ def test_oblivious_level_permutation_reaches_same_leaf(rng):
             leaf_cover=tree.leaf_cover[_remap_leaves(perm, levels)],
             class_index=tree.class_index,
         )
-        assert np.array_equal(tree.evaluate(X), permuted.evaluate(X))
+        leaves = tree.leaf_values[tree.leaf_indices(X)]
+        assert np.array_equal(leaves, permuted.leaf_values[permuted.leaf_indices(X)])
 
 
 def _remap_leaves(perm, levels):
