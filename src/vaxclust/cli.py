@@ -189,7 +189,7 @@ def cmd_report(args) -> int:
         raise DataError(f"no report_*.json files under {args.runs}")
     table = emit_table3(reports, sorted(years), sorted(ks))
     out_path = args.out or os.path.join(args.runs, "metrics.csv")
-    if os.path.isdir(out_path):
+    if not os.path.basename(out_path) or os.path.isdir(out_path):  # DIR/ or an existing DIR
         out_path = os.path.join(out_path, "metrics.csv")
     write_text(out_path, table)
     print(f"wrote {out_path}")

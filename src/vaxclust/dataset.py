@@ -174,9 +174,12 @@ def write_text(path, text: str) -> None:
     beside ``path``, a name no artifact pattern matches and every rerun repeats
     (so does a failure's message), then replaces ``path`` in one rename. On any
     failure the temporary file is removed, ``path`` is left as it was and an
-    OSError becomes a WriteError, ``cannot write PATH: ...``. Mode follows the umask.
+    OSError becomes a WriteError, ``cannot write PATH: ...``; so does a ``path``
+    naming no file (``DIR/``), before any directory is made. Mode follows the umask.
     """
     directory, name = os.path.split(path)
+    if name in ("", os.curdir, os.pardir):
+        raise WriteError(f"cannot write {path}: the path names no file")
     temporary = os.path.join(directory, f".{name}.tmp")
     make_directory(directory)
     try:

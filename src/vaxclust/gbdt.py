@@ -57,8 +57,7 @@ the read-only ``TreeEnsemble.trees`` view.
 from __future__ import annotations
 
 import itertools
-import json
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -71,7 +70,7 @@ from .errors import (
     TooFewRows,
 )
 from .rng import Rng, derive_seed
-from .schema import check_fields, is_int, read_object
+from .schema import check_fields, field_values, is_int, json_text, read_object
 
 N_QUANTILE_BUCKETS = 32
 _MIN_SPLIT_GAIN = 1e-12
@@ -946,14 +945,15 @@ def to_json(model: TreeEnsemble) -> str:
     """Self-describing JSON document of the dataclass fields, ``ts_encoder``
     under ``encoder`` and the forest as ``trees``, one :class:`ObliviousTree`
     record each; floats round-trip exactly via repr."""
-    doc = {**_DOCUMENT_FORMAT, **{f.name: getattr(model, f.name) for f in fields(model) if f.name != "forest"}}
-    doc["trees"] = [asdict(tree) for tree in model.trees]
-    doc["config"] = asdict(model.config)
+    doc = {**_DOCUMENT_FORMAT, **field_values(model)}
+    del doc["forest"]
+    doc["trees"] = [field_values(tree) for tree in model.trees]
+    doc["config"] = field_values(model.config)
     encoder = doc.pop("ts_encoder")
     doc["encoder"] = None if encoder is None else {  # string category keys sort as text: "10" < "9"
-        **asdict(encoder), "stats": [{str(c): entry for c, entry in fs.items()} for fs in encoder.stats]
+        **field_values(encoder), "stats": [{str(c): entry for c, entry in fs.items()} for fs in encoder.stats]
     }
-    return json.dumps(doc, sort_keys=True, indent=2, default=lambda a: a.tolist())
+    return json_text(doc, default=lambda a: a.tolist())
 
 
 def _require(condition: bool, message: str) -> None:
@@ -1065,15 +1065,7 @@ def from_json(text: str | bytes) -> TreeEnsemble:
         )
         _require(any(spec["leaf_cover"]), f"tree {i} leaf_cover must count some training rows")
 
-    forest = Forest.of(
-        ObliviousTree(
-            splits=tuple((f, float(t)) for f, t in spec["splits"]),
-            leaf_values=spec["leaf_values"],
-            leaf_cover=spec["leaf_cover"],
-            class_index=spec["class_index"],
-        )
-        for spec in record["forest"]
-    )
+    forest = Forest.of(ObliviousTree(**spec) for spec in record["forest"])
     base = np.array(record["base_score"], dtype=np.float64)
     problem = _magnitude_problem(forest, base, config.learning_rate, n_outputs)
     _require(not problem, problem)

@@ -28,10 +28,9 @@ produces a byte-identical artifact tree.
 from __future__ import annotations
 
 import functools
-import json
 import os
 import sys
-from dataclasses import MISSING, asdict, dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
 import scipy
@@ -63,7 +62,7 @@ from .hcluster import (
     suggest_k,
 )
 from .rng import derive_seed
-from .schema import JSON_TYPES, check_fields, read_object
+from .schema import JSON_TYPES, check_fields, field_values, json_text, read_object
 from .shapley import fold_average, global_importance, rank_order
 from .stats import BoxStats, box_stats, mann_whitney_u, rurality_cross_tab, welch_t
 
@@ -114,8 +113,8 @@ class RunConfig:
 
     def echo(self) -> dict:
         """Every result-affecting setting, defaults included — provenance."""
-        doc = asdict(self)
-        doc.update(doc.pop("train"))
+        doc = field_values(self)
+        doc.update(field_values(doc.pop("train")))
         return {key: list(value) if isinstance(value, tuple) else value for key, value in doc.items()}
 
     @functools.cached_property
@@ -204,8 +203,7 @@ class RunReport:
     notes: list[str]
 
     def to_json(self) -> str:
-        # the fields as they are: asdict would deep-copy every list and dict
-        return json.dumps({f.name: getattr(self, f.name) for f in fields(self)}, sort_keys=True, indent=2)
+        return json_text(field_values(self))
 
     @classmethod
     def from_json(cls, text: str | bytes) -> "RunReport":
@@ -293,10 +291,10 @@ def analyze_cell(
     boxes: dict[str, dict] = {}
     for j, name in enumerate(gdsc_names):
         column = gdsc_matrix[:, j]
-        tests.append(asdict(mann_whitney_u(column[low], column[high], feature_name=name)))
-        welch_rows.append(asdict(welch_t(column[low], column[high], feature_name=name)))
+        tests.append(field_values(mann_whitney_u(column[low], column[high], feature_name=name)))
+        welch_rows.append(field_values(welch_t(column[low], column[high], feature_name=name)))
         boxes[name] = {
-            str(cluster): {**asdict(b), "outliers": list(b.outliers)}
+            str(cluster): {**field_values(b), "outliers": list(b.outliers)}
             for cluster, b in box_stats(column, assignment.labels).items()
         }
 
@@ -323,8 +321,8 @@ def analyze_cell(
         cluster_names=list(assignment.ordered_names),
         cluster_mean_table=[[float(v) for v in row] for row in means],
         metrics={
-            "mean": asdict(cv.bundle.mean),
-            "per_fold": [asdict(r) for r in cv.bundle.per_fold],
+            "mean": field_values(cv.bundle.mean),
+            "per_fold": [field_values(r) for r in cv.bundle.per_fold],
             "pooled_confusion": [[int(v) for v in row] for row in cv.bundle.pooled_confusion],
             "warnings": list(cv.bundle.warnings),
         },
@@ -476,7 +474,7 @@ def write_cell_artifacts(report: RunReport, assignment, dataset, config: RunConf
         ([r + 1, *row] for r, row in enumerate(report.crosstab)),
     ))
     suffix = "geojson" if config.geometry is not None else "json"
-    write(f"choropleth_{tag}.{suffix}", json.dumps(choropleth, sort_keys=True, indent=2) + "\n")
+    write(f"choropleth_{tag}.{suffix}", json_text(choropleth) + "\n")
     write(f"report_{tag}.json", report.to_json() + "\n")
 
 
@@ -567,10 +565,7 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
         f"{year}_k{k}": results[(year, k)].metrics
         for (year, k) in sorted(results)
     }
-    write_text(
-        os.path.join(config.out_dir, "metrics_full.json"),
-        json.dumps(full, sort_keys=True, indent=2) + "\n",
-    )
+    write_text(os.path.join(config.out_dir, "metrics_full.json"), json_text(full) + "\n")
 
     summary = {
         "config": config.echo(),
@@ -581,10 +576,7 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
     }
     if dropped:  # only then, so a run on matching tables keeps its bytes
         summary["dropped_districts"] = dropped
-    write_text(
-        os.path.join(config.out_dir, "run_summary.json"),
-        json.dumps(summary, sort_keys=True, indent=2) + "\n",
-    )
+    write_text(os.path.join(config.out_dir, "run_summary.json"), json_text(summary) + "\n")
 
     if data_error:
         exit_code = 2

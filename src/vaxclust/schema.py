@@ -1,4 +1,4 @@
-"""JSON documents checked against the dataclass fields they are read into.
+"""JSON documents, read and written one way and checked against dataclass fields.
 
 A dataclass is the only field list of its record: :func:`check_fields`
 takes the keys from its fields and each value's JSON type from the field's
@@ -101,3 +101,14 @@ def check_fields(cls, doc, error, where: str, nested=frozenset()) -> None:
     for name, annotation in annotations.items():
         if name not in nested and not JSON_TYPES[annotation](doc[name]):
             raise error(f"{where} key {name!r} must be {annotation}, got {doc[name]!r:.80}")
+
+
+def field_values(record) -> dict:
+    """The fields of dataclass ``record`` by name, their values not copied."""
+    return {f.name: getattr(record, f.name) for f in fields(record)}
+
+
+def json_text(doc, default=None) -> str:
+    """``doc`` as the text of a JSON file: keys sorted, two-space indent, no trailing
+    newline; a non-finite float is ``Infinity``, ``-Infinity`` or ``NaN``, which strict parsers reject."""
+    return json.dumps(doc, sort_keys=True, indent=2, default=default)

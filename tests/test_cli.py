@@ -872,6 +872,18 @@ def test_train_makes_the_model_directory(tmp_path, synth_inputs):
                  "--k", "2", "--model-out", str(model_path)]) == 0
     assert model_from_json(model_path.read_text()).n_classes == 2
 
+
+@pytest.mark.parametrize("name", ["", os.curdir, os.pardir], ids=["separator", "dot", "dot-dot"])
+def test_a_model_path_naming_no_file_exits_3_and_makes_no_directory(tmp_path, synth_inputs, capsys, name):
+    # write_text made NEWDIR, then failed renaming NEWDIR/..tmp onto NEWDIR/
+    # and named that temporary file, leaving an empty NEWDIR behind
+    model_out = os.path.join(tmp_path / "new", name)
+    code = main(["train", "--input-dir", str(synth_inputs), "--year", "2021", "--k", "2", "--model-out", model_out])
+    assert code == 3
+    assert capsys.readouterr().err == f"error: cannot write {model_out}: the path names no file\n"
+    assert not (tmp_path / "new").exists()
+
+
 def test_report_subcommand(tmp_path, synth_inputs):
     out = tmp_path / "out"
     config = _write_config(tmp_path, synth_inputs, out)
@@ -880,6 +892,19 @@ def test_report_subcommand(tmp_path, synth_inputs):
     assert main(["report", "--runs", str(out)]) == 0
     text = (out / "metrics.csv").read_text()
     assert text.startswith("year,metric,2 cluster")
+
+
+@pytest.mark.parametrize("existing", [True, False], ids=["existing-directory", "new-directory-with-separator"])
+def test_report_out_directory_gets_metrics_csv(tmp_path, synth_inputs, existing):
+    # --out NEWDIR/ made NEWDIR and then exited 3, failing to write NEWDIR/ itself
+    out = tmp_path / "out"
+    assert main(["run", "--config", _write_config(tmp_path, synth_inputs, out)]) == 0
+    target = tmp_path / "tables"
+    if existing:
+        target.mkdir()
+    assert main(["report", "--runs", str(out), "--out", str(target) if existing else os.path.join(target, "")]) == 0
+    assert (target / "metrics.csv").read_bytes() == (out / "metrics.csv").read_bytes()
+    assert os.listdir(target) == ["metrics.csv"]
 
 
 @pytest.mark.parametrize(

@@ -313,6 +313,8 @@ def test_adjusted_rand_index():
         np.arange(1000) % 2, np.random.default_rng(5).integers(0, 2, 1000)
     )
     assert abs(near_zero) < 0.1
+    with pytest.raises(LengthMismatch):
+        ev.adjusted_rand_index([0, 0, 1], [0, 1])
 
 
 @pytest.mark.parametrize("labels", [[], [0], [3]])

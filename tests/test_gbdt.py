@@ -56,6 +56,8 @@ def test_fit_rejects_degenerate_labels(rng):
     X = rng.normal(size=(20, 3))
     with pytest.raises(DegenerateLabels):
         gbdt.fit(X, None, np.zeros(20, dtype=int), TrainConfig(n_trees=2))
+    with pytest.raises(DegenerateLabels, match=r"lack class\(es\) \[1\] of 0..2"):
+        gbdt.fit(X, None, np.arange(20) % 2 * 2, TrainConfig(n_trees=2))
 
 
 def test_fit_rejects_nonfinite(rng):

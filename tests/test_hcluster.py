@@ -142,6 +142,19 @@ def test_distance_rejects_nonfinite():
         hc.pairwise_distances(np.array([[0.0], [np.nan]]))
 
 
+@pytest.mark.parametrize(
+    "dist, linkage, error, message",
+    [
+        (np.array([[0.0, 1.0], [1.0, 0.0]]), "centroid", ValueError, "unknown linkage 'centroid'"),
+        (np.array([[0.0, np.inf], [np.inf, 0.0]]), "ward", NonFiniteInput, "non-finite"),
+    ],
+    ids=["unknown-linkage", "non-finite"],
+)
+def test_agglomerate_rejects_unknown_linkage_and_non_finite_matrix(dist, linkage, error, message):
+    with pytest.raises(error, match=message):
+        hc.agglomerate(dist, linkage)
+
+
 def test_ward_heights_on_1d_points():
     dendro = hc.agglomerate(hc.pairwise_distances(np.array([[0.0], [1.0], [10.0]])))
     assert dendro.merges[0].left == 0 and dendro.merges[0].right == 1

@@ -227,6 +227,37 @@ def test_report_round_trips(tmp_path):
     assert report.to_json() == json.dumps(asdict(report), sort_keys=True, indent=2)
 
 
+def test_every_json_file_is_canonical(tmp_path):
+    # every JSON file of a run and a model file: keys sorted, two-space
+    # indent, one trailing newline; imd_avg_score constant within each
+    # cluster makes the Welch t of two constant samples, -Infinity
+    config = small_config(tmp_path, k_values=[2])
+    dataset = pl.load_dataset(config, 2021)
+    assignment = pl.assign_clusters(dataset, pl.cluster_year(dataset, config)[0], 2)
+    score = {d: "20" if label else "10" for d, label in zip(dataset.ids, assignment.labels.tolist())}
+    gdsc = table_paths(config.input_dir, 2021)[1]
+    with open(gdsc, newline="", encoding="utf-8") as f:
+        rows = list(csv.DictReader(f))
+    with open(gdsc, "w", newline="", encoding="utf-8") as f:
+        f.write(csv_text(list(rows[0]), ([*{**row, "imd_avg_score": score[row["district_id"]]}.values()] for row in rows)))
+    assert pl.run_pipeline(config).exit_code == 0
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config.echo()))
+    model_path = tmp_path / "model.json"
+    assert main(["train", "--config", str(config_path), "--year", "2021", "--k", "2",
+                 "--model-out", str(model_path)]) == 0
+    paths = sorted(glob.glob(os.path.join(config.out_dir, "*.json"))) + [str(model_path)]
+    assert [os.path.basename(p) for p in paths] == [
+        "choropleth_2021_k2.json", "metrics_full.json", "report_2021_k2.json", "run_summary.json", "model.json"
+    ]
+    for path in paths:
+        with open(path, encoding="utf-8", newline="") as f:
+            text = f.read()
+        assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n", path
+    report = json.loads((tmp_path / "out" / "report_2021_k2.json").read_text())
+    assert [w["t_statistic"] for w in report["welch"] if w["feature_name"] == "imd_avg_score"] == [-float("inf")]
+
+
 def test_partial_join_records_dropped_districts(tmp_path):
     config = small_config(tmp_path, allow_partial=True)
     path = os.path.join(config.input_dir, "gdsc_2021.csv")

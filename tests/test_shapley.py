@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import random_oblivious_model
 from vaxclust import gbdt, shapley
-from vaxclust.errors import EmptySample, MissingCover, TooManyFeatures
+from vaxclust.errors import EmptySample, FeatureArityMismatch, MissingCover, TooManyFeatures
 from vaxclust.gbdt import Forest, ObliviousTree, TrainConfig, TreeEnsemble
 
 
@@ -517,6 +517,8 @@ def test_fold_average():
     assert avg.values.tolist() == [2.0, 2.0]
     with pytest.raises(EmptySample):
         shapley.fold_average([])
+    with pytest.raises(FeatureArityMismatch):
+        shapley.fold_average([g1, shapley.GlobalImportance(("b", "a"), np.array([3.0, 1.0]))])
 
 
 def test_ranking_sorted_desc():

@@ -3,6 +3,8 @@
 Each stage module imports only the stages listed before it, plus the shared
 leaf modules, so importing a stage loads nothing of the stages after it:
 the classifier and its explainer load without the rank tests or scipy.
+Only the shared ``schema`` imports ``json``: it reads and writes every JSON
+document.
 """
 
 from __future__ import annotations
@@ -22,20 +24,24 @@ SHARED = ("errors", "rng", "schema", "fixtures")  # import no vaxclust module; a
 MODULES = {path.stem for path in PACKAGE.glob("*.py")}
 
 
-def _imported_modules(name: str) -> set[str]:
-    """The vaxclust modules that module ``name`` imports, anywhere in its body."""
+def _imports(name: str) -> set[str]:
+    """Every module and name that module ``name`` imports, anywhere in its
+    body, in full: ``from dataclasses import asdict`` is ``dataclasses`` and
+    ``dataclasses.asdict``."""
     found = set()
     for node in ast.walk(ast.parse((PACKAGE / f"{name}.py").read_text(encoding="utf-8"))):
         if isinstance(node, ast.Import):
-            targets = [alias.name for alias in node.names]
+            found |= {alias.name for alias in node.names}
         elif isinstance(node, ast.ImportFrom):
             base = ".".join(filter(None, ["vaxclust", node.module])) if node.level else node.module
-            targets = [f"{base}.{alias.name}" for alias in node.names] + [base]
-        else:
-            continue
-        parts = [target.split(".") for target in targets]
-        found |= {p[1] for p in parts if p[0] == "vaxclust" and len(p) > 1 and p[1] in MODULES}
+            found |= {base, *(f"{base}.{alias.name}" for alias in node.names)}
     return found
+
+
+def _imported_modules(name: str) -> set[str]:
+    """The vaxclust modules that module ``name`` imports, anywhere in its body."""
+    parts = [target.split(".") for target in _imports(name)]
+    return {p[1] for p in parts if p[0] == "vaxclust" and len(p) > 1 and p[1] in MODULES}
 
 
 def test_every_module_is_a_stage_or_shared():
@@ -51,6 +57,13 @@ def test_stages_import_only_earlier_stages():
         wrong += [f"{name} -> {m}" for m in sorted(_imported_modules(name) - allowed)]
         allowed.add(name)
     assert wrong == []
+
+
+def test_only_schema_reads_and_writes_json():
+    # one text per JSON file (schema.json_text), and no deep copy of a record
+    # on the way to it (schema.field_values, not dataclasses.asdict)
+    assert sorted(name for name in MODULES if any(t.split(".")[0] == "json" for t in _imports(name))) == ["schema"]
+    assert sorted(name for name in MODULES if "dataclasses.asdict" in _imports(name)) == []
 
 
 def test_package_docstring_lists_the_stages_in_import_order():
